@@ -160,14 +160,6 @@ def one_plus(ring: str, max_degree: int, *names: str) -> GradedPoly:
     return out
 
 
-def poly_add(p: GradedPoly, q: GradedPoly) -> GradedPoly:
-    return p + q
-
-
-def poly_mul(p: GradedPoly, q: GradedPoly) -> GradedPoly:
-    return p * q
-
-
 def poly_invert(p: GradedPoly) -> GradedPoly:
     """Inverse of a unit power series, degree by degree up to the bound."""
     if p.constant_term() != 1:

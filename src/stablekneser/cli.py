@@ -10,15 +10,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import charclasses, complexes, geometry, graphs
-
-WORKERS_ENV = "STABLEKNESER_WORKERS"
 
 
 @dataclass
@@ -38,7 +34,6 @@ class RunConfig:
     critical: bool = False
     aut: bool = False
     sweep: bool = False
-    workers: int = 1
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -121,20 +116,10 @@ def cmd_matroid(cfg: RunConfig) -> tuple[dict, int]:
     return report, status
 
 
-def _classify_cell(args: tuple[int, int, int]) -> dict:
-    n, k, max_degree = args
-    return charclasses.classify(n, k, max_degree).to_json_dict()
-
-
 def cmd_classify(cfg: RunConfig) -> tuple[dict, int]:
     lo, hi = cfg.n_range if cfg.n_range else (cfg.n, cfg.n)
-    cells = [(n, cfg.k, cfg.max_degree) for n in range(lo, hi + 1)]
-    if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            rows = list(pool.map(_classify_cell, cells))
-    else:
-        rows = [_classify_cell(c) for c in cells]
-    rows.sort(key=lambda r: (r["n"], r["k"]))
+    rows = [charclasses.classify(n, cfg.k, cfg.max_degree).to_json_dict()
+            for n in range(lo, hi + 1)]
     report = {"command": "classify", "k": cfg.k,
               "max_degree": cfg.max_degree, "reports": rows}
     return report, 0
@@ -241,7 +226,6 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         cfg.zero_tol = args.zero_tol
     if getattr(args, "n_range", None) is not None:
         cfg.n_range = args.n_range
-    cfg.workers = max(1, int(os.environ.get(WORKERS_ENV, "1")))
     return cfg
 
 

@@ -11,6 +11,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
+from . import graphs
 from .graphs import (CircularSet, DihedralElement, Graph,
                      stable_kneser_graph)
 from .matroid import (SignVector, covector_extension_feasible, dihedral_act_sign,
@@ -134,15 +135,19 @@ class SimplicialComplex:
 
     @classmethod
     def from_faces(cls, faces: Sequence[frozenset]) -> "SimplicialComplex":
-        faces = [frozenset(f) for f in faces if f]
-        maximal = [f for f in faces
-                   if not any(f < g for g in faces)]
-        seen = set()
+        """Keep the distinct inclusion-maximal nonempty faces as facets.
+
+        Facets are ordered by size, then by the sorted reprs of their
+        vertices; vertices are sorted by repr.
+        """
+        by_size: dict[int, dict[frozenset, None]] = {}   # insertion-ordered sets
+        for f in faces:
+            if f:
+                by_size.setdefault(len(f), {})[frozenset(f)] = None
         uniq = []
-        for f in maximal:
-            if f not in seen:
-                seen.add(f)
-                uniq.append(f)
+        for size, group in by_size.items():
+            larger = [g for big, gs in by_size.items() if big > size for g in gs]
+            uniq += [f for f in group if not any(f < g for g in larger)]
         verts = sorted({v for f in uniq for v in f}, key=repr)
         uniq.sort(key=lambda f: (len(f), sorted(map(repr, f))))
         return cls(tuple(verts), tuple(uniq))
@@ -405,9 +410,7 @@ def covector_to_hom(s: SignVector, n: int, k: int,
 
 def multihom_dihedral_act(mh: MultiHom, g: Graph, elem: DihedralElement) -> MultiHom:
     """Push a Hom(K_2, G) cell along the dihedral action on G's labels."""
-    from .graphs import vertex_permutation
-    perm = vertex_permutation(g, elem)
-    return mh.act_vertices(perm)
+    return mh.act_vertices(graphs.vertex_permutation(g, elem))
 
 
 def check_equivariance_combinatorial(n: int, k: int) -> dict:
@@ -419,16 +422,16 @@ def check_equivariance_combinatorial(n: int, k: int) -> dict:
     """
     m = 2 * n + k
     target = stable_kneser_graph(n, k)
-    sigma = DihedralElement.sigma(m)
-    rho = DihedralElement.rho(m)
+    actions = [(name, elem, graphs.vertex_permutation(target, elem))
+               for name, elem in (("sigma", DihedralElement.sigma(m)),
+                                  ("rho", DihedralElement.rho(m)))]
     violations = []
     covs = enumerate_covectors(m, k)
     for s in covs:
         base = covector_to_hom(s, n, k, target)
-        for name, elem in (("sigma", sigma), ("rho", rho)):
+        for name, elem, perm in actions:
             lhs = covector_to_hom(dihedral_act_sign(s, elem), n, k, target)
-            rhs = multihom_dihedral_act(base, target, elem)
-            if lhs != rhs:
+            if lhs != base.act_vertices(perm):
                 violations.append((render_sign_vector(s), name))
         if covector_to_hom(negate(s), n, k, target) != base.swap():
             violations.append((render_sign_vector(s), "negation"))

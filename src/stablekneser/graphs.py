@@ -8,7 +8,6 @@ per vertex; loops are permitted unless an operation says otherwise.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -575,18 +574,16 @@ def free_action_check(g: Graph, generators: Sequence[DihedralElement]):
         if gamma.is_identity():
             continue
         witness = None
-        power = gamma
-        k = 1
-        while not power.is_identity():
-            perm = vertex_permutation(g, power)
+        step = vertex_permutation(g, gamma)
+        perm = step
+        for k in range(1, gamma.order()):
             for v in range(g.n):
                 if g.has_edge(v, perm[v]):
                     witness = (v, k)
                     break
             if witness:
                 break
-            power = power * gamma
-            k += 1
+            perm = [step[p] for p in perm]   # gamma^k -> gamma^(k+1)
         result[(gamma.shift, gamma.flip)] = witness
     return result
 
@@ -651,10 +648,6 @@ def graph_to_json_dict(g: Graph) -> dict:
         doc["vertices"] = [[v] for v in range(g.n)]
     doc["edges"] = [[i, j] for i, j in g.edges(include_loops=False)]
     return doc
-
-
-def graph_to_json(g: Graph) -> str:
-    return json.dumps(graph_to_json_dict(g), sort_keys=True)
 
 
 def graph_to_dimacs(g: Graph) -> str:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from math import comb
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .graphs import DihedralElement
 
@@ -18,13 +18,6 @@ SignVector = tuple[int, ...]
 
 _CHARS = {-1: "-", 0: "0", 1: "+"}
 _VALS = {"-": -1, "0": 0, "+": 1}
-
-
-def sign_vector(entries: Iterable[int]) -> SignVector:
-    s = tuple(int(v) for v in entries)
-    if any(v not in (-1, 0, 1) for v in s):
-        raise ValueError("entries must be -1, 0 or +1")
-    return s
 
 
 def parse_sign_vector(text: str) -> SignVector:
@@ -165,35 +158,25 @@ def _extended_entry(s: SignVector, j: int) -> int:
     return val
 
 
-def _act_sigma(s: SignVector) -> SignVector:
-    m = len(s)
-    return tuple(-_extended_entry(s, j - 1) for j in range(m))
-
-
-def _act_rho(s: SignVector) -> SignVector:
-    m = len(s)
-    return tuple(_extended_entry(s, -j) for j in range(m))
-
-
 def dihedral_act_sign(s: SignVector, g: DihedralElement,
                       k: Optional[int] = None) -> SignVector:
     """Right dihedral action on sign vectors.
 
     Extend s to Z with the sign twist s_{j+m} = (-1)^m s_j, then
-    (s.sigma)_j = -s_{j-1} and (s.rho)_j = s_{-j}.  Commutes with taking
-    sign vectors of points under the moment-curve action and with the
-    covector-to-Hom map.  When k is given the input must be a covector.
+    (s.sigma)_j = -s_{j-1} and (s.rho)_j = s_{-j}.  Composed in one pass,
+    (s.sigma^t)_j = (-1)^t s_{j-t} and (s.sigma^t rho)_j = (-1)^t s_{-j-t}.
+    Commutes with taking sign vectors of points under the moment-curve
+    action and with the covector-to-Hom map.  When k is given the input
+    must be a covector.
     """
-    if len(s) != g.m:
-        raise ValueError("length %d does not match modulus %d" % (len(s), g.m))
+    m, t = g.m, g.shift
+    if len(s) != m:
+        raise ValueError("length %d does not match modulus %d" % (len(s), m))
     if k is not None and not is_covector(s, k):
         raise ValueError("not a covector: %s" % render_sign_vector(s))
-    out = s
-    for _ in range(g.shift % g.m):
-        out = _act_sigma(out)
-    if g.flip:
-        out = _act_rho(out)
-    return out
+    sign = -1 if t % 2 else 1
+    mirror = -1 if g.flip else 1
+    return tuple(sign * _extended_entry(s, mirror * j - t) for j in range(m))
 
 
 FREE = None  # free slot marker in partial sign vectors

@@ -75,6 +75,23 @@ def random_polynomial_patterns(m: int, k: int, trials: int, seed: int) -> set:
     return out
 
 
+def dihedral_sign_reference(s, shift: int, flip: bool) -> tuple:
+    """Twisted dihedral action on a sign vector, one generator at a time.
+
+    Applies (s.sigma)_j = -s_{j-1} `shift` times, then (s.rho)_j = s_{-j}
+    if `flip`, where an index leaving 0..m-1 wraps around with the factor
+    (-1)^m (s_{j+m} = (-1)^m s_j).
+    """
+    m = len(s)
+    twist = -1 if m % 2 else 1
+    out = list(s)
+    for _ in range(shift % m):
+        out = [-out[j - 1] if j else -twist * out[m - 1] for j in range(m)]
+    if flip:
+        out = [out[0]] + [twist * out[m - j] for j in range(1, m)]
+    return tuple(out)
+
+
 def brute_force_chromatic(adjacency, max_colours: int = 8) -> int:
     """Try every colouring, k = 1, 2, ... (tiny graphs only)."""
     n = len(adjacency)

@@ -113,14 +113,6 @@ def test_geometry_csv_reproducible():
     assert run_cli(argv) == run_cli(argv)
 
 
-def test_classify_workers_deterministic(monkeypatch):
-    argv = ["classify", "--k", "3", "--n-range", "2..6"]
-    text1, _ = run_cli(argv)
-    monkeypatch.setenv(cli.WORKERS_ENV, "2")
-    text2, _ = run_cli(argv)
-    assert text1 == text2
-
-
 def test_out_flag(tmp_path):
     out = tmp_path / "report.json"
     status = cli.main(["graph", "--n", "1", "--k", "1", "--chromatic",

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -113,6 +114,27 @@ def test_order_complex_examples():
     assert oc.f_vector() == (6, 6)
     assert z2_betti(oc) == (1, 1)
     assert z2_betti(order_complex(hom_poset(k2(), complete_graph(3)))) == (1, 1)
+
+
+def test_from_faces_keeps_distinct_maximal_faces_in_order():
+    faces = [frozenset({2, 3}), frozenset(), frozenset({1, 2, 3}), frozenset({3}),
+             frozenset({4, 5}), [5, 4], frozenset({1, 2}), frozenset({6}),
+             frozenset({0, 4}), frozenset({1, 2, 3})]
+    x = SimplicialComplex.from_faces(faces)
+    assert x.facets == (frozenset({6}), frozenset({0, 4}), frozenset({4, 5}),
+                        frozenset({1, 2, 3}))
+    assert x.vertices == (0, 1, 2, 3, 4, 5, 6)
+    assert SimplicialComplex.from_faces([frozenset()]).facets == ()
+    rng = random.Random(3)
+    for _ in range(50):
+        faces = [frozenset(rng.sample(range(6), rng.randint(0, 4)))
+                 for _ in range(rng.randint(0, 12))]
+        nonempty = {f for f in faces if f}
+        maximal = {f for f in nonempty if not any(f < g for g in nonempty)}
+        facets = SimplicialComplex.from_faces(faces).facets
+        assert len(facets) == len(maximal) and set(facets) == maximal
+        keys = [(len(f), sorted(map(repr, f))) for f in facets]
+        assert keys == sorted(keys)
 
 
 def test_z2_betti_basics():
@@ -239,6 +261,21 @@ def test_check_equivariance_combinatorial():
         report = check_equivariance_combinatorial(n, k)
         assert report["violations"] == []
         assert report["covectors_checked"] == len(enumerate_covectors(2 * n + k, k))
+
+
+def test_check_equivariance_builds_each_permutation_once(monkeypatch):
+    import stablekneser.graphs as graphs_module
+    real = graphs_module.vertex_permutation
+    calls = []
+
+    def counting(g, elem):
+        calls.append(elem)
+        return real(g, elem)
+
+    monkeypatch.setattr(graphs_module, "vertex_permutation", counting)
+    report = check_equivariance_combinatorial(2, 2)
+    assert report["violations"] == []
+    assert len(calls) == 2
 
 
 def test_negation_matches_swap():

@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from stablekneser.graphs import DihedralElement
 from stablekneser.matroid import (cocircuit_count, covector_extension_feasible,
@@ -10,8 +11,9 @@ from stablekneser.matroid import (cocircuit_count, covector_extension_feasible,
                                   is_cocircuit, is_covector, is_vector,
                                   minimal_degree, negate, parse_sign_vector,
                                   render_sign_vector)
-from oracles import (lp_sign_feasible, polynomial_sign_patterns,
-                     random_polynomial_patterns, sign_vectors_orthogonal)
+from oracles import (dihedral_sign_reference, lp_sign_feasible,
+                     polynomial_sign_patterns, random_polynomial_patterns,
+                     sign_vectors_orthogonal)
 
 P = parse_sign_vector
 
@@ -188,6 +190,39 @@ def test_dihedral_act_sign_order_preserving():
 def test_dihedral_act_sign_rejects_non_covector_when_k_given():
     with pytest.raises(ValueError):
         dihedral_act_sign(P("+-+-0"), DihedralElement.sigma(5), k=1)
+
+
+@st.composite
+def sign_vector_and_elements(draw, count):
+    m = draw(st.integers(1, 10))
+    s = tuple(draw(st.lists(st.sampled_from((-1, 0, 1)), min_size=m, max_size=m)))
+    elems = [DihedralElement(m, draw(st.integers(-2 * m, 2 * m)), draw(st.booleans()))
+             for _ in range(count)]
+    return (s, *elems)
+
+
+@settings(deadline=None)
+@given(sign_vector_and_elements(2))
+def test_dihedral_act_sign_action_law(case):
+    s, g, h = case
+    assert dihedral_act_sign(dihedral_act_sign(s, g), h) == dihedral_act_sign(s, g * h)
+
+
+@settings(deadline=None)
+@given(sign_vector_and_elements(1))
+def test_dihedral_act_sign_matches_stepwise_reference(case):
+    s, g = case
+    assert dihedral_act_sign(s, g) == dihedral_sign_reference(s, g.shift, g.flip)
+
+
+@settings(deadline=None)
+@given(sign_vector_and_elements(1), st.integers(0, 4))
+def test_dihedral_act_sign_maps_covectors_to_covectors(case, half):
+    # m = 2n + k: the twist (-1)^m is the moment curve's (-1)^k
+    s, g = case
+    k = len(s) % 2 + 2 * half
+    assume(k < len(s))
+    assert is_covector(dihedral_act_sign(s, g), k) == is_covector(s, k)
 
 
 def test_covector_extension_feasible():
