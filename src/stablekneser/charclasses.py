@@ -1,19 +1,37 @@
 """Graded GF(2) cohomology rings of cyclic and dihedral 2-groups, and the
 Stiefel-Whitney calculus that certifies or refutes test-graph behaviour.
 
-Polynomials are truncated at a degree bound; a term set is kept instead of
-coefficients since everything is mod 2.  Four ring presentations appear:
+Polynomials are truncated at a degree bound D.  Four ring presentations
+appear:
 
   ODD         Z2[a],            deg a = 1        (m odd; also H*(C_2))
   TWO_MOD_4   Z2[a, b],         deg a = b = 1
   ZERO_MOD_4  Z2[x, y, u]/(xy), deg x = y = 1, deg u = 2
   CYCLIC_4    Z2[x, u]/(x^2),   deg x = 1, deg u = 2
+
+Everything is mod 2, so a polynomial is stored bit-packed: one int per
+degree d = 0..D, one bit per monomial of a fixed basis of that degree.
+The last generator's exponent follows from d and the others' exponents:
+
+  ODD         a^d                       -> bit 0
+  TWO_MOD_4   a^i b^(d-i)               -> bit i
+  CYCLIC_4    x^i u^((d-i)/2), i <= 1   -> bit i
+  ZERO_MOD_4  x^i u^((d-i)/2)           -> bit D + i
+              y^j u^((d-j)/2)           -> bit D - j
+
+Multiplying a component by a basis monomial is an AND that clears what
+the monomial ideal kills (x·x in CYCLIC_4, the y side under x and the x
+side under y in ZERO_MOD_4), then a shift by the monomial's offset; a
+homogeneous product XORs these over the monomials of one factor, which
+in ODD and TWO_MOD_4 is a plain carry-less multiply.  ZERO_MOD_4 puts x
+and y on either side of bit D rather than on two strides, so its masks
+stay 2D + 1 bits wide instead of D·(D + 1).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -53,59 +71,163 @@ def _mono_ok(ring: str, mono: Monomial) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+# ---------------------------------------------------------------------------
+# the bit layout of one homogeneous component
+
+
+def _bit_of(ring: str, max_degree: int, mono: Monomial) -> int:
+    """Bit position of a monomial inside its degree's mask."""
+    if ring == ZERO_MOD_4:
+        return max_degree + mono[0] - mono[1]
+    if ring == ODD:
+        return 0
+    return mono[0]
+
+
+def _monomial_at(ring: str, max_degree: int, degree: int, bit: int) -> Monomial:
+    """Inverse of _bit_of within one degree."""
+    if ring == ODD:
+        return (degree,)
+    if ring == TWO_MOD_4:
+        return (bit, degree - bit)
+    if ring == CYCLIC_4:
+        return (bit, (degree - bit) // 2)
+    i, j = max(bit - max_degree, 0), max(max_degree - bit, 0)
+    return (i, j, (degree - i - j) // 2)
+
+
+def _bits(mask: int) -> Iterator[int]:
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _times_monomial(ring: str, max_degree: int, bit: int, mask: int) -> int:
+    """A component times the basis monomial at `bit` of another component."""
+    if ring == ZERO_MOD_4:
+        if bit > max_degree:   # x^i: the y side dies, the rest moves up i
+            return (mask >> max_degree) << bit
+        if bit < max_degree:   # y^j: the x side dies, the rest moves down j
+            return (mask & ((2 << max_degree) - 1)) >> (max_degree - bit)
+        return mask
+    if ring == CYCLIC_4 and bit:
+        return (mask & 1) << 1
+    return mask << bit
+
+
+def _times(ring: str, max_degree: int, a: int, b: int) -> int:
+    """Product of two homogeneous components, iterating over a's monomials."""
+    out = 0
+    for bit in _bits(a):
+        out ^= _times_monomial(ring, max_degree, bit, b)
+    return out
+
+
 class GradedPoly:
-    """Element of a graded GF(2) quotient ring, truncated at max_degree."""
+    """Element of a graded GF(2) quotient ring, truncated at max_degree.
 
-    ring: str
-    max_degree: int
-    terms: frozenset = field(default_factory=frozenset)
+    `GradedPoly(ring, max_degree, terms)` takes a set of exponent tuples and
+    checks each against the ring relations and the degree bound; arithmetic
+    builds its results from packed masks without re-checking.  Instances
+    are immutable.
+    """
 
-    def __post_init__(self):
-        for t in self.terms:
-            if not _mono_ok(self.ring, t):
+    __slots__ = ("ring", "max_degree", "masks")
+
+    def __init__(self, ring: str, max_degree: int,
+                 terms: Iterable[Monomial] = frozenset()):
+        if ring not in _GENS:
+            raise ValueError("unknown ring %r" % (ring,))
+        if max_degree < 0:
+            raise ValueError("negative degree bound %d" % max_degree)
+        masks = [0] * (max_degree + 1)
+        for t in frozenset(terms):
+            if len(t) != len(_GENS[ring]) or min(t) < 0:
+                raise ValueError("%s is not an exponent tuple of ring %s" % (t, ring))
+            if not _mono_ok(ring, t):
                 raise ValueError("monomial %s violates the ring relations" % (t,))
-            if monomial_degree(self.ring, t) > self.max_degree:
+            d = monomial_degree(ring, t)
+            if d > max_degree:
                 raise ValueError("monomial above the degree bound")
+            masks[d] ^= 1 << _bit_of(ring, max_degree, t)
+        self.ring = ring
+        self.max_degree = max_degree
+        self.masks = tuple(masks)
+
+    @classmethod
+    def _packed(cls, ring: str, max_degree: int, masks) -> "GradedPoly":
+        p = object.__new__(cls)
+        p.ring = ring
+        p.max_degree = max_degree
+        p.masks = tuple(masks)
+        return p
+
+    def _monomials(self, degree: int) -> list[Monomial]:
+        return [_monomial_at(self.ring, self.max_degree, degree, bit)
+                for bit in _bits(self.masks[degree])]
+
+    @property
+    def terms(self) -> frozenset:
+        """The monomials as exponent tuples, in generator order."""
+        return frozenset(t for d in range(self.max_degree + 1)
+                         for t in self._monomials(d))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, GradedPoly):
+            return NotImplemented
+        return (self.ring, self.max_degree, self.masks) == \
+            (other.ring, other.max_degree, other.masks)
+
+    def __hash__(self) -> int:
+        return hash((self.ring, self.max_degree, self.masks))
+
+    def __repr__(self) -> str:
+        return "GradedPoly(%r, %d, %s)" % (self.ring, self.max_degree, self)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not any(self.masks)
 
     def constant_term(self) -> int:
-        zero = (0,) * len(_GENS[self.ring])
-        return 1 if zero in self.terms else 0
+        return 1 if self.masks[0] else 0
 
     def component(self, degree: int) -> "GradedPoly":
-        return GradedPoly(self.ring, self.max_degree,
-                          frozenset(t for t in self.terms
-                                    if monomial_degree(self.ring, t) == degree))
+        masks = [0] * (self.max_degree + 1)
+        if 0 <= degree <= self.max_degree:
+            masks[degree] = self.masks[degree]
+        return GradedPoly._packed(self.ring, self.max_degree, masks)
 
     def vanishing_degrees(self, up_to: Optional[int] = None) -> list[int]:
         """Degrees 1..up_to with zero homogeneous component."""
         hi = self.max_degree if up_to is None else up_to
-        present = {monomial_degree(self.ring, t) for t in self.terms}
-        return [d for d in range(1, hi + 1) if d not in present]
+        return [d for d in range(1, hi + 1)
+                if d > self.max_degree or not self.masks[d]]
 
     def __add__(self, other: "GradedPoly") -> "GradedPoly":
         self._check_compatible(other)
-        return GradedPoly(self.ring, self.max_degree,
-                          self.terms ^ other.terms)
+        return GradedPoly._packed(self.ring, self.max_degree,
+                                  [a ^ b for a, b in zip(self.masks, other.masks)])
 
     def __mul__(self, other: "GradedPoly") -> "GradedPoly":
         self._check_compatible(other)
-        acc: set = set()
-        for t1 in self.terms:
-            d1 = monomial_degree(self.ring, t1)
-            for t2 in other.terms:
-                if d1 + monomial_degree(self.ring, t2) > self.max_degree:
-                    continue
-                prod = tuple(e1 + e2 for e1, e2 in zip(t1, t2))
-                if not _mono_ok(self.ring, prod):
-                    continue
-                acc.symmetric_difference_update((prod,))
-        return GradedPoly(self.ring, self.max_degree, frozenset(acc))
+        ring, top = self.ring, self.max_degree
+        out = [0] * (top + 1)
+        rhs = [(d, b) for d, b in enumerate(other.masks) if b]
+        for d1, a in enumerate(self.masks):
+            if not a:
+                continue
+            for d2, b in rhs:
+                if d1 + d2 > top:
+                    break
+                if a.bit_count() <= b.bit_count():
+                    out[d1 + d2] ^= _times(ring, top, a, b)
+                else:
+                    out[d1 + d2] ^= _times(ring, top, b, a)
+        return GradedPoly._packed(ring, top, out)
 
     def __pow__(self, e: int) -> "GradedPoly":
+        if e < 0:
+            raise ValueError("negative exponent %d" % e)
         out = poly_one(self.ring, self.max_degree)
         base = self
         while e:
@@ -120,29 +242,28 @@ class GradedPoly:
             raise ValueError("ring or degree bound mismatch")
 
     def __str__(self) -> str:
-        if not self.terms:
+        if self.is_zero():
             return "0"
         gens = _GENS[self.ring]
         parts = []
-        for t in sorted(self.terms,
-                        key=lambda t: (monomial_degree(self.ring, t), t)):
-            factors = []
-            for g, e in zip(gens, t):
-                if e == 1:
-                    factors.append(g)
-                elif e > 1:
-                    factors.append("%s^%d" % (g, e))
-            parts.append("·".join(factors) if factors else "1")
+        for d in range(self.max_degree + 1):
+            for t in sorted(self._monomials(d)):
+                factors = []
+                for g, e in zip(gens, t):
+                    if e == 1:
+                        factors.append(g)
+                    elif e > 1:
+                        factors.append("%s^%d" % (g, e))
+                parts.append("·".join(factors) if factors else "1")
         return " + ".join(parts)
 
 
 def poly_zero(ring: str, max_degree: int) -> GradedPoly:
-    return GradedPoly(ring, max_degree, frozenset())
+    return GradedPoly(ring, max_degree)
 
 
 def poly_one(ring: str, max_degree: int) -> GradedPoly:
-    zero = (0,) * len(_GENS[ring])
-    return GradedPoly(ring, max_degree, frozenset((zero,)))
+    return GradedPoly(ring, max_degree, ((0,) * len(_GENS[ring]),))
 
 
 def generator(ring: str, name: str, max_degree: int) -> GradedPoly:
@@ -150,7 +271,7 @@ def generator(ring: str, name: str, max_degree: int) -> GradedPoly:
     if name not in gens:
         raise ValueError("ring %s has no generator %r" % (ring, name))
     mono = tuple(1 if g == name else 0 for g in gens)
-    return GradedPoly(ring, max_degree, frozenset((mono,)))
+    return GradedPoly(ring, max_degree, (mono,))
 
 
 def one_plus(ring: str, max_degree: int, *names: str) -> GradedPoly:
@@ -161,20 +282,27 @@ def one_plus(ring: str, max_degree: int, *names: str) -> GradedPoly:
 
 
 def poly_invert(p: GradedPoly) -> GradedPoly:
-    """Inverse of a unit power series, degree by degree up to the bound."""
+    """Inverse of a unit power series, degree by degree up to the bound.
+
+    inv_d = sum of p_i · inv_(d-i) over the degrees 1 <= i <= d where p is
+    nonzero, so the work grows with the bound times the support of p.
+    """
     if p.constant_term() != 1:
         raise ValueError("not invertible: constant term is 0")
-    by_deg = [p.component(d) for d in range(p.max_degree + 1)]
-    inv = [poly_one(p.ring, p.max_degree)]
-    for d in range(1, p.max_degree + 1):
-        acc = poly_zero(p.ring, p.max_degree)
-        for i in range(1, d + 1):
-            acc = acc + by_deg[i] * inv[d - i]
+    ring, top = p.ring, p.max_degree
+    support = [(i, tuple(_bits(a))) for i, a in enumerate(p.masks) if i and a]
+    inv = [p.masks[0]]
+    for d in range(1, top + 1):
+        acc = 0
+        for i, bits in support:
+            if i > d:
+                break
+            b = inv[d - i]
+            if b:
+                for bit in bits:
+                    acc ^= _times_monomial(ring, top, bit, b)
         inv.append(acc)
-    total = poly_zero(p.ring, p.max_degree)
-    for q in inv:
-        total = total + q
-    return total
+    return GradedPoly._packed(ring, top, inv)
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +320,7 @@ def ring_for(n: int, k: int) -> str:
 def total_sw_class(n: int, k: int, max_degree: int = 64) -> GradedPoly:
     """Closed-form total class of the bundle attached to the dihedral action."""
     if n < 1 or k < 0:
-        raise ValueError("need n >= 1 and k >= 0")
+        raise ValueError("need n >= 1 and k >= 0, got (n, k) = (%d, %d)" % (n, k))
     ring = ring_for(n, k)
     if k % 2 == 1:
         r = (k - 1) // 2
@@ -295,30 +423,32 @@ def restriction_names(ring: str) -> list[str]:
 
 
 def restrict(p: GradedPoly, hom_name: str) -> GradedPoly:
-    """Apply a named restriction homomorphism monomial-wise."""
+    """Apply a named restriction homomorphism monomial-wise.
+
+    Every generator maps to a monomial of the same degree or to 0, so each
+    bit of a degree-d mask maps to one bit of the target's degree-d mask,
+    or to nothing when a factor dies or the image meets a relation.
+    """
     key = (p.ring, hom_name)
     if key not in _RESTRICTIONS:
         raise ValueError("no homomorphism %r out of ring %s (valid: %s)"
                          % (hom_name, p.ring, restriction_names(p.ring)))
     target, images = _RESTRICTIONS[key]
     gens = _GENS[p.ring]
-    image_polys = {}
-    for g in gens:
-        img = images[g]
-        image_polys[g] = (poly_zero(target, p.max_degree) if img is None
-                          else GradedPoly(target, p.max_degree, frozenset((img,))))
-    out = poly_zero(target, p.max_degree)
-    for mono in p.terms:
-        term = poly_one(target, p.max_degree)
-        for g, e in zip(gens, mono):
-            for _ in range(e):
-                term = term * image_polys[g]
-                if term.is_zero():
+    top = p.max_degree
+    out = [0] * (top + 1)
+    for d in range(top + 1):
+        for mono in p._monomials(d):
+            image = (0,) * len(_GENS[target])
+            for g, e in zip(gens, mono):
+                if e and images[g] is None:
                     break
-            if term.is_zero():
-                break
-        out = out + term
-    return out
+                if e:
+                    image = tuple(a + e * b for a, b in zip(image, images[g]))
+            else:
+                if _mono_ok(target, image):
+                    out[d] ^= 1 << _bit_of(target, top, image)
+    return GradedPoly._packed(target, top, out)
 
 
 # ---------------------------------------------------------------------------
@@ -442,6 +572,9 @@ def classify(n: int, k: int, max_degree: int = 64) -> ClassificationReport:
     vanishing dual class in degree 1 or any even degree refutes test-graph
     behaviour for all large n of the same parity class.
     """
+    if max_degree < 0:
+        raise ValueError("(n, k) = (%d, %d): max_degree must be >= 0, got %d"
+                         % (n, k, max_degree))
     m = 2 * n + k
     ring = ring_for(n, k)
     w = total_sw_class(n, k, max_degree)

@@ -255,9 +255,14 @@ def run(cfg: RunConfig) -> tuple[str, int]:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Console entry point: a refused input is one line on stderr, exit code 2."""
     args = build_parser().parse_args(argv)
     cfg = config_from_args(args)
-    text, status = run(cfg)
+    try:
+        text, status = run(cfg)
+    except ValueError as exc:
+        sys.stderr.write("stablekneser: error: %s\n" % exc)
+        return 2
     if cfg.out:
         with open(cfg.out, "w") as fh:
             fh.write(text)

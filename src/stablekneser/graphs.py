@@ -304,7 +304,7 @@ def kneser_graph(n: int, k: int) -> Graph:
 def stable_kneser_graph(n: int, k: int) -> Graph:
     """SG_{n,k}: stable n-subsets of Z_{2n+k}, adjacent iff disjoint."""
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise ValueError("SG_{n,k} needs n >= 1, got (n, k) = (%d, %d)" % (n, k))
     m = 2 * n + k
     return _disjointness_graph(enumerate_stable_sets(n, m))
 

@@ -167,11 +167,15 @@ def dihedral_act_sign(s: SignVector, g: DihedralElement,
     (s.sigma^t)_j = (-1)^t s_{j-t} and (s.sigma^t rho)_j = (-1)^t s_{-j-t}.
     Commutes with taking sign vectors of points under the moment-curve
     action and with the covector-to-Hom map.  When k is given the input
-    must be a covector.
+    must be a covector and m - k even (m = 2n + k): the twist (-1)^m then
+    matches the moment curve's (-1)^k, and C^{m,k+1} is preserved.
     """
     m, t = g.m, g.shift
     if len(s) != m:
         raise ValueError("length %d does not match modulus %d" % (len(s), m))
+    if k is not None and (m - k) % 2:
+        raise ValueError("m = %d and k = %d differ in parity: the twisted action "
+                         "does not preserve C^{m,k+1}" % (m, k))
     if k is not None and not is_covector(s, k):
         raise ValueError("not a covector: %s" % render_sign_vector(s))
     sign = -1 if t % 2 else 1

@@ -171,3 +171,111 @@ def is_dependence_pattern(s, k: int) -> bool:
         b_eq=np.zeros(len(a_eq)) if a_eq else None,
         bounds=[(None, None)] * cols.shape[1], method="highs")
     return res.status == 0
+
+
+# ---------------------------------------------------------------------------
+# graded GF(2) rings as plain sets of exponent tuples: the unpacked arithmetic
+# the bit-packed charclasses.GradedPoly is checked against
+
+TERM_GENS = {
+    "ODD": ("a",),
+    "TWO_MOD_4": ("a", "b"),
+    "ZERO_MOD_4": ("x", "y", "u"),
+    "CYCLIC_4": ("x", "u"),
+}
+TERM_DEGS = {
+    "ODD": (1,),
+    "TWO_MOD_4": (1, 1),
+    "ZERO_MOD_4": (1, 1, 2),
+    "CYCLIC_4": (1, 2),
+}
+# restriction name -> target ring, image exponent tuple per generator (None: 0)
+TERM_RESTRICTIONS = {
+    ("ZERO_MOD_4", "j"): ("CYCLIC_4", {"x": (1, 0), "y": (1, 0), "u": (0, 1)}),
+    ("ZERO_MOD_4", "phi_rho"): ("ODD", {"x": (1,), "y": None, "u": None}),
+    ("ZERO_MOD_4", "phi_sigma_rho"): ("ODD", {"x": None, "y": (1,), "u": None}),
+    ("TWO_MOD_4", "phi_rho"): ("ODD", {"a": None, "b": (1,)}),
+    ("TWO_MOD_4", "phi_sigma_m2"): ("ODD", {"a": (1,), "b": None}),
+    ("CYCLIC_4", "phi_sigma_m2"): ("ODD", {"x": None, "u": (2,)}),
+    ("ODD", "p"): ("CYCLIC_4", {"a": (1, 0)}),
+    ("ODD", "phi_rho"): ("ODD", {"a": (1,)}),
+}
+
+
+def term_degree(ring: str, mono) -> int:
+    return sum(e * d for e, d in zip(mono, TERM_DEGS[ring]))
+
+
+def term_ok(ring: str, mono) -> bool:
+    """xy = 0 in ZERO_MOD_4, x^2 = 0 in CYCLIC_4."""
+    if ring == "ZERO_MOD_4" and mono[0] > 0 and mono[1] > 0:
+        return False
+    if ring == "CYCLIC_4" and mono[0] > 1:
+        return False
+    return True
+
+
+def term_monomials(ring: str, max_degree: int) -> list:
+    """Every nonzero monomial of degree <= max_degree, in sorted order."""
+    width = len(TERM_GENS[ring])
+    return sorted(t for t in itertools.product(range(max_degree + 1), repeat=width)
+                  if term_ok(ring, t) and term_degree(ring, t) <= max_degree)
+
+
+def terms_mul(ring: str, max_degree: int, s, t) -> frozenset:
+    acc = set()
+    for t1 in s:
+        for t2 in t:
+            prod = tuple(e1 + e2 for e1, e2 in zip(t1, t2))
+            if term_degree(ring, prod) <= max_degree and term_ok(ring, prod):
+                acc ^= {prod}
+    return frozenset(acc)
+
+
+def terms_pow(ring: str, max_degree: int, s, e: int) -> frozenset:
+    out = frozenset({(0,) * len(TERM_GENS[ring])})
+    for _ in range(e):
+        out = terms_mul(ring, max_degree, out, s)
+    return out
+
+
+def terms_invert(ring: str, max_degree: int, s) -> frozenset:
+    """inv_d = sum over all 1 <= i <= d of s_i · inv_(d-i), every degree pair."""
+    one = (0,) * len(TERM_GENS[ring])
+    assert one in s
+    by_deg = [frozenset(t for t in s if term_degree(ring, t) == d)
+              for d in range(max_degree + 1)]
+    inv = [frozenset({one})]
+    for d in range(1, max_degree + 1):
+        acc = frozenset()
+        for i in range(1, d + 1):
+            acc = acc ^ terms_mul(ring, max_degree, by_deg[i], inv[d - i])
+        inv.append(acc)
+    return frozenset().union(*inv)
+
+
+def terms_restrict(ring: str, max_degree: int, s, name: str) -> frozenset:
+    """Multiply out the generator images of each monomial in the target ring."""
+    target, images = TERM_RESTRICTIONS[(ring, name)]
+    one = (0,) * len(TERM_GENS[target])
+    acc = frozenset()
+    for mono in s:
+        term = frozenset({one})
+        for g, e in zip(TERM_GENS[ring], mono):
+            image = frozenset() if images[g] is None else frozenset({images[g]})
+            for _ in range(e):
+                term = terms_mul(target, max_degree, term, image)
+        acc = acc ^ term
+    return acc
+
+
+def terms_str(ring: str, s) -> str:
+    """Sorted by (degree, exponent tuple); factors joined by a middle dot."""
+    if not s:
+        return "0"
+    parts = []
+    for t in sorted(s, key=lambda t: (term_degree(ring, t), t)):
+        factors = [g if e == 1 else "%s^%d" % (g, e)
+                   for g, e in zip(TERM_GENS[ring], t) if e]
+        parts.append("·".join(factors) if factors else "1")
+    return " + ".join(parts)

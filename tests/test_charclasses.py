@@ -1,12 +1,16 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from oracles import (TERM_GENS, term_degree, term_monomials, term_ok,
+                     terms_invert, terms_mul, terms_pow, terms_restrict,
+                     terms_str)
 from stablekneser.charclasses import (CYCLIC_4, ODD, TWO_MOD_4, ZERO_MOD_4,
                                       GradedPoly, classify, generator,
                                       one_plus, poly_invert, poly_one,
-                                      restrict, restriction_names, ring_for,
-                                      total_sw_class,
+                                      poly_zero, restrict, restriction_names,
+                                      ring_for, total_sw_class,
                                       total_sw_class_from_blocks,
                                       vanishing_window, vanishing_windows,
                                       wbar)
@@ -58,6 +62,10 @@ def test_invert_cube():
 def test_invert_requires_unit():
     with pytest.raises(ValueError):
         poly_invert(generator(ODD, "a", D))
+    with pytest.raises(ValueError):
+        one_plus(ODD, D, "a") ** -1
+    with pytest.raises(ValueError):
+        GradedPoly(ODD, -1)
 
 
 def test_product_with_inverse_is_one():
@@ -168,7 +176,7 @@ def test_vanishing_window_examples():
 
 
 def test_windows_match_series():
-    for k in range(3, 21):
+    for k in range(3, 65):
         for n in (3, 4):
             windows = vanishing_windows(n, k)
             if not windows:
@@ -229,3 +237,96 @@ def test_poly_str_sorted_monomial_form():
     assert str(poly_one(ZERO_MOD_4, 4)) == "1"
     assert "·" in str(w)
     assert str(generator(ZERO_MOD_4, "u", 4) * generator(ZERO_MOD_4, "y", 4)) == "y·u"
+
+
+def test_kummer_closed_form_for_odd_k():
+    # odd k: wbar = (1+a)^-(r+1), so wbar_d = C(r+d, d) mod 2 = [r & d == 0]
+    for k in range(1, 64, 2):
+        r = (k - 1) // 2
+        want = [d for d in range(1, 1025) if r & d]
+        for n in (1, 2):
+            assert wbar(n, k, 1024).vanishing_degrees() == want, (n, k)
+
+
+# ---------------------------------------------------------------------------
+# the packed arithmetic against the term-set oracle, on random polynomials
+
+RINGS = (ODD, TWO_MOD_4, ZERO_MOD_4, CYCLIC_4)
+
+
+@st.composite
+def term_sets(draw, count, unit=False):
+    """A ring, a degree bound <= 12 and `count` valid term sets."""
+    ring = draw(st.sampled_from(RINGS))
+    top = draw(st.integers(0, 12))
+    monos = term_monomials(ring, top)
+    one = monos[0]
+    sets = []
+    for _ in range(count):
+        s = draw(st.frozensets(st.sampled_from(monos), max_size=12))
+        sets.append(s | {one} if unit else s)
+    return (ring, top, *sets)
+
+
+@settings(deadline=None)
+@given(term_sets(2))
+def test_packed_add_mul_terms_match_oracle(case):
+    ring, top, s, t = case
+    p, q = GradedPoly(ring, top, s), GradedPoly(ring, top, t)
+    assert p.terms == s
+    assert (p + q).terms == s ^ t
+    assert (p * q).terms == terms_mul(ring, top, s, t)
+
+
+@settings(deadline=None)
+@given(term_sets(1), st.integers(0, 5))
+def test_packed_pow_matches_oracle(case, e):
+    ring, top, s = case
+    assert (GradedPoly(ring, top, s) ** e).terms == terms_pow(ring, top, s, e)
+
+
+@settings(deadline=None)
+@given(term_sets(1, unit=True))
+def test_packed_invert_matches_oracle(case):
+    ring, top, s = case
+    p = GradedPoly(ring, top, s)
+    inv = poly_invert(p)
+    assert inv.terms == terms_invert(ring, top, s)
+    assert p * inv == poly_one(ring, top)
+
+
+@settings(deadline=None)
+@given(term_sets(1))
+def test_packed_restrict_and_str_match_oracle(case):
+    ring, top, s = case
+    p = GradedPoly(ring, top, s)
+    assert str(p) == terms_str(ring, s)
+    for name in restriction_names(ring):
+        assert restrict(p, name).terms == terms_restrict(ring, top, s, name)
+
+
+@settings(deadline=None)
+@given(term_sets(3))
+def test_packed_ring_axioms(case):
+    ring, top, s, t, v = case
+    p, q, r = (GradedPoly(ring, top, x) for x in (s, t, v))
+    one, zero = poly_one(ring, top), poly_zero(ring, top)
+    assert (p * q) * r == p * (q * r)
+    assert p * q == q * p
+    assert p * (q + r) == p * q + p * r
+    assert (p + q) + r == p + (q + r)
+    assert p * one == p and p + zero == p
+    assert (p * zero).is_zero() and (p + p).is_zero()
+
+
+@settings(deadline=None)
+@given(st.sampled_from(RINGS), st.integers(0, 12), st.data())
+def test_constructor_rejects_exactly_the_invalid_monomials(ring, top, data):
+    width = len(TERM_GENS[ring])
+    mono = tuple(data.draw(st.lists(st.integers(0, top + 3),
+                                    min_size=width, max_size=width)))
+    if term_ok(ring, mono) and term_degree(ring, mono) <= top:
+        assert GradedPoly(ring, top, {mono}).terms == {mono}
+    else:
+        with pytest.raises(ValueError):
+            GradedPoly(ring, top, {mono})

@@ -138,3 +138,17 @@ def test_console_entrypoint():
 def test_classify_requires_range():
     with pytest.raises(SystemExit):
         run_cli(["classify", "--k", "1"])
+
+
+@pytest.mark.parametrize("argv, names", [
+    (["classify", "--k", "3", "--n", "0"], "(n, k) = (0, 3)"),
+    (["classify", "--k", "3", "--n", "2", "--max-degree", "-1"], "(n, k) = (2, 3)"),
+    (["graph", "--n", "3", "--k", "3", "--aut"], "30 vertices"),
+    (["homology", "--n", "0", "--k", "1"], "(n, k) = (0, 1)"),
+])
+def test_main_refuses_bad_input_with_one_line(capsys, argv, names):
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("stablekneser: error: ") and err.count("\n") == 1
+    assert names in err

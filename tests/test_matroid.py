@@ -192,6 +192,14 @@ def test_dihedral_act_sign_rejects_non_covector_when_k_given():
         dihedral_act_sign(P("+-+-0"), DihedralElement.sigma(5), k=1)
 
 
+def test_dihedral_act_sign_rejects_k_of_the_wrong_parity():
+    # (---)·rho = (-++) is no covector of C^{3,1}: m - k must be even
+    assert is_covector(P("---"), 0) and not is_covector(P("-++"), 0)
+    with pytest.raises(ValueError, match="m = 3 and k = 0"):
+        dihedral_act_sign(P("---"), DihedralElement.rho(3), k=0)
+    assert dihedral_act_sign(P("---"), DihedralElement.rho(3), k=1) == P("-++")
+
+
 @st.composite
 def sign_vector_and_elements(draw, count):
     m = draw(st.integers(1, 10))
