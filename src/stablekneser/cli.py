@@ -76,8 +76,7 @@ def cmd_graph(cfg: RunConfig) -> tuple[dict, int]:
 
 def cmd_homology(cfg: RunConfig) -> tuple[dict, int]:
     g = graphs.stable_kneser_graph(cfg.n, cfg.k)
-    poset = complexes.hom_poset(graphs.k2(), g)
-    hom_betti = list(complexes.z2_betti(complexes.order_complex(poset)))
+    hom_betti = list(complexes.hom_betti(graphs.k2(), g))
     nc_betti = list(complexes.z2_betti(complexes.neighbourhood_complex(g)))
     expected = sphere_betti(cfg.k)
     report = {

@@ -1,8 +1,10 @@
-"""Hom posets, neighbourhood and order complexes, and GF(2) homology.
+"""Hom complexes, neighbourhood and order complexes, and GF(2) homology.
 
 A Hom cell assigns to each source vertex a nonempty set of target vertices
-with every cross pair an edge; cells ordered componentwise.  Homology is
-computed from boundary-matrix ranks over GF(2), rows bit-packed into ints.
+with every cross pair an edge; cells ordered componentwise.  Hom homology
+is computed from the cells themselves, the order complex of the cell poset
+being the independent route.  Homology is computed from boundary-matrix
+ranks over GF(2), rows bit-packed into ints.
 """
 
 from __future__ import annotations
@@ -74,6 +76,18 @@ class FinitePoset:
             for j in range(n):
                 if i != j and (self.above[i] >> j & 1) and (self.above[j] >> i & 1):
                     raise ValueError("order not antisymmetric")
+
+    @classmethod
+    def from_up_sets(cls, elements: Sequence, above: Sequence[int]) -> "FinitePoset":
+        """A poset whose up-sets are known: above[i] bit j iff elements[i] <= elements[j].
+
+        The caller vouches that the bitmasks form a partial order; nothing
+        is re-checked.
+        """
+        p = cls.__new__(cls)
+        p.elements = list(elements)
+        p.above = list(above)
+        return p
 
     @property
     def n(self) -> int:
@@ -231,6 +245,19 @@ def boundary_rank(faces: Sequence[frozenset], below_index: dict) -> int:
     return gf2_rank_sparse(rows_s)
 
 
+def _betti(sizes: Sequence[int], ranks: Sequence[int]) -> tuple[int, ...]:
+    """Betti numbers from cell counts and boundary ranks, trailing zeros trimmed.
+
+    sizes[d] counts the d-cells and ranks[d] is the rank of the boundary
+    from dimension d to d - 1 (ranks[0] = 0).
+    """
+    ranks = list(ranks) + [0]
+    betti = [sizes[d] - ranks[d] - ranks[d + 1] for d in range(len(sizes))]
+    while len(betti) > 1 and betti[-1] == 0:
+        betti.pop()
+    return tuple(betti)
+
+
 def z2_betti(x: SimplicialComplex, max_faces: int = 10 ** 6) -> tuple[int, ...]:
     """Betti numbers over GF(2), trailing zeros trimmed."""
     byd = x.all_faces(max_faces=max_faces)
@@ -238,16 +265,8 @@ def z2_betti(x: SimplicialComplex, max_faces: int = 10 ** 6) -> tuple[int, ...]:
         return ()
     top = max(byd)
     index = {d: {f: i for i, f in enumerate(byd[d])} for d in byd}
-    ranks = {0: 0}
-    for d in range(1, top + 1):
-        ranks[d] = boundary_rank(byd[d], index[d - 1])
-    betti = []
-    for d in range(top + 1):
-        b = len(byd[d]) - ranks[d] - ranks.get(d + 1, 0)
-        betti.append(b)
-    while len(betti) > 1 and betti[-1] == 0:
-        betti.pop()
-    return tuple(betti)
+    ranks = [0] + [boundary_rank(byd[d], index[d - 1]) for d in range(1, top + 1)]
+    return _betti([len(byd[d]) for d in range(top + 1)], ranks)
 
 
 def boundary_matrix_coordinate_text(x: SimplicialComplex, d: int) -> str:
@@ -281,59 +300,127 @@ def hom_size_estimate(g: Graph, h: Graph) -> int:
     return (2 ** h.n - 1) ** g.n
 
 
-def hom_poset(g: Graph, h: Graph, max_cells: int = 10 ** 6) -> FinitePoset:
-    """The poset of multihomomorphisms G -> H, ordered componentwise.
+def hom_cells(g: Graph, h: Graph,
+              max_cells: int = 10 ** 6) -> dict[int, list[tuple[int, ...]]]:
+    """The cells of Hom(G, H) as tuples of target bitmasks, keyed by dimension.
 
-    Enumerates by backtracking over source vertices; refuses with the cell
-    count found so far once `max_cells` is exceeded.
+    A cell gives each source vertex u a nonempty target set, bit t of
+    cell[u] for target t, with every cross pair over an edge of G an edge
+    of H.  It is a product of simplices of dimension sum(|cell[u]| - 1).
+    Backtracks over the source vertices and grows each set one target at a
+    time, keeping only sets that leave every unassigned neighbour a nonempty
+    common-neighbour set; for K_2 the first set A runs over the sets with a
+    common neighbour and the second over the nonempty subsets of CN(A).  A
+    looped source vertex takes a set of looped, pairwise adjacent targets.
+    Refuses once more than `max_cells` cells are found.
     """
     if g.n > 3 and hom_size_estimate(g, h) > max_cells:
         raise ValueError("refusing: size estimate %d cells exceeds %d"
                          % (hom_size_estimate(g, h), max_cells))
-    cells: list[tuple[frozenset, ...]] = []
-    assigned: list[frozenset] = []
+    adj = h.adjacency
+    looped_targets = sum(1 << t for t in h.looped_vertices())
+    loop = [g.has_loop(u) for u in range(g.n)]
+    later = [[v for v in range(u + 1, g.n) if g.has_edge(u, v)]
+             for u in range(g.n)]
+    # allowed[v]: the targets v may take, given the sets assigned so far
+    allowed = [looped_targets if loop[v] else (1 << h.n) - 1
+               for v in range(g.n)]
+    cell = [0] * g.n
+    cells: dict[int, list[tuple[int, ...]]] = {}
+    found = 0
 
-    def subsets_for(u: int) -> list[frozenset]:
-        allowed = (1 << h.n) - 1
-        for w in range(len(assigned)):
-            if g.has_edge(u, w):
-                common = (1 << h.n) - 1
-                for b in assigned[w]:
-                    common &= h.adjacency[b]
-                allowed &= common
-        pool = [v for v in range(h.n) if allowed >> v & 1]
-        loop = g.has_edge(u, u)
-        if loop:
-            pool = [v for v in pool if h.has_edge(v, v)]
-        out = []
-        np_ = len(pool)
-        for mask in range(1, 1 << np_):
-            sub = [pool[i] for i in range(np_) if mask >> i & 1]
-            if loop and any(not h.has_edge(a, b)
-                            for a in sub for b in sub):
+    def grow(u: int, rem: int, s: int, common: int):
+        """Valid sets for u extending s by targets of rem, with their CN."""
+        while rem:
+            low = rem & -rem
+            rem ^= low
+            c = common & adj[low.bit_length() - 1]
+            if any(not allowed[v] & c for v in later[u]):
                 continue
-            out.append(frozenset(sub))
-        return out
+            yield s | low, c
+            yield from grow(u, rem & c if loop[u] else rem, s | low, c)
 
-    def rec(u: int) -> None:
+    def rec(u: int, dim: int) -> None:
+        nonlocal found
         if u == g.n:
-            cells.append(tuple(assigned))
-            if len(cells) > max_cells:
+            cells.setdefault(dim, []).append(tuple(cell))
+            found += 1
+            if found > max_cells:
                 raise ValueError("refusing: more than %d cells" % max_cells)
             return
-        for sub in subsets_for(u):
-            assigned.append(sub)
-            rec(u + 1)
-            assigned.pop()
+        for s, c in grow(u, allowed[u], 0, (1 << h.n) - 1):
+            cell[u] = s
+            saved = [allowed[v] for v in later[u]]
+            for v in later[u]:
+                allowed[v] &= c
+            rec(u + 1, dim + s.bit_count() - 1)
+            for v, a in zip(later[u], saved):
+                allowed[v] = a
 
-    rec(0)
-    multihoms = sorted((MultiHom(c) for c in cells), key=lambda mh: mh.key())
-    return FinitePoset(multihoms, lambda a, b: a.leq(b))
+    rec(0, 0)
+    return cells
+
+
+def _cell_faces(cell: tuple[int, ...]):
+    """The codimension-one faces: one target dropped from one set of >= 2."""
+    for u, a in enumerate(cell):
+        if a & (a - 1):
+            rest = a
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                yield cell[:u] + (a ^ low,) + cell[u + 1:]
+
+
+def hom_betti(g: Graph, h: Graph, max_cells: int = 10 ** 6) -> tuple[int, ...]:
+    """Betti numbers of Hom(G, H) over GF(2) from its cellular chain complex.
+
+    Over GF(2) the boundary of a product of simplices is the sum of its
+    codimension-one faces, so no order complex is built.  Trailing zeros
+    are trimmed as in z2_betti.
+    """
+    cells = hom_cells(g, h, max_cells=max_cells)
+    top = max(cells, default=-1)   # every dimension 0..top has cells
+    ranks = [0]
+    for d in range(1, top + 1):
+        index = {c: i for i, c in enumerate(cells[d - 1])}
+        rows = []
+        for c in cells[d]:
+            row = 0
+            for f in _cell_faces(c):
+                row ^= 1 << index[f]
+            rows.append(row)
+        ranks.append(gf2_rank_dense(rows))
+    return _betti([len(cells[d]) for d in range(top + 1)], ranks)
+
+
+def _multihom(cell: tuple[int, ...]) -> MultiHom:
+    return MultiHom(tuple(frozenset(t for t in range(a.bit_length()) if a >> t & 1)
+                          for a in cell))
+
+
+def hom_poset(g: Graph, h: Graph, max_cells: int = 10 ** 6) -> FinitePoset:
+    """The face poset of hom_cells: multihomomorphisms G -> H, componentwise.
+
+    Elements are sorted by MultiHom.key(); the up-sets are pushed down from
+    each cell to its faces, highest dimension first.
+    """
+    byd = hom_cells(g, h, max_cells=max_cells)
+    pairs = sorted(((_multihom(c), c) for cs in byd.values() for c in cs),
+                   key=lambda pair: pair[0].key())
+    index = {c: i for i, (_, c) in enumerate(pairs)}
+    above = [1 << i for i in range(len(pairs))]
+    for d in sorted(byd, reverse=True):
+        for c in byd[d]:
+            up = above[index[c]]
+            for f in _cell_faces(c):
+                above[index[f]] |= up
+    return FinitePoset.from_up_sets([mh for mh, _ in pairs], above)
 
 
 def hom_atoms(g: Graph, h: Graph, max_cells: int = 10 ** 6) -> list[MultiHom]:
-    p = hom_poset(g, h, max_cells=max_cells)
-    return [p.elements[i] for i in p.atoms()]
+    atoms = hom_cells(g, h, max_cells=max_cells).get(0, [])
+    return sorted(map(_multihom, atoms), key=MultiHom.key)
 
 
 def neighbourhood_complex(g: Graph) -> SimplicialComplex:

@@ -36,7 +36,7 @@ class CircularSet:
         return tuple(j for j in range(self.m) if self.mask >> j & 1)
 
     def __len__(self) -> int:
-        return bin(self.mask).count("1")
+        return self.mask.bit_count()
 
     def __contains__(self, j: int) -> bool:
         return bool(self.mask >> (j % self.m) & 1)
@@ -179,7 +179,7 @@ class Graph:
         return bool(self.adjacency[i] >> j & 1)
 
     def degree(self, i: int) -> int:
-        return bin(self.adjacency[i]).count("1")
+        return self.adjacency[i].bit_count()
 
     def neighbours(self, i: int) -> tuple[int, ...]:
         row = self.adjacency[i]
@@ -483,7 +483,7 @@ def _try_colour(g: Graph, order: Sequence[int], kcol: int) -> Optional[list[int]
         for v in range(n):
             if colour[v] >= 0:
                 continue
-            key = (-bin(seen[v]).count("1"), -degs[v], rank[v])
+            key = (-seen[v].bit_count(), -degs[v], rank[v])
             if best < 0 or key < best_key:
                 best, best_key = v, key
         return best

@@ -21,7 +21,13 @@ _VALS = {"-": -1, "0": 0, "+": 1}
 
 
 def parse_sign_vector(text: str) -> SignVector:
-    return tuple(_VALS[c] for c in text.strip())
+    """Parse a string over '+', '-', '0' such as '++0-'; spaces at either end are ignored."""
+    text = text.strip()
+    for i, c in enumerate(text):
+        if c not in _VALS:
+            raise ValueError("bad sign %r at position %d of %r; expected '+', '-' or '0'"
+                             % (c, i, text))
+    return tuple(_VALS[c] for c in text)
 
 
 def render_sign_vector(s: SignVector) -> str:

@@ -45,7 +45,8 @@ def test_cmd_graph_21():
 
 
 def test_cmd_homology():
-    for n, k, betti in [(2, 1, [1, 1]), (1, 1, [1, 1]), (2, 2, [1, 0, 1])]:
+    for n, k, betti in [(2, 1, [1, 1]), (1, 1, [1, 1]), (2, 2, [1, 0, 1]),
+                        (2, 3, [1, 0, 0, 1])]:
         text, status = run_cli(["homology", "--n", str(n), "--k", str(k)])
         doc = json.loads(text)
         assert status == 0

@@ -2,11 +2,13 @@ import itertools
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from stablekneser.complexes import (FinitePoset, MultiHom, SimplicialComplex,
                                     check_equivariance_combinatorial,
                                     covector_to_hom, gf2_rank_dense,
-                                    gf2_rank_sparse, hom_atoms, hom_poset,
+                                    gf2_rank_sparse, hom_atoms, hom_betti,
+                                    hom_cells, hom_poset,
                                     looped_one_skeleton, multihom_dihedral_act,
                                     neighbourhood_complex, order_complex,
                                     side_sets, verify_nerve, z2_betti)
@@ -58,6 +60,8 @@ def test_hom_poset_of_looped_source_is_clique_poset():
 def test_hom_poset_size_refusal():
     with pytest.raises(ValueError):
         hom_poset(complete_graph(4), complete_graph(6), max_cells=10 ** 4)
+    with pytest.raises(ValueError, match="more than 1000 cells"):
+        hom_cells(k2(), stable_kneser_graph(2, 3), max_cells=1000)
 
 
 def test_hom_poset_against_brute_force():
@@ -82,6 +86,47 @@ def test_hom_poset_against_brute_force():
                 brute.add(tuple(tuple(sorted(c)) for c in cell))
         got = {mh.key() for mh in hom_poset(g, h).elements}
         assert got == brute
+
+
+def test_hom_cell_counts_and_dimensions():
+    for n, k, count in [(1, 4, 602), (2, 3, 4984), (3, 3, 60888)]:
+        cells = hom_cells(k2(), stable_kneser_graph(n, k))
+        assert sum(len(cs) for cs in cells.values()) == count, (n, k)
+        for d, cs in cells.items():
+            assert all(a.bit_count() + b.bit_count() - 2 == d for a, b in cs)
+    # Hom(1, H): nonempty looped cliques, one simplex per clique
+    h = graph_from_edges(4, [(0, 0), (1, 1), (2, 2), (0, 1), (1, 2), (0, 2), (2, 3)])
+    cells = hom_cells(one_vertex_looped(), h)
+    assert {d: sorted(cs) for d, cs in cells.items()} == \
+        {0: [(1,), (2,), (4,)], 1: [(3,), (5,), (6,)], 2: [(7,)]}
+
+
+def test_hom_betti_spheres_beyond_the_order_complex():
+    assert hom_betti(k2(), stable_kneser_graph(2, 3)) == (1, 0, 0, 1)
+    assert hom_betti(k2(), stable_kneser_graph(3, 3)) == (1, 0, 0, 1)
+    for s in range(2, 7):
+        # Hom(K_2, K_s) is a (s - 2)-sphere
+        assert hom_betti(k2(), complete_graph(s)) == \
+            ((2,) if s == 2 else (1,) + (0,) * (s - 3) + (1,))
+    assert hom_betti(k2(), graph_from_edges(3, [])) == ()
+
+
+@st.composite
+def small_graphs(draw, max_n):
+    n = draw(st.integers(1, max_n))
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return graph_from_edges(n, [p for p, b in zip(pairs, keep) if b])
+
+
+@settings(deadline=None, max_examples=80)
+@given(small_graphs(3), small_graphs(5))
+def test_hom_betti_matches_order_complex(g, h):
+    cells = hom_cells(g, h)
+    assume(sum(len(cs) for cs in cells.values()) <= 150 and max(cells, default=0) <= 4)
+    p = hom_poset(g, h)
+    assert p.above == FinitePoset(p.elements, MultiHom.leq).above
+    assert hom_betti(g, h) == z2_betti(order_complex(p))
 
 
 def test_multihom_validation():

@@ -24,6 +24,15 @@ def all_nonzero_sign_vectors(m):
             yield s
 
 
+def test_parse_sign_vector_round_trip_and_bad_character():
+    assert P(" +0- ") == (1, 0, -1)
+    assert render_sign_vector(P("++0-")) == "++0-"
+    with pytest.raises(ValueError, match="'x' at position 1"):
+        P("+x-")
+    with pytest.raises(ValueError, match="'1' at position 0"):
+        P("1")
+
+
 def test_minimal_degree_examples():
     assert minimal_degree(P("+0-")) == 1
     assert minimal_degree(P("+0+")) == 2
