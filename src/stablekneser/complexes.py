@@ -2,9 +2,9 @@
 
 A Hom cell assigns to each source vertex a nonempty set of target vertices
 with every cross pair an edge; cells ordered componentwise.  Hom homology
-is computed from the cells themselves, the order complex of the cell poset
-being the independent route.  Homology is computed from boundary-matrix
-ranks over GF(2), rows bit-packed into ints.
+is computed from the cells themselves; the order complex of the cell poset,
+built from the same cells, gives a second homology route.  Homology is
+computed from boundary-matrix ranks over GF(2), rows bit-packed into ints.
 """
 
 from __future__ import annotations
@@ -372,14 +372,14 @@ def _cell_faces(cell: tuple[int, ...]):
                 yield cell[:u] + (a ^ low,) + cell[u + 1:]
 
 
-def hom_betti(g: Graph, h: Graph, max_cells: int = 10 ** 6) -> tuple[int, ...]:
+def hom_betti(g: Graph, h: Graph) -> tuple[int, ...]:
     """Betti numbers of Hom(G, H) over GF(2) from its cellular chain complex.
 
     Over GF(2) the boundary of a product of simplices is the sum of its
     codimension-one faces, so no order complex is built.  Trailing zeros
     are trimmed as in z2_betti.
     """
-    cells = hom_cells(g, h, max_cells=max_cells)
+    cells = hom_cells(g, h)
     top = max(cells, default=-1)   # every dimension 0..top has cells
     ranks = [0]
     for d in range(1, top + 1):

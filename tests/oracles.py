@@ -117,6 +117,26 @@ def brute_force_automorphisms(adjacency) -> int:
     return count
 
 
+def hom_cells_by_product_filter(g_adjacency, h_adjacency) -> dict:
+    """Every cell of Hom(G, H), dimension by cell, from all set tuples.
+
+    Tries each tuple of nonempty target sets, one per source vertex, and
+    keeps it when every pair over an edge of G (loops included) is an edge
+    of H.  Cells are tuples of sorted target tuples (tiny graphs only).
+    """
+    gn, hn = len(g_adjacency), len(h_adjacency)
+    edges = [(u, v) for u in range(gn) for v in range(u, gn)
+             if g_adjacency[u] >> v & 1]
+    subsets = [s for r in range(1, hn + 1)
+               for s in itertools.combinations(range(hn), r)]
+    out = {}
+    for cell in itertools.product(subsets, repeat=gn):
+        if all(h_adjacency[a] >> b & 1
+               for u, v in edges for a in cell[u] for b in cell[v]):
+            out[cell] = sum(len(s) - 1 for s in cell)
+    return out
+
+
 def euler_characteristic_consistent(f_vector, betti) -> bool:
     chi_f = sum((-1) ** d * f for d, f in enumerate(f_vector))
     chi_b = sum((-1) ** d * b for d, b in enumerate(betti))

@@ -17,7 +17,8 @@ from stablekneser.graphs import (DihedralElement, complete_graph, cycle_graph,
                                  one_vertex_looped, stable_kneser_graph)
 from stablekneser.matroid import (enumerate_cocircuits, enumerate_covectors,
                                   covector_leq, negate, parse_sign_vector)
-from oracles import boundary_squared_is_zero, euler_characteristic_consistent
+from oracles import (boundary_squared_is_zero, euler_characteristic_consistent,
+                     hom_cells_by_product_filter)
 
 P = parse_sign_vector
 
@@ -123,6 +124,10 @@ def small_graphs(draw, max_n):
 @given(small_graphs(3), small_graphs(5))
 def test_hom_betti_matches_order_complex(g, h):
     cells = hom_cells(g, h)
+    got = {tuple(tuple(t for t in range(h.n) if a >> t & 1) for a in c): d
+           for d, cs in cells.items() for c in cs}
+    assert sum(map(len, cells.values())) == len(got)
+    assert got == hom_cells_by_product_filter(g.adjacency, h.adjacency)
     assume(sum(len(cs) for cs in cells.values()) <= 150 and max(cells, default=0) <= 4)
     p = hom_poset(g, h)
     assert p.above == FinitePoset(p.elements, MultiHom.leq).above
