@@ -25,8 +25,8 @@ from .graphs import (CircularSet, DihedralElement, Graph,
                      enumerate_stable_sets, exponential, free_action_check,
                      kneser_graph, product, stable_kneser_graph,
                      vertex_criticality_check)
-from .matroid import (SignVector, covector_extension_feasible, covector_leq,
-                      dihedral_act_sign, enumerate_cocircuits,
+from .matroid import (SignVector, count_covectors, covector_extension_feasible,
+                      covector_leq, dihedral_act_sign, enumerate_cocircuits,
                       enumerate_covectors, is_covector, is_vector,
                       minimal_degree, parse_sign_vector, render_sign_vector)
 

@@ -14,7 +14,7 @@ import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from . import charclasses, complexes, geometry, graphs
+from . import charclasses, complexes, geometry, graphs, matroid
 
 
 @dataclass
@@ -92,15 +92,12 @@ def cmd_homology(cfg: RunConfig) -> tuple[dict, int]:
 
 
 def cmd_matroid(cfg: RunConfig) -> tuple[dict, int]:
-    from .matroid import enumerate_cocircuits, enumerate_covectors
-    covs = enumerate_covectors(cfg.m, cfg.k)
-    cocs = enumerate_cocircuits(cfg.m, cfg.k)
     report = {
         "command": "matroid",
         "m": cfg.m,
         "k": cfg.k,
-        "covectors": len(covs),
-        "cocircuits": len(cocs),
+        "covectors": matroid.count_covectors(cfg.m, cfg.k),
+        "cocircuits": matroid.cocircuit_count(cfg.m, cfg.k),
     }
     status = 0
     try:
@@ -237,13 +234,11 @@ def run(cfg: RunConfig) -> tuple[str, int]:
         doc, status = cmd_matroid(cfg)
     elif cfg.command == "classify":
         if cfg.n_range is None and cfg.n is None:
-            raise SystemExit("classify needs --n or --n-range")
+            raise ValueError("classify needs --n or --n-range")
         doc, status = cmd_classify(cfg)
     elif cfg.command == "geometry":
-        if not cfg.sweep and cfg.n is None:
-            raise SystemExit("geometry needs --n (or --sweep with --n-range)")
-        if cfg.sweep and cfg.n_range is None and cfg.n is None:
-            raise SystemExit("sweep needs --n-range")
+        if cfg.n is None and not (cfg.sweep and cfg.n_range is not None):
+            raise ValueError("geometry needs --n, or --sweep with --n-range")
         text, status = cmd_geometry(cfg)
         return text, status
     else:  # pragma: no cover - argparse guards this

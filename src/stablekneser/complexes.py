@@ -505,28 +505,28 @@ def check_equivariance_combinatorial(n: int, k: int) -> dict:
 
     sigma and rho act on sign vectors by the twisted shift/flip rules and on
     Hom(K_2, SG_{n,k}) through vertex labels; negation must match the K_2
-    swap.  Returns a report whose violation list is expected empty.
+    swap.  Each covector's cell is built once; an image that is not itself
+    an enumerated covector counts as a violation.  Returns a report whose
+    violation list is expected empty.
     """
     m = 2 * n + k
     target = stable_kneser_graph(n, k)
     actions = [(name, elem, graphs.vertex_permutation(target, elem))
                for name, elem in (("sigma", DihedralElement.sigma(m)),
                                   ("rho", DihedralElement.rho(m)))]
+    homs = {s: covector_to_hom(s, n, k, target) for s in enumerate_covectors(m, k)}
     violations = []
-    covs = enumerate_covectors(m, k)
-    for s in covs:
-        base = covector_to_hom(s, n, k, target)
+    for s, base in homs.items():
         for name, elem, perm in actions:
-            lhs = covector_to_hom(dihedral_act_sign(s, elem), n, k, target)
-            if lhs != base.act_vertices(perm):
+            if homs.get(dihedral_act_sign(s, elem)) != base.act_vertices(perm):
                 violations.append((render_sign_vector(s), name))
-        if covector_to_hom(negate(s), n, k, target) != base.swap():
+        if homs.get(negate(s)) != base.swap():
             violations.append((render_sign_vector(s), "negation"))
     return {
         "n": n,
         "k": k,
         "m": m,
-        "covectors_checked": len(covs),
+        "covectors_checked": len(homs),
         "violations": violations,
     }
 

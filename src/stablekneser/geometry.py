@@ -13,8 +13,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .graphs import CircularSet, DihedralElement, enumerate_stable_sets
-from .matroid import (SignVector, enumerate_cocircuits, enumerate_covectors,
-                      is_covector, render_sign_vector)
+from .matroid import (SignVector, check_instance, enumerate_cocircuits,
+                      enumerate_covectors, is_covector, render_sign_vector)
 
 
 class RealizationError(RuntimeError):
@@ -139,8 +139,7 @@ def _curve_point(t: float, m: int, k: int) -> np.ndarray:
 
 def config_for(m: int, k: int) -> MomentConfig:
     """Configuration keyed on (m, k); n need not be integral here."""
-    if m <= k:
-        raise ValueError("need m > k")
+    check_instance(m, k)
     vecs = np.array([_curve_point(float(j), m, k) for j in range(m)])
     return MomentConfig(m, k, vecs)
 
@@ -230,18 +229,24 @@ def verify_realization(m: int, k: int, samples: int = 100000,
     Any discrepancy raises RealizationError.
     """
     config = config_for(m, k)
+    if samples < 0:
+        raise ValueError("realization of (m, k) = (%d, %d) needs samples >= 0, got %d"
+                         % (m, k, samples))
     rng = np.random.default_rng(seed)
     report: dict = {"m": m, "k": k, "samples": samples, "seed": seed}
 
-    zero_free = {s for s in enumerate_covectors(m, k) if 0 not in s}
     vals = rng.normal(size=(samples, k + 1)) @ config.vectors.T
-    signs = np.where(np.abs(vals) < zero_tol, 0, np.sign(vals)).astype(int)
+    signs = np.where(np.abs(vals) < zero_tol, 0, np.sign(vals))
     full = signs[~np.any(signs == 0, axis=1)]
-    patterns, counts = np.unique(full, axis=0, return_counts=True)
+    # one fixed-width scalar per row, bit j set when sign j is +
+    packed = np.packbits(full > 0, axis=1, bitorder="little")
+    codes, counts = np.unique(packed.view("V%d" % packed.shape[1]).ravel(),
+                              return_counts=True)
     seen = set()
     non_covector = 0
-    for row, count in zip(patterns, counts):
-        s = tuple(int(v) for v in row)
+    for code, count in zip(codes, counts):
+        bits = int.from_bytes(code.tobytes(), "little")
+        s = tuple(1 if bits >> j & 1 else -1 for j in range(m))
         seen.add(s)
         if not is_covector(s, k):
             non_covector += int(count)
@@ -251,6 +256,7 @@ def verify_realization(m: int, k: int, samples: int = 100000,
         raise RealizationError("sampled sign pattern violates the covector rule", report)
 
     if m <= 8 and k <= 4:
+        zero_free = {s for s in enumerate_covectors(m, k) if 0 not in s}
         for s in sorted(zero_free):
             if s in seen:
                 continue
@@ -294,34 +300,58 @@ def v_of_set(s: CircularSet, config: MomentConfig,
     return total / nrm
 
 
+def _incidence(verts: Sequence[CircularSet], m: int) -> np.ndarray:
+    """Rows of 0/1 membership flags, one row per set, one column per j < m."""
+    width = (m + 7) // 8
+    packed = np.frombuffer(b"".join(s.mask.to_bytes(width, "little") for s in verts),
+                           dtype=np.uint8).reshape(len(verts), width)
+    return np.unpackbits(packed, axis=1, count=m, bitorder="little")
+
+
+def _signed_sums(verts: Sequence[CircularSet], config: MomentConfig) -> np.ndarray:
+    """signed_sum of every set, as rows; the sets must have equal size.
+
+    Adds the terms member by member in the order signed_sum does, all sets
+    at once, so every row equals signed_sum bit for bit.
+    """
+    members = np.nonzero(_incidence(verts, config.m))[1].reshape(len(verts), -1)
+    terms = np.where(np.arange(config.m) % 2 == 0, 1.0, -1.0)[:, None] * config.vectors
+    total = np.zeros((len(verts), config.k + 1))
+    for col in members.T:
+        total += terms[col]
+    return total
+
+
 def min_vertex_norm(n: int, k: int) -> float:
     """Exact minimum of the unnormalized sums over all stable n-sets."""
     config = moment_vectors(n, k)
-    m = config.m
-    verts = enumerate_stable_sets(n, m)
-    sums = np.array([signed_sum(s, config) for s in verts])
+    sums = _signed_sums(enumerate_stable_sets(n, config.m), config)
     return float(np.linalg.norm(sums, axis=1).min())
 
 
 def max_edge_defect(n: int, k: int) -> float:
-    """Max of ||v(S) + v(T)|| over the edges of SG_{n,k}."""
+    """Max of ||v(S) + v(T)|| over the edges of SG_{n,k}.
+
+    ||v(S) + v(T)||^2 = 2 + 2<v(S), v(T)> is monotone in the Gram entry, so
+    the largest entry over disjoint pairs S < T gives the maximum exactly.
+    Disjointness is read from row blocks of the membership overlap counts.
+    """
     config = moment_vectors(n, k)
-    m = config.m
-    verts = enumerate_stable_sets(n, m)
-    sums = np.array([signed_sum(s, config) for s in verts])
+    verts = enumerate_stable_sets(n, config.m)
+    sums = _signed_sums(verts, config)
     norms = np.linalg.norm(sums, axis=1)
     unit = sums / norms[:, None]
     gram = unit @ unit.T
+    member = _incidence(verts, config.m).astype(np.float32)
+    nv = len(verts)
+    later = np.arange(nv)
+    step = max(1, (1 << 18) // nv)   # rows per block: about 2^18 overlap counts
     worst = 0.0
-    masks = [s.mask for s in verts]
-    for i in range(len(verts)):
-        mi = masks[i]
-        row = gram[i]
-        for j in range(i + 1, len(verts)):
-            if mi & masks[j] == 0:
-                val = 2.0 + 2.0 * row[j]
-                if val > worst:
-                    worst = val
+    for lo in range(0, nv, step):
+        hi = min(lo + step, nv)
+        edge = (member[lo:hi] @ member.T == 0) & (later > later[lo:hi, None])
+        if edge.any():
+            worst = max(worst, 2.0 + 2.0 * float(gram[lo:hi][edge].max()))
     return float(np.sqrt(max(worst, 0.0)))
 
 

@@ -33,7 +33,13 @@ class CircularSet:
         return cls(m, mask)
 
     def members(self) -> tuple[int, ...]:
-        return tuple(j for j in range(self.m) if self.mask >> j & 1)
+        out = []
+        mask = self.mask
+        while mask:
+            low = mask & -mask
+            out.append(low.bit_length() - 1)
+            mask ^= low
+        return tuple(out)
 
     def __len__(self) -> int:
         return self.mask.bit_count()
@@ -267,19 +273,18 @@ def enumerate_stable_sets(n: int, m: int) -> list[CircularSet]:
         return []
     out: list[CircularSet] = []
 
-    def rec(start: int, limit: int, chosen: list[int], need: int) -> None:
+    def rec(start: int, limit: int, mask: int, need: int) -> None:
         if need == 0:
-            out.append(CircularSet.from_members(m, chosen))
+            out.append(CircularSet(m, mask))
             return
         # prune: `need` more elements with pairwise gaps >= 2 must fit
         for j in range(start, limit - 2 * (need - 1) + 1):
-            chosen.append(j)
-            rec(j + 2, limit, chosen, need - 1)
-            chosen.pop()
+            rec(j + 2, limit, mask | 1 << j, need - 1)
 
-    rec(2, m - 2, [0], n - 1)   # sets containing 0: exclude 1 and m-1
-    rec(1, m - 1, [], n)        # sets avoiding 0
-    out.sort(key=lambda s: s.members())
+    # each run comes out in lexicographic order, and every set containing 0
+    # precedes every set avoiding it
+    rec(2, m - 2, 1, n - 1)     # sets containing 0: exclude 1 and m-1
+    rec(1, m - 1, 0, n)         # sets avoiding 0
     return out
 
 

@@ -67,14 +67,33 @@ def is_cocircuit(s: SignVector, k: int) -> bool:
     return sum(1 for v in s if v == 0) == k and is_covector(s, k)
 
 
+def check_instance(m: int, k: int) -> None:
+    """Refuse (m, k) unless 0 <= k < m, the range where C^{m,k+1} is defined."""
+    if not 0 <= k < m:
+        raise ValueError("C^{m,k+1} needs 0 <= k < m, got (m, k) = (%d, %d)" % (m, k))
+
+
+def count_covectors(m: int, k: int) -> int:
+    """Number of nonzero covectors of C^{m,k+1}, without listing them.
+
+    The matroid is uniform of rank r = k+1.  A covector with zero set Z,
+    |Z| = z < r, is a tope of the contraction by Z, uniform of rank r - z on
+    m - z elements, which has 2 * sum_{i < r-z} C(m-z-1, i) topes
+    (Zaslavsky; Bjorner et al., Oriented Matroids, 4.6 and 9.4).
+    """
+    check_instance(m, k)
+    r = k + 1
+    return sum(comb(m, z) * 2 * sum(comb(m - z - 1, i) for i in range(r - z))
+               for z in range(r))
+
+
 def enumerate_covectors(m: int, k: int) -> list[SignVector]:
     """All covectors of C^{m,k+1}, lexicographic in the order (-1, 0, +1).
 
     Depth-first over entries with degree pruning; the accumulated degree
     only grows along a prefix, so branches above k are cut early.
     """
-    if m <= k:
-        raise ValueError("need m > k")
+    check_instance(m, k)
     out: list[SignVector] = []
     prefix = [0] * m
 
@@ -108,8 +127,7 @@ def enumerate_cocircuits(m: int, k: int) -> list[SignVector]:
     Built directly: pick the zero set, then the nonzero signs are forced up
     to a global flip by the sign-change-at-every-zero condition.
     """
-    if m <= k:
-        raise ValueError("need m > k")
+    check_instance(m, k)
     out = []
     for zeros in itertools.combinations(range(m), k):
         zs = set(zeros)

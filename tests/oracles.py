@@ -137,6 +137,52 @@ def hom_cells_by_product_filter(g_adjacency, h_adjacency) -> dict:
     return out
 
 
+def members_by_range_scan(m: int, mask: int) -> tuple:
+    return tuple(j for j in range(m) if mask >> j & 1)
+
+
+def alternating_sums_by_set(member_tuples, vectors) -> np.ndarray:
+    """Row per set: sum of (-1)^i v_i over its members, added one at a time."""
+    rows = []
+    for members in member_tuples:
+        total = np.zeros(vectors.shape[1])
+        for i in members:
+            total += (-1) ** i * vectors[i]
+        rows.append(total)
+    return np.array(rows)
+
+
+def max_edge_defect_by_pairs(masks, sums) -> float:
+    """Max ||u_S + u_T|| over disjoint pairs S < T, u the normalized rows.
+
+    Reads each pair's Gram entry one at a time.
+    """
+    unit = sums / np.linalg.norm(sums, axis=1)[:, None]
+    gram = unit @ unit.T
+    worst = 0.0
+    for i in range(len(masks)):
+        for j in range(i + 1, len(masks)):
+            if masks[i] & masks[j] == 0:
+                val = 2.0 + 2.0 * gram[i][j]
+                if val > worst:
+                    worst = val
+    return float(np.sqrt(max(worst, 0.0)))
+
+
+def sampled_sign_patterns(vectors, samples: int, seed: int, zero_tol: float) -> dict:
+    """Full-support sign rows of Gaussian points against the vectors, counted.
+
+    Draws the points as a realization check would, then counts the distinct
+    rows with np.unique(axis=0).
+    """
+    rng = np.random.default_rng(seed)
+    vals = rng.normal(size=(samples, vectors.shape[1])) @ vectors.T
+    signs = np.where(np.abs(vals) < zero_tol, 0, np.sign(vals)).astype(int)
+    full = signs[~np.any(signs == 0, axis=1)]
+    rows, counts = np.unique(full, axis=0, return_counts=True)
+    return {tuple(int(v) for v in row): int(c) for row, c in zip(rows, counts)}
+
+
 def euler_characteristic_consistent(f_vector, betti) -> bool:
     chi_f = sum((-1) ** d * f for d, f in enumerate(f_vector))
     chi_b = sum((-1) ** d * b for d, b in enumerate(betti))

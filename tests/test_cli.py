@@ -137,7 +137,7 @@ def test_console_entrypoint():
 
 
 def test_classify_requires_range():
-    with pytest.raises(SystemExit):
+    with pytest.raises(ValueError, match="classify"):
         run_cli(["classify", "--k", "1"])
 
 
@@ -146,6 +146,11 @@ def test_classify_requires_range():
     (["classify", "--k", "3", "--n", "2", "--max-degree", "-1"], "(n, k) = (2, 3)"),
     (["graph", "--n", "3", "--k", "3", "--aut"], "30 vertices"),
     (["homology", "--n", "0", "--k", "1"], "(n, k) = (0, 1)"),
+    (["classify", "--k", "1"], "classify needs"),
+    (["geometry", "--k", "2"], "geometry needs"),
+    (["geometry", "--k", "2", "--sweep"], "geometry needs"),
+    (["matroid", "--m", "5", "--k", "2", "--samples", "-1"], "(m, k) = (5, 2)"),
+    (["matroid", "--m", "3", "--k", "5"], "(m, k) = (3, 5)"),
 ])
 def test_main_refuses_bad_input_with_one_line(capsys, argv, names):
     assert cli.main(argv) == 2

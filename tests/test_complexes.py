@@ -328,6 +328,27 @@ def test_check_equivariance_builds_each_permutation_once(monkeypatch):
     assert len(calls) == 2
 
 
+def test_check_equivariance_reports_a_wrong_action(monkeypatch):
+    import stablekneser.complexes as complexes_module
+    real = complexes_module.dihedral_act_sign
+
+    def ignores_flip(s, g, k=None):
+        return real(s, DihedralElement.sigma(g.m, g.shift), k)
+
+    monkeypatch.setattr(complexes_module, "dihedral_act_sign", ignores_flip)
+    report = check_equivariance_combinatorial(2, 1)
+    assert report["violations"]
+    assert {name for _, name in report["violations"]} == {"rho"}
+
+    # an image outside the enumerated covectors is a violation, not a crash
+    monkeypatch.setattr(complexes_module, "dihedral_act_sign",
+                        lambda s, g, k=None: (0,) * len(s))
+    report = check_equivariance_combinatorial(2, 1)
+    sigma_rho = [v for v in report["violations"] if v[1] != "negation"]
+    assert len(sigma_rho) == 2 * report["covectors_checked"]
+    assert not [v for v in report["violations"] if v[1] == "negation"]
+
+
 def test_negation_matches_swap():
     target = stable_kneser_graph(2, 1)
     for s in enumerate_covectors(5, 1):

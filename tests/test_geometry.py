@@ -16,6 +16,9 @@ from stablekneser.graphs import (CircularSet, DihedralElement,
                                  stable_kneser_graph)
 from stablekneser.matroid import (dihedral_act_sign, enumerate_cocircuits,
                                   is_covector, negate, parse_sign_vector)
+import stablekneser.geometry as geometry_module
+from oracles import (alternating_sums_by_set, max_edge_defect_by_pairs,
+                     sampled_sign_patterns)
 
 TOL = 1e-9
 
@@ -109,6 +112,34 @@ def test_verify_realization_full_sweep():
         config_for(3, 3)
 
 
+def test_verify_realization_counts_match_unique_rows(monkeypatch):
+    cases = [(5, 2, 0, 3000), (8, 4, 1, 20000), (12, 4, 2, 20000),
+             (14, 6, 3, 5000), (9, 0, 4, 500)]
+    for m, k, seed, samples in cases:
+        report = verify_realization(m, k, samples=samples, seed=seed)
+        rows = sampled_sign_patterns(config_for(m, k).vectors, samples, seed, TOL)
+        assert report["sampled_full_support_patterns"] == len(rows), (m, k, seed)
+        assert report["non_covector_samples"] == 0
+    # a wrong covector rule: the rejected samples must be counted per row
+    monkeypatch.setattr(geometry_module, "is_covector", lambda s, k: s[0] == 1)
+    for m, k, seed, samples in cases:
+        rows = sampled_sign_patterns(config_for(m, k).vectors, samples, seed, TOL)
+        with pytest.raises(RealizationError) as err:
+            verify_realization(m, k, samples=samples, seed=seed)
+        report = err.value.report
+        assert report["sampled_full_support_patterns"] == len(rows)
+        assert report["non_covector_samples"] == sum(
+            c for s, c in rows.items() if s[0] != 1)
+
+
+def test_verify_realization_refuses_bad_input_up_front():
+    with pytest.raises(ValueError, match=r"\(m, k\) = \(3, 5\)"):
+        verify_realization(3, 5)
+    with pytest.raises(ValueError, match=r"\(m, k\) = \(6, 2\)"):
+        verify_realization(6, 2, samples=-1)
+    assert verify_realization(4, 1, samples=0)["sampled_full_support_patterns"] == 0
+
+
 def test_verify_realization_detects_corruption():
     # a corrupt "cocircuit" whose zero set does not support its signs
     config = moment_vectors(2, 1)
@@ -169,6 +200,20 @@ def test_max_edge_defect():
     # decreasing trend for k = 2
     values = [max_edge_defect(n, 2) for n in range(2, 12)]
     assert all(a > b for a, b in zip(values, values[1:]))
+
+
+def test_signed_sums_and_edge_defect_match_the_loops_bit_for_bit():
+    for k in range(5):
+        for n in range(1, 9):
+            config = moment_vectors(n, k)
+            verts = enumerate_stable_sets(n, config.m)
+            sums = geometry_module._signed_sums(verts, config)
+            loop = alternating_sums_by_set([s.members() for s in verts], config.vectors)
+            assert np.array_equal(sums, loop), (n, k)
+            assert np.array_equal(sums, np.array([signed_sum(s, config) for s in verts]))
+            assert min_vertex_norm(n, k) == float(np.linalg.norm(loop, axis=1).min())
+            assert max_edge_defect(n, k) == max_edge_defect_by_pairs(
+                [s.mask for s in verts], loop), (n, k)
 
 
 def test_borsuk_adjacent():

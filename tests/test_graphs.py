@@ -15,7 +15,8 @@ from stablekneser.graphs import (CircularSet, DihedralElement, Graph,
                                  one_vertex_looped, product,
                                  stable_kneser_graph, stable_set_count,
                                  vertex_criticality_check, vertex_permutation)
-from oracles import brute_force_automorphisms, brute_force_chromatic
+from oracles import (brute_force_automorphisms, brute_force_chromatic,
+                     members_by_range_scan)
 
 
 def is_cycle(g):
@@ -49,6 +50,18 @@ def test_stable_sets_against_exhaustive():
         got = {s.members() for s in enumerate_stable_sets(n, m)}
         assert got == naive
         assert len(got) == stable_set_count(n, m)
+
+
+def test_stable_sets_come_out_in_member_order():
+    for m in range(2, 21):
+        for n in range(1, m // 2 + 1):
+            sets = enumerate_stable_sets(n, m)
+            scans = [members_by_range_scan(m, s.mask) for s in sets]
+            assert scans == sorted(scans), (n, m)
+            assert [s.members() for s in sets] == scans, (n, m)
+    for m in range(1, 11):
+        for mask in range(1 << m):
+            assert CircularSet(m, mask).members() == members_by_range_scan(m, mask)
 
 
 def test_stable_sets_edge_cases():

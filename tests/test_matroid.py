@@ -5,7 +5,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from stablekneser.graphs import DihedralElement
-from stablekneser.matroid import (cocircuit_count, covector_extension_feasible,
+from stablekneser.matroid import (cocircuit_count, count_covectors,
+                                  covector_extension_feasible,
                                   covector_leq, dihedral_act_sign,
                                   enumerate_cocircuits, enumerate_covectors,
                                   is_cocircuit, is_covector, is_vector,
@@ -102,6 +103,21 @@ def test_cocircuits_direct_vs_filter():
                         if sum(1 for v in s if v == 0) == k}
             assert direct == filtered
             assert all(is_cocircuit(s, k) for s in direct)
+
+
+def test_count_covectors_closed_form():
+    for m in range(1, 13):
+        for k in range(m):
+            assert count_covectors(m, k) == len(enumerate_covectors(m, k)), (m, k)
+    assert count_covectors(14, 6) == 417146
+    assert count_covectors(7, 6) == 3 ** 7 - 1
+
+
+@pytest.mark.parametrize("m, k", [(3, 5), (4, 4), (4, -1)])
+def test_instances_outside_0_le_k_lt_m_are_refused(m, k):
+    for fn in (count_covectors, enumerate_covectors, enumerate_cocircuits):
+        with pytest.raises(ValueError, match=r"\(m, k\) = \(%d, %d\)" % (m, k)):
+            fn(m, k)
 
 
 def test_cocircuit_count_closed_form():
