@@ -61,6 +61,7 @@ def cmd_graph(cfg: RunConfig) -> tuple[dict, int]:
         "edge_count": len(g.edges(include_loops=False)),
     }
     status = 0
+    chi = None
     if cfg.chromatic:
         chi, witness = graphs.chromatic_number(g, return_colouring=True)
         report["chi"] = chi
@@ -68,7 +69,10 @@ def cmd_graph(cfg: RunConfig) -> tuple[dict, int]:
         if not graphs.is_valid_colouring(g, witness):
             status = 1
     if cfg.critical:
-        report["critical"] = graphs.vertex_criticality_check(g)
+        m = report["m"]
+        symmetries = [graphs.vertex_permutation(g, graphs.DihedralElement.sigma(m)),
+                      graphs.vertex_permutation(g, graphs.DihedralElement.rho(m))]
+        report["critical"] = graphs.vertex_criticality_check(g, chi, symmetries)
     if cfg.aut:
         report["aut_order"] = graphs.automorphism_group_order(g)
     return report, status

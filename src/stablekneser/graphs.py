@@ -423,7 +423,7 @@ def chromatic_number(g: Graph, return_colouring: bool = False):
     if n == 0:
         return (0, []) if return_colouring else 0
 
-    order = sorted(range(n), key=lambda v: (-g.degree(v), v))
+    order = _degree_order(g)
 
     # greedy upper bound along `order`
     greedy = [-1] * n
@@ -450,6 +450,20 @@ def chromatic_number(g: Graph, return_colouring: bool = False):
     return chi
 
 
+def _degree_order(g: Graph) -> list[int]:
+    return sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+
+
+def _permute_row(row: int, perm: Sequence[int]) -> int:
+    """The bitmask with bit perm[j] set for each bit j of row."""
+    out = 0
+    while row:
+        low = row & -row
+        out |= 1 << perm[low.bit_length() - 1]
+        row ^= low
+    return out
+
+
 def _clique_lower_bound(g: Graph, order: Sequence[int]) -> int:
     best = 0
     for v0 in order[: min(len(order), 12)]:
@@ -470,57 +484,67 @@ def _clique_lower_bound(g: Graph, order: Sequence[int]) -> int:
 
 
 def _try_colour(g: Graph, order: Sequence[int], kcol: int) -> Optional[list[int]]:
-    """Exact k-colourability by saturation-ordered backtracking.
+    """Exact k-colourability by saturation-ordered backtracking (DSATUR).
 
     Always branches on the uncoloured vertex seeing the most distinct
     neighbour colours (ties by degree, then the fixed order), and spends a
-    fresh colour class at most once per node.
+    fresh colour class at most once per node.  `order` must list every
+    vertex once.  Returns a proper colouring with colours < kcol, or None.
     """
     n = g.n
+    # Relabel the vertices by the static tie-break, degree and then `order`
+    # (the sort is stable): among the most saturated vertices the branching
+    # vertex is then the lowest bit.
+    static = sorted(order, key=lambda v: -g.degree(v))
+    pos = [0] * n
+    for i, v in enumerate(static):
+        pos[v] = i
+    adj = [_permute_row(g.adjacency[v], pos) for v in static]
     colour = [-1] * n
-    seen = [0] * n          # bitmask of neighbour colours per vertex
-    rank = {v: i for i, v in enumerate(order)}
-    degs = [g.degree(v) for v in range(n)]
-    full = (1 << kcol) - 1
-
-    def pick() -> int:
-        best, best_key = -1, None
-        for v in range(n):
-            if colour[v] >= 0:
-                continue
-            key = (-seen[v].bit_count(), -degs[v], rank[v])
-            if best < 0 or key < best_key:
-                best, best_key = v, key
-        return best
+    forbidden = [0] * kcol      # forbidden[c]: vertices with a neighbour coloured c
+    level = [0] * (kcol + 1)    # level[s]: uncoloured vertices seeing s colours
+    level[0] = (1 << n) - 1
 
     def rec(coloured: int, used: int) -> bool:
         if coloured == n:
             return True
-        v = pick()
-        if seen[v] == full:
+        s = kcol
+        while not level[s]:
+            s -= 1
+        if s == kcol:
             return False
-        limit = min(kcol, used + 1)
-        row = g.adjacency[v]
-        nbrs = [w for w in range(n) if row >> w & 1]
-        for c in range(limit):
-            if seen[v] >> c & 1:
+        bit = level[s] & -level[s]
+        v = bit.bit_length() - 1
+        level[s] ^= bit
+        saved = level[:]
+        row = adj[v]
+        for c in range(min(kcol, used + 1)):
+            old = forbidden[c]
+            if old & bit:
                 continue
+            fresh = row & ~old
+            forbidden[c] = old | fresh
+            # every uncoloured vertex sits at level <= s; going down, a
+            # vertex moved up one level is not moved again
+            for t in range(s, -1, -1):
+                moved = level[t] & fresh
+                if moved:
+                    level[t] ^= moved
+                    level[t + 1] |= moved
             colour[v] = c
-            touched = []
-            for w in nbrs:
-                if not (seen[w] >> c & 1):
-                    seen[w] |= 1 << c
-                    touched.append(w)
             if rec(coloured + 1, max(used, c + 1)):
                 return True
-            for w in touched:
-                seen[w] &= ~(1 << c)
-            colour[v] = -1
+            forbidden[c] = old
+            level[:] = saved
+        level[s] |= bit
         return False
 
-    if rec(0, 0):
-        return colour
-    return None
+    if not rec(0, 0):
+        return None
+    out = [-1] * n
+    for i, v in enumerate(static):
+        out[v] = colour[i]
+    return out
 
 
 def is_valid_colouring(g: Graph, colouring: Sequence[int]) -> bool:
@@ -529,14 +553,52 @@ def is_valid_colouring(g: Graph, colouring: Sequence[int]) -> bool:
         all(colouring[v] >= 0 for v in range(g.n))
 
 
-def vertex_criticality_check(g: Graph) -> bool:
-    """True iff deleting any single vertex lowers the chromatic number."""
+def vertex_criticality_check(g: Graph, chi: Optional[int] = None,
+                             automorphisms: Sequence[Sequence[int]] = ()) -> bool:
+    """True iff deleting any single vertex lowers the chromatic number.
+
+    `chi` must be the chromatic number of g; when None it is computed with
+    `chromatic_number`.  Each entry of `automorphisms` is a vertex
+    permutation (perm[i] is the image of vertex i) and must map adjacency
+    rows onto adjacency rows; anything else raises ValueError before any
+    colouring search.  Deleting v or its image under an automorphism gives
+    isomorphic graphs, so one (chi - 1)-colouring search per orbit of the
+    generated group decides the answer exactly.
+    """
     if g.n == 0:
         raise ValueError("empty graph")
-    chi = chromatic_number(g)
-    for v in range(g.n):
-        if chromatic_number(g.delete_vertex(v)) >= chi:
+    if not g.is_loopless():
+        raise ValueError("graph has a loop; chromatic number undefined")
+    n = g.n
+    parent = list(range(n))
+
+    def find(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for perm in automorphisms:
+        if sorted(perm) != list(range(n)):
+            raise ValueError("automorphism is not a permutation of the %d vertices" % n)
+        for i, row in enumerate(g.adjacency):
+            if _permute_row(row, perm) != g.adjacency[perm[i]]:
+                raise ValueError("permutation does not preserve the edges at vertex %d" % i)
+        for i in range(n):
+            parent[find(i)] = find(perm[i])
+    if chi is None:
+        chi = chromatic_number(g)
+    elif chi < 1:
+        raise ValueError("chi = %d cannot be the chromatic number of a nonempty graph" % chi)
+    for v in range(n):
+        if find(v) != v:
+            continue
+        h = g.delete_vertex(v)
+        col = _try_colour(h, _degree_order(h), chi - 1)
+        if col is None:
             return False
+        if not is_valid_colouring(h, col):
+            raise RuntimeError("colouring search returned an improper colouring")
     return True
 
 

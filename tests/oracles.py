@@ -106,6 +106,93 @@ def brute_force_chromatic(adjacency, max_colours: int = 8) -> int:
     raise AssertionError("needs more than %d colours" % max_colours)
 
 
+def dsatur_reference(g, order, kcol: int):
+    """Exact k-colourability by saturation-ordered backtracking.
+
+    Always branches on the uncoloured vertex seeing the most distinct
+    neighbour colours (ties by degree, then the fixed order), and spends a
+    fresh colour class at most once per node.  This is the plain form of
+    `graphs._try_colour`, with tuple keys and per-node neighbour lists; the
+    two must return the same colouring (or None) on every input.
+    """
+    n = g.n
+    colour = [-1] * n
+    seen = [0] * n          # bitmask of neighbour colours per vertex
+    rank = {v: i for i, v in enumerate(order)}
+    degs = [g.degree(v) for v in range(n)]
+    full = (1 << kcol) - 1
+
+    def pick() -> int:
+        best, best_key = -1, None
+        for v in range(n):
+            if colour[v] >= 0:
+                continue
+            key = (-seen[v].bit_count(), -degs[v], rank[v])
+            if best < 0 or key < best_key:
+                best, best_key = v, key
+        return best
+
+    def rec(coloured: int, used: int) -> bool:
+        if coloured == n:
+            return True
+        v = pick()
+        if seen[v] == full:
+            return False
+        limit = min(kcol, used + 1)
+        row = g.adjacency[v]
+        nbrs = [w for w in range(n) if row >> w & 1]
+        for c in range(limit):
+            if seen[v] >> c & 1:
+                continue
+            colour[v] = c
+            touched = []
+            for w in nbrs:
+                if not (seen[w] >> c & 1):
+                    seen[w] |= 1 << c
+                    touched.append(w)
+            if rec(coloured + 1, max(used, c + 1)):
+                return True
+            for w in touched:
+                seen[w] &= ~(1 << c)
+            colour[v] = -1
+        return False
+
+    if rec(0, 0):
+        return colour
+    return None
+
+
+class _Rows:
+    """Adjacency bitmask rows with the attributes `dsatur_reference` reads."""
+
+    def __init__(self, adjacency):
+        self.adjacency = tuple(adjacency)
+        self.n = len(self.adjacency)
+
+    def degree(self, v):
+        return self.adjacency[v].bit_count()
+
+
+def _chromatic_by_reference(g) -> int:
+    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+    kcol = 0
+    while dsatur_reference(g, order, kcol) is None:
+        kcol += 1
+    return kcol
+
+
+def critical_by_all_deletions(adjacency) -> bool:
+    """Vertex criticality by deleting every vertex and recolouring from scratch."""
+    chi = _chromatic_by_reference(_Rows(adjacency))
+    for v in range(len(adjacency)):
+        low = (1 << v) - 1
+        rest = [row & low | row >> (v + 1) << v
+                for w, row in enumerate(adjacency) if w != v]
+        if _chromatic_by_reference(_Rows(rest)) >= chi:
+            return False
+    return True
+
+
 def brute_force_automorphisms(adjacency) -> int:
     """Count adjacency-preserving permutations outright (tiny graphs only)."""
     n = len(adjacency)

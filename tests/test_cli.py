@@ -38,6 +38,22 @@ def test_cmd_graph_k3_chromatic_only():
     jsonschema.validate(doc, load_schema("graph_report.schema.json"))
 
 
+
+def test_cmd_graph_critical_without_chromatic():
+    text, status = run_cli(["graph", "--n", "4", "--k", "2", "--critical"])
+    doc = json.loads(text)
+    assert status == 0 and doc["critical"] is True
+    assert "chi" not in doc and "chi_witness" not in doc
+
+
+def test_cmd_graph_chromatic_critical_output_pinned():
+    text, status = run_cli(["graph", "--n", "3", "--k", "2", "--chromatic", "--critical"])
+    assert status == 0
+    assert text == (
+        '{"chi": 4, "chi_witness": [0, 0, 0, 1, 0, 0, 1, 1, 1, 2, 2, 1, 0, 2, 3, 1], '
+        '"command": "graph", "critical": true, "edge_count": 36, "k": 2, "m": 8, '
+        '"n": 3, "vertex_count": 16}\n')
+
 def test_cmd_graph_21():
     text, _ = run_cli(["graph", "--n", "2", "--k", "1", "--chromatic", "--aut"])
     doc = json.loads(text)

@@ -3,7 +3,9 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from stablekneser import graphs
 from stablekneser.graphs import (CircularSet, DihedralElement, Graph,
                                  automorphism_group_order, chromatic_number,
                                  complete_graph, cycle_graph, dihedral_act,
@@ -16,6 +18,7 @@ from stablekneser.graphs import (CircularSet, DihedralElement, Graph,
                                  stable_kneser_graph, stable_set_count,
                                  vertex_criticality_check, vertex_permutation)
 from oracles import (brute_force_automorphisms, brute_force_chromatic,
+                     critical_by_all_deletions, dsatur_reference,
                      members_by_range_scan)
 
 
@@ -159,6 +162,82 @@ def test_vertex_criticality():
     assert not vertex_criticality_check(pendant)
     with pytest.raises(ValueError):
         vertex_criticality_check(Graph(()))
+
+
+@st.composite
+def loopless_graphs(draw, max_n):
+    n = draw(st.integers(0, max_n))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return graph_from_edges(n, [p for p, b in zip(pairs, keep) if b])
+
+
+@settings(deadline=None, max_examples=150)
+@given(loopless_graphs(12), st.data())
+def test_try_colour_matches_reference_search(g, data):
+    order = data.draw(st.permutations(range(g.n)))
+    for kcol in range(6):
+        assert graphs._try_colour(g, order, kcol) == dsatur_reference(g, order, kcol)
+
+
+def test_try_colour_matches_reference_on_stable_kneser():
+    for n, k in [(2, 2), (3, 2), (4, 2), (3, 3), (2, 4)]:
+        g = stable_kneser_graph(n, k)
+        order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+        for kcol in (k + 1, k + 2):
+            got = graphs._try_colour(g, order, kcol)
+            assert got == dsatur_reference(g, order, kcol), (n, k, kcol)
+            assert (got is not None) == (kcol == k + 2)
+
+
+def circulant(n, steps):
+    return graph_from_edges(n, {tuple(sorted((i, (i + s) % n)))
+                                for i in range(n) for s in steps if s % n})
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.integers(1, 11), loopless_graphs(4), st.data())
+def test_criticality_by_orbits_matches_all_deletions_on_circulants(n, side, data):
+    # C_n(S) beside a graph the automorphism fixes, so orbits are not all equal
+    steps = data.draw(st.sets(st.integers(1, n // 2), max_size=3)) if n > 1 else set()
+    c = circulant(n, steps)
+    g = Graph(tuple(c.adjacency) + tuple(row << n for row in side.adjacency))
+    shift = data.draw(st.integers(0, n - 1))
+    rotation = [(i + shift) % n for i in range(n)] + list(range(n, g.n))
+    chi = data.draw(st.sampled_from([None, chromatic_number(g)]))
+    assert vertex_criticality_check(g, chi, [rotation]) == critical_by_all_deletions(g.adjacency)
+
+
+@settings(deadline=None, max_examples=60)
+@given(loopless_graphs(9).filter(lambda g: g.n > 0))
+def test_criticality_without_automorphisms_matches_all_deletions(g):
+    assert vertex_criticality_check(g) == critical_by_all_deletions(g.adjacency)
+
+
+def test_criticality_orbit_of_a_non_critical_part():
+    # K_4 plus a disjoint C_5: chi = 4, and deleting a C_5 vertex keeps it 4
+    g = graph_from_edges(9, [(i, j) for i in range(4) for j in range(i + 1, 4)]
+                         + [(4 + i, 4 + (i + 1) % 5) for i in range(5)])
+    rotation = [0, 1, 2, 3, 5, 6, 7, 8, 4]
+    assert not vertex_criticality_check(g, 4, [rotation])
+    assert not critical_by_all_deletions(g.adjacency)
+    assert vertex_criticality_check(complete_graph(4), 4, [[1, 2, 3, 0]])
+
+
+def test_criticality_refuses_bad_automorphisms_before_searching(monkeypatch):
+    def no_search(*args):
+        raise AssertionError("colouring search ran")
+
+    monkeypatch.setattr(graphs, "_try_colour", no_search)
+    monkeypatch.setattr(graphs, "chromatic_number", no_search)
+    g = cycle_graph(5)
+    for bad in ([0, 0, 1, 2, 3], [1, 2, 3, 4], [0, 2, 1, 3, 4]):
+        with pytest.raises(ValueError):
+            vertex_criticality_check(g, None, [[1, 2, 3, 4, 0], bad])
+    with pytest.raises(ValueError):
+        vertex_criticality_check(g, 0)
+    with pytest.raises(ValueError):
+        vertex_criticality_check(one_vertex_looped())
 
 
 def test_dihedral_act_examples():
