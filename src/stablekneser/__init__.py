@@ -11,10 +11,10 @@ from .charclasses import (ClassificationReport, GradedPoly, classify,
                           total_sw_class_from_blocks, vanishing_window,
                           vanishing_windows, wbar)
 from .complexes import (FinitePoset, MultiHom, SimplicialComplex,
-                        check_equivariance_combinatorial, covector_to_hom,
-                        hom_betti, hom_cells, hom_poset, looped_one_skeleton,
-                        neighbourhood_complex, order_complex, verify_nerve,
-                        z2_betti)
+                        check_equivariance_combinatorial, covector_cells,
+                        covector_to_hom, hom_betti, hom_cells, hom_poset,
+                        looped_one_skeleton, neighbourhood_complex,
+                        order_complex, verify_nerve, z2_betti)
 from .geometry import (MomentConfig, OrthogonalRep, RealizationError,
                        borsuk_adjacent, eq3_deviations, max_edge_defect,
                        min_vertex_norm, moment_vectors, point_to_vertex,

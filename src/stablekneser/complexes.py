@@ -9,6 +9,7 @@ computed from boundary-matrix ranks over GF(2), rows bit-packed into ints.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -455,16 +456,41 @@ def looped_one_skeleton(p: FinitePoset) -> Graph:
 # the covector -> Hom map
 
 
-def side_sets(s: SignVector) -> tuple[CircularSet, CircularSet]:
-    """S_l(s) = {j : (-1)^j s_j = (-1)^l} for l = 0, 1."""
-    m = len(s)
+def _side_masks(s: SignVector) -> tuple[int, int]:
+    """Bitmasks of S_0(s) and S_1(s): j is in S_l when (-1)^j s_j = (-1)^l."""
     masks = [0, 0]
     for j, v in enumerate(s):
-        if v == 0:
-            continue
-        signed = v if j % 2 == 0 else -v
-        masks[0 if signed == 1 else 1] |= 1 << j
-    return CircularSet(m, masks[0]), CircularSet(m, masks[1])
+        if v:
+            masks[(v < 0) ^ (j & 1)] |= 1 << j
+    return masks[0], masks[1]
+
+
+def side_sets(s: SignVector) -> tuple[CircularSet, CircularSet]:
+    """S_l(s) = {j : (-1)^j s_j = (-1)^l} for l = 0, 1."""
+    s0, s1 = _side_masks(s)
+    return CircularSet(len(s), s0), CircularSet(len(s), s1)
+
+
+def _covector_cell(s: SignVector, n: int, target: Graph,
+                   inside: dict[int, int]) -> tuple[int, int]:
+    """The Hom(K_2, SG_{n,k}) cell (A, B) of a covector, as vertex bitmasks.
+
+    A holds the vertices whose stable set lies inside S_0(s), B those inside
+    S_1(s).  `inside` memoises side mask -> vertex bitmask for one target.
+    Cross pairs are edges automatically: the two sides are disjoint.
+    """
+    cell = []
+    for side in _side_masks(s):
+        verts = inside.get(side)
+        if verts is None:
+            verts = sum(1 << i for i, lab in enumerate(target.labels)
+                        if lab.mask & ~side == 0)
+            if not verts:
+                raise ValueError("side %s carries no stable %d-set"
+                                 % (CircularSet(len(s), side), n))
+            inside[side] = verts
+        cell.append(verts)
+    return cell[0], cell[1]
 
 
 def covector_to_hom(s: SignVector, n: int, k: int,
@@ -482,17 +508,21 @@ def covector_to_hom(s: SignVector, n: int, k: int,
                          % (m, k + 1, render_sign_vector(s)))
     if target is None:
         target = stable_kneser_graph(n, k)
-    s0, s1 = side_sets(s)
-    values = []
-    for side in (s0, s1):
-        inside = frozenset(i for i, lab in enumerate(target.labels)
-                           if lab.mask & ~side.mask == 0)
-        if not inside:
-            raise ValueError("side %s carries no stable %d-set" % (side, n))
-        values.append(inside)
-    # cross pairs are edges automatically: the two sides sit inside the
-    # disjoint index sets S_0(s) and S_1(s)
-    return MultiHom(tuple(values))
+    return _multihom(_covector_cell(s, n, target, {}))
+
+
+def covector_cells(n: int, k: int,
+                   target: Optional[Graph] = None) -> dict[SignVector, tuple[int, int]]:
+    """Every covector of C^{m,k+1}, m = 2n + k, with its cell (A, B).
+
+    Keys follow enumerate_covectors; cells are pairs of vertex bitmasks of
+    SG_{n,k} as in hom_cells(K_2, SG_{n,k}), one per side.
+    """
+    if target is None:
+        target = stable_kneser_graph(n, k)
+    inside: dict[int, int] = {}
+    return {s: _covector_cell(s, n, target, inside)
+            for s in enumerate_covectors(2 * n + k, k)}
 
 
 def multihom_dihedral_act(mh: MultiHom, g: Graph, elem: DihedralElement) -> MultiHom:
@@ -504,29 +534,33 @@ def check_equivariance_combinatorial(n: int, k: int) -> dict:
     """Check the covector map intertwines both group actions, on every covector.
 
     sigma and rho act on sign vectors by the twisted shift/flip rules and on
-    Hom(K_2, SG_{n,k}) through vertex labels; negation must match the K_2
-    swap.  Each covector's cell is built once; an image that is not itself
-    an enumerated covector counts as a violation.  Returns a report whose
-    violation list is expected empty.
+    Hom(K_2, SG_{n,k}) through vertex labels, a cell (A, B) going to
+    (pi(A), pi(B)) for the vertex permutation pi; negation must match the
+    K_2 swap (A, B) -> (B, A).  Each covector's cell is built once, and each
+    vertex bitmask is permuted once per generator; an image that is not
+    itself an enumerated covector counts as a violation.  Returns a report
+    whose violation list is expected empty.
     """
     m = 2 * n + k
     target = stable_kneser_graph(n, k)
-    actions = [(name, elem, graphs.vertex_permutation(target, elem))
-               for name, elem in (("sigma", DihedralElement.sigma(m)),
-                                  ("rho", DihedralElement.rho(m)))]
-    homs = {s: covector_to_hom(s, n, k, target) for s in enumerate_covectors(m, k)}
+    actions = []
+    for name, elem in (("sigma", DihedralElement.sigma(m)), ("rho", DihedralElement.rho(m))):
+        perm = graphs.vertex_permutation(target, elem)
+        actions.append((name, elem, functools.cache(
+            functools.partial(graphs.permute_mask, perm=perm))))
+    cells = covector_cells(n, k, target)
     violations = []
-    for s, base in homs.items():
-        for name, elem, perm in actions:
-            if homs.get(dihedral_act_sign(s, elem)) != base.act_vertices(perm):
+    for s, (a, b) in cells.items():
+        for name, elem, image in actions:
+            if cells.get(dihedral_act_sign(s, elem)) != (image(a), image(b)):
                 violations.append((render_sign_vector(s), name))
-        if homs.get(negate(s)) != base.swap():
+        if cells.get(negate(s)) != (b, a):
             violations.append((render_sign_vector(s), "negation"))
     return {
         "n": n,
         "k": k,
         "m": m,
-        "covectors_checked": len(homs),
+        "covectors_checked": len(cells),
         "violations": violations,
     }
 

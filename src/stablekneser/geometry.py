@@ -173,26 +173,44 @@ def sign_vector_of_point(x: np.ndarray, config: MomentConfig,
     return tuple(0 if abs(t) < zero_tol else (1 if t > 0 else -1) for t in vals)
 
 
-def _nullspace_vector(rows: np.ndarray) -> np.ndarray:
-    _, _, vt = np.linalg.svd(rows)
-    return vt[-1]
+_REALIZE_BLOCK = 1 << 12   # sign vectors per stacked SVD
+
+
+def _realize_zero_sets(vectors: Sequence[SignVector], config: MomentConfig,
+                       zero_tol: float = 1e-9) -> np.ndarray:
+    """Unit points with the given sign vectors, one row each, via their zero sets.
+
+    The vectors must share one zero count.  Each point is the last right
+    singular vector of its zero-set rows, negated when that gives the target
+    sign vector; the SVDs run stacked, a block of vectors at a time.  Raises
+    RealizationError naming the first vector, in the given order, that
+    neither the point nor its negative realizes.
+    """
+    signs = np.array(vectors, dtype=int).reshape(len(vectors), config.m)
+    zeros = np.nonzero(signs == 0)[1].reshape(len(signs), -1)
+    if not zeros.shape[1]:
+        raise ValueError("no zero entries to solve for; use a sampled point")
+    points = np.empty((len(signs), config.k + 1))
+    for lo in range(0, len(signs), _REALIZE_BLOCK):
+        block = slice(lo, lo + _REALIZE_BLOCK)
+        x = np.linalg.svd(config.vectors[zeros[block]])[2][:, -1]
+        vals = x @ config.vectors.T
+        got = np.where(np.abs(vals) < zero_tol, 0, np.sign(vals)).astype(int)
+        direct = (got == signs[block]).all(axis=1)
+        negated = (got == -signs[block]).all(axis=1)
+        if not (direct | negated).all():
+            i = int(np.argmin(direct | negated))
+            s = render_sign_vector(vectors[lo + i])
+            raise RealizationError("cocircuit %s not realized by its zero set" % s,
+                                   {"cocircuit": s, "got": render_sign_vector(tuple(got[i]))})
+        points[block] = np.where(direct[:, None], x, -x)
+    return points
 
 
 def realize_cocircuit(s: SignVector, config: MomentConfig,
                       zero_tol: float = 1e-9) -> np.ndarray:
     """A unit point whose sign vector is s, via the exact zero-set solve."""
-    zero_rows = [j for j, v in enumerate(s) if v == 0]
-    if not zero_rows:
-        raise ValueError("no zero entries to solve for; use a sampled point")
-    x = _nullspace_vector(config.vectors[zero_rows])
-    sv = sign_vector_of_point(x, config, zero_tol)
-    if sv == s:
-        return x
-    if sv == tuple(-v for v in s):
-        return -x
-    raise RealizationError(
-        "cocircuit %s not realized by its zero set" % render_sign_vector(s),
-        {"cocircuit": render_sign_vector(s), "got": render_sign_vector(sv)})
+    return _realize_zero_sets([s], config, zero_tol)[0]
 
 
 def _tope_witness(s: SignVector, config: MomentConfig,
@@ -271,8 +289,7 @@ def verify_realization(m: int, k: int, samples: int = 100000,
 
     cocircuits = enumerate_cocircuits(m, k)
     if k > 0:
-        for s in cocircuits:
-            realize_cocircuit(s, config, zero_tol)
+        _realize_zero_sets(cocircuits, config, zero_tol)
     report["cocircuits_realized"] = len(cocircuits) if k > 0 else 0
     report["status"] = "pass"
     return report
@@ -325,7 +342,10 @@ def _signed_sums(verts: Sequence[CircularSet], config: MomentConfig) -> np.ndarr
 def min_vertex_norm(n: int, k: int) -> float:
     """Exact minimum of the unnormalized sums over all stable n-sets."""
     config = moment_vectors(n, k)
-    sums = _signed_sums(enumerate_stable_sets(n, config.m), config)
+    return _min_norm(_signed_sums(enumerate_stable_sets(n, config.m), config))
+
+
+def _min_norm(sums: np.ndarray) -> float:
     return float(np.linalg.norm(sums, axis=1).min())
 
 
@@ -338,11 +358,14 @@ def max_edge_defect(n: int, k: int) -> float:
     """
     config = moment_vectors(n, k)
     verts = enumerate_stable_sets(n, config.m)
-    sums = _signed_sums(verts, config)
+    return _max_defect(verts, _signed_sums(verts, config), config.m)
+
+
+def _max_defect(verts: Sequence[CircularSet], sums: np.ndarray, m: int) -> float:
     norms = np.linalg.norm(sums, axis=1)
     unit = sums / norms[:, None]
     gram = unit @ unit.T
-    member = _incidence(verts, config.m).astype(np.float32)
+    member = _incidence(verts, m).astype(np.float32)
     nv = len(verts)
     later = np.arange(nv)
     step = max(1, (1 << 18) // nv)   # rows per block: about 2^18 overlap counts
@@ -423,13 +446,15 @@ def geometry_row(n: int, k: int) -> dict:
     """One sweep row: norms, defects and equivariance deviations."""
     rep = representation(n, k)
     config = moment_vectors(n, k)
+    verts = enumerate_stable_sets(n, config.m)
+    sums = _signed_sums(verts, config)
     eq3 = eq3_deviations(config, rep)
     rel = rep.relation_deviations()
     return {
         "n": n,
         "k": k,
-        "min_vertex_norm": min_vertex_norm(n, k),
-        "max_edge_defect": max_edge_defect(n, k),
+        "min_vertex_norm": _min_norm(sums),
+        "max_edge_defect": _max_defect(verts, sums, config.m),
         "eq3_sigma_dev": eq3["sigma_shift"],
         "eq3_rho_dev": eq3["rho_flip"],
         "eq3_period_dev": eq3["periodicity"],

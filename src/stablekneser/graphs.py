@@ -454,13 +454,13 @@ def _degree_order(g: Graph) -> list[int]:
     return sorted(range(g.n), key=lambda v: (-g.degree(v), v))
 
 
-def _permute_row(row: int, perm: Sequence[int]) -> int:
-    """The bitmask with bit perm[j] set for each bit j of row."""
+def permute_mask(mask: int, perm: Sequence[int]) -> int:
+    """The bitmask with bit perm[j] set for each bit j of mask."""
     out = 0
-    while row:
-        low = row & -row
+    while mask:
+        low = mask & -mask
         out |= 1 << perm[low.bit_length() - 1]
-        row ^= low
+        mask ^= low
     return out
 
 
@@ -499,7 +499,7 @@ def _try_colour(g: Graph, order: Sequence[int], kcol: int) -> Optional[list[int]
     pos = [0] * n
     for i, v in enumerate(static):
         pos[v] = i
-    adj = [_permute_row(g.adjacency[v], pos) for v in static]
+    adj = [permute_mask(g.adjacency[v], pos) for v in static]
     colour = [-1] * n
     forbidden = [0] * kcol      # forbidden[c]: vertices with a neighbour coloured c
     level = [0] * (kcol + 1)    # level[s]: uncoloured vertices seeing s colours
@@ -582,7 +582,7 @@ def vertex_criticality_check(g: Graph, chi: Optional[int] = None,
         if sorted(perm) != list(range(n)):
             raise ValueError("automorphism is not a permutation of the %d vertices" % n)
         for i, row in enumerate(g.adjacency):
-            if _permute_row(row, perm) != g.adjacency[perm[i]]:
+            if permute_mask(row, perm) != g.adjacency[perm[i]]:
                 raise ValueError("permutation does not preserve the edges at vertex %d" % i)
         for i in range(n):
             parent[find(i)] = find(perm[i])

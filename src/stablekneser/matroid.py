@@ -9,8 +9,10 @@ exhaustive polynomial oracle and against the geometric realization.
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 from math import comb
-from typing import Optional, Sequence
+from operator import itemgetter, neg
+from typing import Callable, Optional, Sequence
 
 from .graphs import DihedralElement
 
@@ -35,7 +37,7 @@ def render_sign_vector(s: SignVector) -> str:
 
 
 def negate(s: SignVector) -> SignVector:
-    return tuple(-v for v in s)
+    return tuple(map(neg, s))
 
 
 def minimal_degree(s: SignVector) -> int:
@@ -172,14 +174,23 @@ def covector_leq(s: SignVector, t: SignVector) -> bool:
     return all(a == 0 or a == b for a, b in zip(s, t))
 
 
-def _extended_entry(s: SignVector, j: int) -> int:
-    """s extended to Z by s_{j+m} = (-1)^m s_j."""
-    m = len(s)
-    q, r = divmod(j, m)
-    val = s[r]
-    if m % 2 == 1 and q % 2 != 0:
-        val = -val
-    return val
+@lru_cache(maxsize=1024)
+def _sign_action_getter(m: int, shift: int, flip: bool) -> Callable:
+    """Picks (s.g)_j out of s + negate(s) for g = sigma^shift rho^flip.
+
+    Entry j is (-1)^shift * s_i with i = -j - shift if flip else j - shift,
+    read in s extended to Z by s_{i+m} = (-1)^m s_i; index r of the
+    concatenation is s_r and index r + m is -s_r.
+    """
+    mirror = -1 if flip else 1
+    index = []
+    for j in range(m):
+        q, r = divmod(mirror * j - shift, m)
+        negative = (shift % 2 == 1) != (m % 2 == 1 and q % 2 == 1)
+        index.append(r + m if negative else r)
+    if m == 1:   # itemgetter with one index returns the entry, not a tuple
+        return lambda both: (both[index[0]],)
+    return itemgetter(*index)
 
 
 def dihedral_act_sign(s: SignVector, g: DihedralElement,
@@ -194,7 +205,7 @@ def dihedral_act_sign(s: SignVector, g: DihedralElement,
     must be a covector and m - k even (m = 2n + k): the twist (-1)^m then
     matches the moment curve's (-1)^k, and C^{m,k+1} is preserved.
     """
-    m, t = g.m, g.shift
+    m = g.m
     if len(s) != m:
         raise ValueError("length %d does not match modulus %d" % (len(s), m))
     if k is not None and (m - k) % 2:
@@ -202,9 +213,7 @@ def dihedral_act_sign(s: SignVector, g: DihedralElement,
                          "does not preserve C^{m,k+1}" % (m, k))
     if k is not None and not is_covector(s, k):
         raise ValueError("not a covector: %s" % render_sign_vector(s))
-    sign = -1 if t % 2 else 1
-    mirror = -1 if g.flip else 1
-    return tuple(sign * _extended_entry(s, mirror * j - t) for j in range(m))
+    return _sign_action_getter(m, g.shift, g.flip)(tuple(s) + negate(s))
 
 
 FREE = None  # free slot marker in partial sign vectors

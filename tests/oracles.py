@@ -5,6 +5,7 @@ LP feasibility, brute-force colourings and permutation search.  None of it
 shares code with the implementations under test.
 """
 
+import functools
 import itertools
 
 import numpy as np
@@ -90,6 +91,49 @@ def dihedral_sign_reference(s, shift: int, flip: bool) -> tuple:
     if flip:
         out = [out[0]] + [twist * out[m - j] for j in range(1, m)]
     return tuple(out)
+
+
+def equivariance_reference(n: int, k: int, covectors,
+                           sign_action=dihedral_sign_reference) -> dict:
+    """The combinatorial equivariance report, rebuilt from frozensets.
+
+    A vertex of SG_{n,k} is a stable n-subset of Z_m (no two cyclically
+    consecutive members) kept as a frozenset.  A covector's cell sends K_2
+    vertex l to the set of vertices inside S_l(s) = {j : (-1)^j s_j =
+    (-1)^l}.  sigma moves members j -> j + 1 and rho j -> -j; on sign
+    vectors they act by sign_action(s, shift, flip).  Negation must swap
+    the two sets.  Violations are (covector string, "sigma" / "rho" /
+    "negation"), in covector order and then in that order.
+    """
+    m = 2 * n + k
+    vertices = [frozenset(c) for c in itertools.combinations(range(m), n)
+                if all((j + 1) % m not in c for j in c)]
+    moves = [("sigma", 1, False, lambda j: (j + 1) % m),
+             ("rho", 0, True, lambda j: -j % m)]
+
+    @functools.cache
+    def inside(side):
+        return frozenset(v for v in vertices if v <= side)
+
+    @functools.cache
+    def moved(part, move):
+        return frozenset(frozenset(map(move, v)) for v in part)
+
+    cells = {}
+    for s in covectors:
+        twisted = [(-1) ** j * v for j, v in enumerate(s)]
+        cells[s] = tuple(inside(frozenset(j for j, t in enumerate(twisted) if t == want))
+                         for want in (1, -1))
+    violations = []
+    for s, cell in cells.items():
+        names = [name for name, shift, flip, move in moves
+                 if cells.get(sign_action(s, shift, flip))
+                 != tuple(moved(part, move) for part in cell)]
+        if cells.get(tuple(-v for v in s)) != cell[::-1]:
+            names.append("negation")
+        violations += [("".join("-0+"[v + 1] for v in s), name) for name in names]
+    return {"n": n, "k": k, "m": m, "covectors_checked": len(cells),
+            "violations": violations}
 
 
 def brute_force_chromatic(adjacency, max_colours: int = 8) -> int:

@@ -86,12 +86,12 @@ def test_criterion_05_equivariance():
             rep = representation(n, k)
             assert max(rep.relation_deviations().values()) < TOL, (n, k)
             assert max(eq3_deviations(moment_vectors(n, k), rep).values()) < TOL, (n, k)
-    for m in range(3, 10):
+    for m in range(3, 11):
         for n in range(1, m // 2 + 1):
             k = m - 2 * n
             report = check_equivariance_combinatorial(n, k)
             assert report["violations"] == [], (n, k)
-    _pass(5, "eq(3) + group relations < 1e-9 (m<=40); combinatorial equivariance clean (m<=9)")
+    _pass(5, "eq(3) + group relations < 1e-9 (m<=40); combinatorial equivariance clean (m<=10)")
 
 
 def test_criterion_06_nerve():

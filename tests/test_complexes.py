@@ -6,7 +6,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from stablekneser.complexes import (FinitePoset, MultiHom, SimplicialComplex,
                                     check_equivariance_combinatorial,
-                                    covector_to_hom, gf2_rank_dense,
+                                    covector_cells, covector_to_hom,
+                                    gf2_rank_dense,
                                     gf2_rank_sparse, hom_atoms, hom_betti,
                                     hom_cells, hom_poset,
                                     looped_one_skeleton, multihom_dihedral_act,
@@ -15,9 +16,11 @@ from stablekneser.complexes import (FinitePoset, MultiHom, SimplicialComplex,
 from stablekneser.graphs import (DihedralElement, complete_graph, cycle_graph,
                                  graph_from_edges, homomorphisms, k2,
                                  one_vertex_looped, stable_kneser_graph)
-from stablekneser.matroid import (enumerate_cocircuits, enumerate_covectors,
-                                  covector_leq, negate, parse_sign_vector)
-from oracles import (boundary_squared_is_zero, euler_characteristic_consistent,
+from stablekneser.matroid import (count_covectors, covector_leq,
+                                  enumerate_cocircuits, enumerate_covectors,
+                                  negate, parse_sign_vector)
+from oracles import (boundary_squared_is_zero, dihedral_sign_reference,
+                     equivariance_reference, euler_characteristic_consistent,
                      hom_cells_by_product_filter)
 
 P = parse_sign_vector
@@ -307,10 +310,13 @@ def test_covector_to_hom_is_isomorphism_for_n_1():
 
 
 def test_check_equivariance_combinatorial():
-    for n, k in [(2, 1), (1, 2), (2, 2)]:
-        report = check_equivariance_combinatorial(n, k)
-        assert report["violations"] == []
-        assert report["covectors_checked"] == len(enumerate_covectors(2 * n + k, k))
+    # the bitmask check against the frozenset reference, report for report
+    for m in range(3, 10):
+        for n in range(1, m // 2 + 1):
+            k = m - 2 * n
+            report = check_equivariance_combinatorial(n, k)
+            assert report["violations"] == [], (n, k)
+            assert report == equivariance_reference(n, k, enumerate_covectors(m, k)), (n, k)
 
 
 def test_check_equivariance_builds_each_permutation_once(monkeypatch):
@@ -339,6 +345,13 @@ def test_check_equivariance_reports_a_wrong_action(monkeypatch):
     report = check_equivariance_combinatorial(2, 1)
     assert report["violations"]
     assert {name for _, name in report["violations"]} == {"rho"}
+    # the reference under the same flip-blind action lists the same
+    # violations in the same order
+    for n, k in [(2, 1), (1, 3), (3, 1), (2, 3)]:
+        expect = equivariance_reference(
+            n, k, enumerate_covectors(2 * n + k, k),
+            lambda s, shift, flip: dihedral_sign_reference(s, shift, False))
+        assert check_equivariance_combinatorial(n, k) == expect, (n, k)
 
     # an image outside the enumerated covectors is a violation, not a crash
     monkeypatch.setattr(complexes_module, "dihedral_act_sign",
@@ -347,6 +360,34 @@ def test_check_equivariance_reports_a_wrong_action(monkeypatch):
     sigma_rho = [v for v in report["violations"] if v[1] != "negation"]
     assert len(sigma_rho) == 2 * report["covectors_checked"]
     assert not [v for v in report["violations"] if v[1] == "negation"]
+
+
+def test_check_equivariance_reports_a_wrong_vertex_permutation(monkeypatch):
+    # the Hom side must go through vertex labels: swapping two vertices in
+    # the permutation breaks the square
+    import stablekneser.graphs as graphs_module
+    real = graphs_module.vertex_permutation
+
+    def swapped(g, elem):
+        perm = real(g, elem)
+        perm[0], perm[1] = perm[1], perm[0]
+        return perm
+
+    monkeypatch.setattr(graphs_module, "vertex_permutation", swapped)
+    for n, k in [(2, 1), (1, 3), (2, 2)]:
+        report = check_equivariance_combinatorial(n, k)
+        assert {name for _, name in report["violations"]} == {"sigma", "rho"}, (n, k)
+
+
+def test_covector_cells_are_all_hom_cells_for_n_1():
+    # C^{k+2,k+1} -> Hom(K_2, SG_{1,k}) is a bijection onto the cells
+    for k in range(6):
+        cells = covector_cells(1, k)
+        assert len(cells) == count_covectors(k + 2, k)
+        hom = {c for cs in hom_cells(k2(), stable_kneser_graph(1, k)).values()
+               for c in cs}
+        assert set(cells.values()) == hom, k
+        assert len(hom) == len(cells), k
 
 
 def test_negation_matches_swap():

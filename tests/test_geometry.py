@@ -147,6 +147,31 @@ def test_verify_realization_detects_corruption():
         realize_cocircuit(parse_sign_vector("+-+-0"), config)
 
 
+def test_stacked_realization_matches_one_svd_per_cocircuit(monkeypatch):
+    monkeypatch.setattr(geometry_module, "_REALIZE_BLOCK", 7)   # blocks split
+    for m, k in [(8, 3), (9, 4), (6, 5)]:
+        config = config_for(m, k)
+        cocircuits = enumerate_cocircuits(m, k)
+        points = geometry_module._realize_zero_sets(cocircuits, config)
+        for s, x in zip(cocircuits, points):
+            rows = config.vectors[[j for j, v in enumerate(s) if v == 0]]
+            null = np.linalg.svd(rows)[2][-1]
+            assert np.array_equal(x, null) or np.array_equal(x, -null), s
+            assert sign_vector_of_point(x, config) == s
+
+
+def test_verify_realization_names_the_first_unrealized_cocircuit(monkeypatch):
+    good = enumerate_cocircuits(5, 1)
+    bad = [parse_sign_vector("++-+0"), parse_sign_vector("+-+-0")]
+    monkeypatch.setattr(geometry_module, "enumerate_cocircuits",
+                        lambda m, k: good[:3] + bad + good[3:])
+    for block in (2, 4, 1 << 12):
+        monkeypatch.setattr(geometry_module, "_REALIZE_BLOCK", block)
+        with pytest.raises(RealizationError, match=r"\+\+-\+0") as err:
+            verify_realization(5, 1, samples=100)
+        assert err.value.report == {"cocircuit": "++-+0", "got": "++++0"}
+
+
 def test_v_of_set_example_and_equivariance():
     config = moment_vectors(2, 1)
     s = CircularSet.from_members(5, [0, 2])
@@ -256,6 +281,11 @@ def test_geometry_row_keys():
     assert row["n"] == 2 and row["k"] == 1
     assert row["min_vertex_norm"] > 1.6
     assert row["group_relation_dev"] < TOL
+    # one shared set of sums gives the same floats as the standalone functions
+    for n, k in [(2, 1), (3, 2), (5, 2), (3, 4), (4, 0)]:
+        row = geometry_row(n, k)
+        assert row["min_vertex_norm"] == min_vertex_norm(n, k), (n, k)
+        assert row["max_edge_defect"] == max_edge_defect(n, k), (n, k)
 
 
 def test_matrices_text_audit_form():

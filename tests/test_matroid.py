@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from stablekneser.graphs import DihedralElement
 from stablekneser.matroid import (cocircuit_count, count_covectors,
@@ -243,6 +243,10 @@ def test_dihedral_act_sign_action_law(case):
 
 @settings(deadline=None)
 @given(sign_vector_and_elements(1))
+# m = 1 always runs: one index map entry, so no itemgetter tuple to lean on
+@example(((1,), DihedralElement(1, 0, False)))
+@example(((-1,), DihedralElement(1, 0, True)))
+@example(((0,), DihedralElement(1, 0, True)))
 def test_dihedral_act_sign_matches_stepwise_reference(case):
     s, g = case
     assert dihedral_act_sign(s, g) == dihedral_sign_reference(s, g.shift, g.flip)
