@@ -9,6 +9,8 @@ underlying check reports a violation.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -171,7 +173,9 @@ def _pretty_lines(doc: dict) -> str:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    # Absent options stay out of the namespace, so RunConfig holds the defaults.
+    common = argparse.ArgumentParser(add_help=False,
+                                     argument_default=argparse.SUPPRESS)
     common.add_argument("--pretty", action="store_true",
                         help="human-readable output instead of JSON")
     common.add_argument("--out", help="write the report to this path")
@@ -179,54 +183,45 @@ def build_parser() -> argparse.ArgumentParser:
         prog="stablekneser",
         description="stable Kneser graphs, their matroid, homology, "
                     "geometry and characteristic-class classification")
-    sub = parser.add_subparsers(dest="command", required=True)
+    add = functools.partial(parser.add_subparsers(dest="command", required=True).add_parser,
+                            parents=[common], argument_default=argparse.SUPPRESS)
 
-    p = sub.add_parser("graph", parents=[common],
-                       help="graph-level invariants of SG_{n,k}")
+    p = add("graph", help="graph-level invariants of SG_{n,k}")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--chromatic", action="store_true")
     p.add_argument("--critical", action="store_true")
     p.add_argument("--aut", action="store_true")
 
-    p = sub.add_parser("homology", parents=[common], help="Betti numbers of Hom(K_2, SG) and N(SG)")
+    p = add("homology", help="Betti numbers of Hom(K_2, SG) and N(SG)")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
 
-    p = sub.add_parser("matroid", parents=[common], help="covector counts and realization check")
+    p = add("matroid", help="covector counts and realization check")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--samples", type=int, default=100000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--zero-tol", type=float, default=1e-9)
+    p.add_argument("--samples", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--zero-tol", type=float)
 
-    p = sub.add_parser("classify", parents=[common], help="test-graph classification sweep")
+    p = add("classify", help="test-graph classification sweep")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int)
     p.add_argument("--n-range", type=_parse_range)
-    p.add_argument("--max-degree", type=int, default=64)
+    p.add_argument("--max-degree", type=int)
 
-    p = sub.add_parser("geometry", parents=[common], help="norm/defect/equivariance CSV")
+    p = add("geometry", help="norm/defect/equivariance CSV")
     p.add_argument("--n", type=int)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--sweep", action="store_true")
     p.add_argument("--n-range", type=_parse_range)
-    p.add_argument("--zero-tol", type=float, default=1e-9)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--zero-tol", type=float)
+    p.add_argument("--seed", type=int)
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    for name in ("n", "k", "m", "max_degree", "samples", "seed", "out",
-                 "pretty", "chromatic", "critical", "aut", "sweep"):
-        if hasattr(args, name) and getattr(args, name) is not None:
-            setattr(cfg, name, getattr(args, name))
-    if getattr(args, "zero_tol", None) is not None:
-        cfg.zero_tol = args.zero_tol
-    if getattr(args, "n_range", None) is not None:
-        cfg.n_range = args.n_range
-    return cfg
+    return RunConfig(**vars(args))
 
 
 def run(cfg: RunConfig) -> tuple[str, int]:
@@ -253,19 +248,17 @@ def run(cfg: RunConfig) -> tuple[str, int]:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Console entry point: a refused input is one line on stderr, exit code 2."""
-    args = build_parser().parse_args(argv)
-    cfg = config_from_args(args)
+    """Console entry point: a refused input or an unwritable --out path is one
+    line on stderr, exit code 2.  The --out file is opened before the work.
+    """
+    cfg = config_from_args(build_parser().parse_args(argv))
     try:
-        text, status = run(cfg)
-    except ValueError as exc:
+        with open(cfg.out, "w") if cfg.out else contextlib.nullcontext(sys.stdout) as fh:
+            text, status = run(cfg)
+            fh.write(text)
+    except (ValueError, OSError) as exc:
         sys.stderr.write("stablekneser: error: %s\n" % exc)
         return 2
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     return status
 
 

@@ -3,8 +3,10 @@
 A Hom cell assigns to each source vertex a nonempty set of target vertices
 with every cross pair an edge; cells ordered componentwise.  Hom homology
 is computed from the cells themselves; the order complex of the cell poset,
-built from the same cells, gives a second homology route.  Homology is
-computed from boundary-matrix ranks over GF(2), rows bit-packed into ints.
+built from the same cells, gives a second homology route.  A simplex is
+the one-coordinate cell, so one cellular boundary routine serves Hom and
+simplicial complexes alike, its rows bit-packed into ints and ranked over
+GF(2).
 """
 
 from __future__ import annotations
@@ -228,69 +230,57 @@ def gf2_rank_sparse(rows: Sequence[set]) -> int:
     return rank
 
 
-_DENSE_COLUMN_LIMIT = 1 << 13
+def _cell_faces(cell: tuple[int, ...]):
+    """The codimension-one faces: one bit dropped from one mask of >= 2 bits."""
+    for u, a in enumerate(cell):
+        if a & (a - 1):
+            head, tail = cell[:u], cell[u + 1:]
+            rest = a
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                yield head + (a ^ low,) + tail
 
 
-def boundary_rank(faces: Sequence[frozenset], below_index: dict) -> int:
-    """Rank of the boundary map from `faces` to the faces indexed by below_index."""
-    ncols = len(below_index)
-    if ncols <= _DENSE_COLUMN_LIMIT:
-        rows = []
-        for f in faces:
-            row = 0
-            for v in f:
-                row |= 1 << below_index[f - {v}]
-            rows.append(row)
-        return gf2_rank_dense(rows)
-    rows_s = [{below_index[f - {v}] for v in f} for f in faces]
-    return gf2_rank_sparse(rows_s)
+def boundary_rank(cells: Sequence[tuple[int, ...]], below_index: dict) -> int:
+    """Rank over GF(2) of the boundary from `cells` to the cells indexed by below_index.
 
-
-def _betti(sizes: Sequence[int], ranks: Sequence[int]) -> tuple[int, ...]:
-    """Betti numbers from cell counts and boundary ranks, trailing zeros trimmed.
-
-    sizes[d] counts the d-cells and ranks[d] is the rank of the boundary
-    from dimension d to d - 1 (ranks[0] = 0).
+    A cell is a tuple of bitmasks, a product of simplices; over GF(2) its
+    boundary is the sum of its codimension-one faces.
     """
-    ranks = list(ranks) + [0]
-    betti = [sizes[d] - ranks[d] - ranks[d + 1] for d in range(len(sizes))]
+    rows = []
+    for c in cells:
+        row = 0
+        for f in _cell_faces(c):
+            row ^= 1 << below_index[f]
+        rows.append(row)
+    return gf2_rank_dense(rows)
+
+
+def _cellular_betti(cells: dict[int, list[tuple[int, ...]]]) -> tuple[int, ...]:
+    """Betti numbers over GF(2) of cells keyed by dimension, trailing zeros trimmed.
+
+    Every dimension from 0 to the top holds cells, and every face of a cell
+    is a cell.
+    """
+    top = max(cells, default=-1)
+    ranks = [0] * (top + 2)   # ranks[d]: the boundary from dimension d to d - 1
+    for d in range(1, top + 1):
+        ranks[d] = boundary_rank(cells[d], {c: i for i, c in enumerate(cells[d - 1])})
+    betti = [len(cells[d]) - ranks[d] - ranks[d + 1] for d in range(top + 1)]
     while len(betti) > 1 and betti[-1] == 0:
         betti.pop()
     return tuple(betti)
 
 
-def z2_betti(x: SimplicialComplex, max_faces: int = 10 ** 6) -> tuple[int, ...]:
-    """Betti numbers over GF(2), trailing zeros trimmed."""
-    byd = x.all_faces(max_faces=max_faces)
-    if not byd:
-        return ()
-    top = max(byd)
-    index = {d: {f: i for i, f in enumerate(byd[d])} for d in byd}
-    ranks = [0] + [boundary_rank(byd[d], index[d - 1]) for d in range(1, top + 1)]
-    return _betti([len(byd[d]) for d in range(top + 1)], ranks)
+def z2_betti(x: SimplicialComplex) -> tuple[int, ...]:
+    """Betti numbers over GF(2), trailing zeros trimmed.
 
-
-def boundary_matrix_coordinate_text(x: SimplicialComplex, d: int) -> str:
-    """Sparse boundary matrix of dimension d in 'row col' coordinate lines."""
-    byd = x.all_faces()
-    if d not in byd or d - 1 not in byd:
-        return "%d %d 0\n" % (len(byd.get(d, ())), len(byd.get(d - 1, ())))
-    idx = {f: i for i, f in enumerate(byd[d - 1])}
-    lines = []
-    nnz = 0
-    for r, f in enumerate(byd[d]):
-        for v in f:
-            lines.append("%d %d" % (r, idx[f - {v}]))
-            nnz += 1
-    head = "%d %d %d" % (len(byd[d]), len(byd[d - 1]), nnz)
-    return "\n".join([head] + lines) + "\n"
-
-
-def complex_to_facets_json_dict(x: SimplicialComplex) -> dict:
-    return {
-        "vertices": [repr(v) for v in x.vertices],
-        "facets": [sorted(map(repr, f)) for f in x.facets],
-    }
+    A face is the one-coordinate cell (mask,), bit i for x.vertices[i].
+    """
+    bit = {v: 1 << i for i, v in enumerate(x.vertices)}.__getitem__
+    return _cellular_betti({d: [(sum(map(bit, f)),) for f in fs]
+                            for d, fs in x.all_faces().items()})
 
 
 # ---------------------------------------------------------------------------
@@ -362,37 +352,13 @@ def hom_cells(g: Graph, h: Graph,
     return cells
 
 
-def _cell_faces(cell: tuple[int, ...]):
-    """The codimension-one faces: one target dropped from one set of >= 2."""
-    for u, a in enumerate(cell):
-        if a & (a - 1):
-            rest = a
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                yield cell[:u] + (a ^ low,) + cell[u + 1:]
-
-
 def hom_betti(g: Graph, h: Graph) -> tuple[int, ...]:
     """Betti numbers of Hom(G, H) over GF(2) from its cellular chain complex.
 
-    Over GF(2) the boundary of a product of simplices is the sum of its
-    codimension-one faces, so no order complex is built.  Trailing zeros
-    are trimmed as in z2_betti.
+    The cells are products of simplices, so no order complex is built.
+    Trailing zeros are trimmed as in z2_betti.
     """
-    cells = hom_cells(g, h)
-    top = max(cells, default=-1)   # every dimension 0..top has cells
-    ranks = [0]
-    for d in range(1, top + 1):
-        index = {c: i for i, c in enumerate(cells[d - 1])}
-        rows = []
-        for c in cells[d]:
-            row = 0
-            for f in _cell_faces(c):
-                row ^= 1 << index[f]
-            rows.append(row)
-        ranks.append(gf2_rank_dense(rows))
-    return _betti([len(cells[d]) for d in range(top + 1)], ranks)
+    return _cellular_betti(hom_cells(g, h))
 
 
 def _multihom(cell: tuple[int, ...]) -> MultiHom:

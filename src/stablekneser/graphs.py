@@ -298,8 +298,9 @@ def stable_set_count(n: int, m: int) -> int:
 
 def kneser_graph(n: int, k: int) -> Graph:
     """KG_{n,k}: n-subsets of Z_{2n+k}, adjacent iff disjoint."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    if n < 1 or k < 0:
+        raise ValueError("KG_{n,k} needs n >= 1 and k >= 0, got (n, k) = (%d, %d)"
+                         % (n, k))
     m = 2 * n + k
     labels = [CircularSet.from_members(m, c)
               for c in itertools.combinations(range(m), n)]
@@ -308,8 +309,9 @@ def kneser_graph(n: int, k: int) -> Graph:
 
 def stable_kneser_graph(n: int, k: int) -> Graph:
     """SG_{n,k}: stable n-subsets of Z_{2n+k}, adjacent iff disjoint."""
-    if n < 1:
-        raise ValueError("SG_{n,k} needs n >= 1, got (n, k) = (%d, %d)" % (n, k))
+    if n < 1 or k < 0:
+        raise ValueError("SG_{n,k} needs n >= 1 and k >= 0, got (n, k) = (%d, %d)"
+                         % (n, k))
     m = 2 * n + k
     return _disjointness_graph(enumerate_stable_sets(n, m))
 

@@ -337,6 +337,34 @@ def boundary_squared_is_zero(complex_obj) -> bool:
     return True
 
 
+def z2_betti_by_frozensets(faces) -> tuple:
+    """GF(2) Betti numbers of the complex the faces generate, trailing zeros trimmed.
+
+    Lists every subface, builds each boundary row from the faces f - {v},
+    and ranks the matrices with sympy over GF(2).
+    """
+    from sympy import GF, Matrix
+    from sympy.polys.matrices import DomainMatrix
+    byd: dict = {}
+    for f in faces:
+        for size in range(1, len(f) + 1):
+            for sub in itertools.combinations(list(f), size):
+                byd.setdefault(size - 1, set()).add(frozenset(sub))
+    top = max(byd, default=-1)
+    ranks = [0] * (top + 2)
+    for d in range(1, top + 1):
+        below = {f: i for i, f in enumerate(byd[d - 1])}
+        rows = [[0] * len(below) for _ in byd[d]]
+        for row, f in zip(rows, byd[d]):
+            for v in f:
+                row[below[f - {v}]] = 1
+        ranks[d] = DomainMatrix.from_Matrix(Matrix(rows)).convert_to(GF(2)).rank()
+    betti = [len(byd[d]) - ranks[d] - ranks[d + 1] for d in range(top + 1)]
+    while len(betti) > 1 and betti[-1] == 0:
+        betti.pop()
+    return tuple(betti)
+
+
 def sign_vectors_orthogonal(s, v) -> bool:
     """Oriented-matroid orthogonality: products vanish or take both signs."""
     prods = {a * b for a, b in zip(s, v) if a * b != 0}

@@ -138,6 +138,17 @@ def test_out_flag(tmp_path):
     assert json.loads(out.read_text())["chi"] == 3
 
 
+def test_out_to_a_missing_directory_is_refused_before_the_work(tmp_path, capsys,
+                                                              monkeypatch):
+    monkeypatch.setattr(cli, "run", lambda cfg: pytest.fail("ran before opening --out"))
+    out = tmp_path / "missing" / "x.json"
+    assert cli.main(["graph", "--n", "2", "--k", "1", "--out", str(out)]) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    assert err.startswith("stablekneser: error: ") and err.count("\n") == 1
+    assert str(out) in err and not out.exists()
+
+
 def test_pretty_classify():
     text, _ = run_cli(["classify", "--k", "1", "--n", "3", "--pretty"])
     assert "TEST_GRAPH_CERTIFIED" in text
@@ -162,6 +173,8 @@ def test_classify_requires_range():
     (["classify", "--k", "3", "--n", "2", "--max-degree", "-1"], "(n, k) = (2, 3)"),
     (["graph", "--n", "3", "--k", "3", "--aut"], "30 vertices"),
     (["homology", "--n", "0", "--k", "1"], "(n, k) = (0, 1)"),
+    (["homology", "--n", "1", "--k", "-1"], "(n, k) = (1, -1)"),
+    (["graph", "--n", "2", "--k", "-1", "--chromatic"], "(n, k) = (2, -1)"),
     (["classify", "--k", "1"], "classify needs"),
     (["geometry", "--k", "2"], "geometry needs"),
     (["geometry", "--k", "2", "--sweep"], "geometry needs"),

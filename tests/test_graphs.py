@@ -89,6 +89,8 @@ def test_stable_kneser_graph_families():
     assert g.n == 2 and g.edges() == [(0, 1)]
     with pytest.raises(ValueError):
         stable_kneser_graph(0, 1)
+    with pytest.raises(ValueError, match=r"\(n, k\) = \(2, -1\)"):
+        stable_kneser_graph(2, -1)
 
 
 def test_kneser_graph_families():
@@ -102,6 +104,9 @@ def test_kneser_graph_families():
     assert three_edges.n == 6
     assert len(three_edges.edges()) == 3
     assert all(three_edges.degree(v) == 1 for v in range(6))
+    for n, k in ((0, 1), (2, -1)):
+        with pytest.raises(ValueError, match=r"\(n, k\) = \(%d, %d\)" % (n, k)):
+            kneser_graph(n, k)
 
 
 def test_product():
