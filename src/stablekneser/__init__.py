@@ -10,7 +10,7 @@ from .charclasses import (ClassificationReport, GradedPoly, classify,
                           poly_invert, restrict, ring_for, total_sw_class,
                           total_sw_class_from_blocks, vanishing_window,
                           vanishing_windows, wbar)
-from .complexes import (FinitePoset, MultiHom, SimplicialComplex,
+from .complexes import (FinitePoset, SimplicialComplex,
                         check_equivariance_combinatorial, covector_cells,
                         covector_to_hom, hom_betti, hom_cells, hom_poset,
                         looped_one_skeleton, neighbourhood_complex,

@@ -216,7 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sweep", action="store_true")
     p.add_argument("--n-range", type=_parse_range)
     p.add_argument("--zero-tol", type=float)
-    p.add_argument("--seed", type=int)
     return parser
 
 

@@ -1,12 +1,16 @@
 """Hom complexes, neighbourhood and order complexes, and GF(2) homology.
 
 A Hom cell assigns to each source vertex a nonempty set of target vertices
-with every cross pair an edge; cells ordered componentwise.  Hom homology
-is computed from the cells themselves; the order complex of the cell poset,
-built from the same cells, gives a second homology route.  A simplex is
-the one-coordinate cell, so one cellular boundary routine serves Hom and
-simplicial complexes alike, its rows bit-packed into ints and ranked over
-GF(2).
+with every cross pair an edge.  There is one cell model: the tuple of target
+bitmasks that hom_cells enumerates, one mask per source vertex, ordered by
+componentwise mask containment.  The covector map gives Hom(K_2, SG_{n,k})
+cells as the same vertex-bitmask pairs (A, B); negation is the swap (B, A),
+and a dihedral element acts on each mask by graphs.permute_mask under its
+graphs.vertex_permutation.  Hom homology is computed from the cells
+themselves; the order complex of the cell poset, built from the same cells,
+gives a second homology route.  A simplex is the one-coordinate cell, so
+one cellular boundary routine serves Hom and simplicial complexes alike,
+its rows bit-packed into ints and ranked over GF(2).
 """
 
 from __future__ import annotations
@@ -22,44 +26,6 @@ from .graphs import (CircularSet, DihedralElement, Graph,
 from .matroid import (SignVector, covector_extension_feasible, dihedral_act_sign,
                       enumerate_covectors, is_covector, negate,
                       render_sign_vector)
-
-
-@dataclass(frozen=True)
-class MultiHom:
-    """A cell of Hom(G,H): source vertex -> nonempty target vertex set."""
-
-    assignment: tuple[frozenset, ...]
-
-    def validate(self, source: Graph, target: Graph) -> None:
-        if len(self.assignment) != source.n:
-            raise ValueError("assignment length != |V(source)|")
-        if any(not a for a in self.assignment):
-            raise ValueError("empty value set")
-        for u in range(source.n):
-            for v in range(source.n):
-                if source.has_edge(u, v):
-                    for a in self.assignment[u]:
-                        for b in self.assignment[v]:
-                            if not target.has_edge(a, b):
-                                raise ValueError("not a multihomomorphism")
-
-    def is_atom(self) -> bool:
-        return all(len(a) == 1 for a in self.assignment)
-
-    def leq(self, other: "MultiHom") -> bool:
-        return all(a <= b for a, b in zip(self.assignment, other.assignment))
-
-    def swap(self) -> "MultiHom":
-        """The nontrivial K_2 involution on Hom(K_2, -)."""
-        if len(self.assignment) != 2:
-            raise ValueError("swap needs a 2-vertex source")
-        return MultiHom((self.assignment[1], self.assignment[0]))
-
-    def act_vertices(self, perm: Sequence[int]) -> "MultiHom":
-        return MultiHom(tuple(frozenset(perm[t] for t in a) for a in self.assignment))
-
-    def key(self):
-        return tuple(tuple(sorted(a)) for a in self.assignment)
 
 
 class FinitePoset:
@@ -361,33 +327,21 @@ def hom_betti(g: Graph, h: Graph) -> tuple[int, ...]:
     return _cellular_betti(hom_cells(g, h))
 
 
-def _multihom(cell: tuple[int, ...]) -> MultiHom:
-    return MultiHom(tuple(frozenset(t for t in range(a.bit_length()) if a >> t & 1)
-                          for a in cell))
-
-
 def hom_poset(g: Graph, h: Graph, max_cells: int = 10 ** 6) -> FinitePoset:
-    """The face poset of hom_cells: multihomomorphisms G -> H, componentwise.
+    """The face poset of hom_cells, ordered by componentwise mask containment.
 
-    Elements are sorted by MultiHom.key(); the up-sets are pushed down from
-    each cell to its faces, highest dimension first.
+    Elements are the hom_cells tuples themselves, dimension by dimension
+    from 0 up and in enumeration order within a dimension; the up-sets are
+    pushed down from each cell to its faces, highest dimension first.
     """
     byd = hom_cells(g, h, max_cells=max_cells)
-    pairs = sorted(((_multihom(c), c) for cs in byd.values() for c in cs),
-                   key=lambda pair: pair[0].key())
-    index = {c: i for i, (_, c) in enumerate(pairs)}
-    above = [1 << i for i in range(len(pairs))]
-    for d in sorted(byd, reverse=True):
-        for c in byd[d]:
-            up = above[index[c]]
-            for f in _cell_faces(c):
-                above[index[f]] |= up
-    return FinitePoset.from_up_sets([mh for mh, _ in pairs], above)
-
-
-def hom_atoms(g: Graph, h: Graph, max_cells: int = 10 ** 6) -> list[MultiHom]:
-    atoms = hom_cells(g, h, max_cells=max_cells).get(0, [])
-    return sorted(map(_multihom, atoms), key=MultiHom.key)
+    cells = [c for d in sorted(byd) for c in byd[d]]
+    index = {c: i for i, c in enumerate(cells)}
+    above = [1 << i for i in range(len(cells))]
+    for i in reversed(range(len(cells))):
+        for f in _cell_faces(cells[i]):
+            above[index[f]] |= above[i]
+    return FinitePoset.from_up_sets(cells, above)
 
 
 def neighbourhood_complex(g: Graph) -> SimplicialComplex:
@@ -460,11 +414,13 @@ def _covector_cell(s: SignVector, n: int, target: Graph,
 
 
 def covector_to_hom(s: SignVector, n: int, k: int,
-                    target: Optional[Graph] = None) -> MultiHom:
-    """The cell of Hom(K_2, SG_{n,k}) attached to a covector.
+                    target: Optional[Graph] = None) -> tuple[int, int]:
+    """The cell (A, B) of Hom(K_2, SG_{n,k}) attached to a covector.
 
-    Each K_2 vertex l is sent to all stable n-sets inside S_l(s).  Order
-    preserving in s; cocircuits land on atoms with interleaved sides.
+    A and B are vertex bitmasks of SG_{n,k}, as in hom_cells: each K_2
+    vertex l is sent to all stable n-sets inside S_l(s).  Order preserving
+    in s for componentwise mask containment; negation is the swap (B, A),
+    and cocircuits land on atoms with interleaved sides.
     """
     m = 2 * n + k
     if len(s) != m:
@@ -474,7 +430,7 @@ def covector_to_hom(s: SignVector, n: int, k: int,
                          % (m, k + 1, render_sign_vector(s)))
     if target is None:
         target = stable_kneser_graph(n, k)
-    return _multihom(_covector_cell(s, n, target, {}))
+    return _covector_cell(s, n, target, {})
 
 
 def covector_cells(n: int, k: int,
@@ -489,11 +445,6 @@ def covector_cells(n: int, k: int,
     inside: dict[int, int] = {}
     return {s: _covector_cell(s, n, target, inside)
             for s in enumerate_covectors(2 * n + k, k)}
-
-
-def multihom_dihedral_act(mh: MultiHom, g: Graph, elem: DihedralElement) -> MultiHom:
-    """Push a Hom(K_2, G) cell along the dihedral action on G's labels."""
-    return mh.act_vertices(graphs.vertex_permutation(g, elem))
 
 
 def check_equivariance_combinatorial(n: int, k: int) -> dict:

@@ -86,7 +86,8 @@ class OrthogonalRep:
 
 def representation(n: int, k: int) -> OrthogonalRep:
     if n < 1 or k < 0:
-        raise ValueError("need n >= 1 and k >= 0")
+        raise ValueError("the representation of D_{2m} needs n >= 1 and k >= 0, "
+                         "got (n, k) = (%d, %d)" % (n, k))
     m = 2 * n + k
     dim = k + 1
     sigma = np.zeros((dim, dim))
@@ -146,7 +147,8 @@ def config_for(m: int, k: int) -> MomentConfig:
 
 def moment_vectors(n: int, k: int) -> MomentConfig:
     if n < 1 or k < 0:
-        raise ValueError("need n >= 1 and k >= 0")
+        raise ValueError("the moment configuration needs n >= 1 and k >= 0, "
+                         "got (n, k) = (%d, %d)" % (n, k))
     return config_for(2 * n + k, k)
 
 

@@ -268,7 +268,8 @@ def enumerate_stable_sets(n: int, m: int) -> list[CircularSet]:
     m < 2n (no such set fits).
     """
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise ValueError("stable n-subsets of Z_m need n >= 1, got (n, m) = (%d, %d)"
+                         % (n, m))
     if m < 2 * n:
         return []
     out: list[CircularSet] = []
@@ -374,38 +375,6 @@ def exponential(g: Graph, h: Graph, max_vertices: int = 10 ** 6) -> Graph:
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
     return Graph(tuple(adj))
-
-
-def homomorphisms(g: Graph, h: Graph) -> list[tuple[int, ...]]:
-    """All graph homomorphisms G -> H by backtracking."""
-    gedges = [(u, v) for u in range(g.n) for v in range(g.n)
-              if g.has_edge(u, v)]
-    out: list[tuple[int, ...]] = []
-    assign: list[int] = []
-
-    def rec(u: int) -> None:
-        if u == g.n:
-            out.append(tuple(assign))
-            return
-        for t in range(h.n):
-            ok = True
-            for a, b in gedges:
-                if a == u and b < u and not h.has_edge(t, assign[b]):
-                    ok = False
-                    break
-                if b == u and a < u and not h.has_edge(assign[a], t):
-                    ok = False
-                    break
-                if a == u and b == u and not h.has_edge(t, t):
-                    ok = False
-                    break
-            if ok:
-                assign.append(t)
-                rec(u + 1)
-                assign.pop()
-
-    rec(0)
-    return out
 
 
 # ---------------------------------------------------------------------------

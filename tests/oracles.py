@@ -268,6 +268,38 @@ def hom_cells_by_product_filter(g_adjacency, h_adjacency) -> dict:
     return out
 
 
+def homomorphisms(g, h) -> list[tuple[int, ...]]:
+    """All graph homomorphisms G -> H by backtracking."""
+    gedges = [(u, v) for u in range(g.n) for v in range(g.n)
+              if g.has_edge(u, v)]
+    out: list[tuple[int, ...]] = []
+    assign: list[int] = []
+
+    def rec(u: int) -> None:
+        if u == g.n:
+            out.append(tuple(assign))
+            return
+        for t in range(h.n):
+            ok = True
+            for a, b in gedges:
+                if a == u and b < u and not h.has_edge(t, assign[b]):
+                    ok = False
+                    break
+                if b == u and a < u and not h.has_edge(assign[a], t):
+                    ok = False
+                    break
+                if a == u and b == u and not h.has_edge(t, t):
+                    ok = False
+                    break
+            if ok:
+                assign.append(t)
+                rec(u + 1)
+                assign.pop()
+
+    rec(0)
+    return out
+
+
 def members_by_range_scan(m: int, mask: int) -> tuple:
     return tuple(j for j in range(m) if mask >> j & 1)
 

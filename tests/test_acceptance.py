@@ -42,11 +42,12 @@ def test_criterion_01_matroid_complex_duality():
     target = stable_kneser_graph(1, 1)
     poset = hom_poset(k2(), target)
     images = [covector_to_hom(s, 1, 1, target) for s in covs]
-    assert len({mh.key() for mh in images}) == 12 == poset.n
-    assert {mh.key() for mh in images} == {mh.key() for mh in poset.elements}
+    assert len(set(images)) == 12 == poset.n
+    assert set(images) == set(poset.elements)
     for i, s in enumerate(covs):
         for j, t in enumerate(covs):
-            assert covector_leq(s, t) == images[i].leq(images[j])
+            contained = all(a & ~b == 0 for a, b in zip(images[i], images[j]))
+            assert covector_leq(s, t) == contained
     _pass(1, "covectors(3,1)=12, cocircuits=6, poset isomorphism onto Hom(K_2,K_3)")
 
 
@@ -155,7 +156,7 @@ def test_criterion_10_geometry_sweep():
             threshold_start = n
             break
     assert threshold_start is not None and threshold_start <= 30
-    argv = ["geometry", "--k", "2", "--sweep", "--n-range", "2..20", "--seed", "0"]
+    argv = ["geometry", "--k", "2", "--sweep", "--n-range", "2..20"]
     first, status1 = cli.run(cli.config_from_args(cli.build_parser().parse_args(argv)))
     second, status2 = cli.run(cli.config_from_args(cli.build_parser().parse_args(argv)))
     assert status1 == status2 == 0

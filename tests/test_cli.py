@@ -155,10 +155,13 @@ def test_pretty_classify():
 
 
 def test_console_entrypoint():
+    # the child finds the package where this process found it, installed or not
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "stablekneser", "matroid", "--m", "3", "--k", "1",
          "--samples", "500"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["covectors"] == 12
 
@@ -180,6 +183,9 @@ def test_classify_requires_range():
     (["matroid", "--m", "3", "--k", "5"], "(m, k) = (3, 5)"),
     (["homology", "--n", "1", "--k", "-1"], "(n, k) = (1, -1)"),
     (["graph", "--n", "2", "--k", "-1", "--chromatic"], "(n, k) = (2, -1)"),
+    (["geometry", "--n", "0", "--k", "2"], "(n, k) = (0, 2)"),
+    (["geometry", "--n", "2", "--k", "-1"], "(n, k) = (2, -1)"),
+    (["geometry", "--k", "2", "--sweep", "--n-range", "0..2"], "(n, k) = (0, 2)"),
 ])
 def test_main_refuses_bad_input_with_one_line(capsys, argv, names):
     assert cli.main(argv) == 2
@@ -187,3 +193,11 @@ def test_main_refuses_bad_input_with_one_line(capsys, argv, names):
     assert out == ""
     assert err.startswith("stablekneser: error: ") and err.count("\n") == 1
     assert names in err
+
+
+def test_geometry_has_no_seed_option(capsys):
+    # the sweep is deterministic; only matroid samples
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["geometry", "--n", "2", "--k", "2", "--seed", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 5" in capsys.readouterr().err

@@ -1,29 +1,42 @@
+import functools
 import itertools
 import random
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from stablekneser.complexes import (FinitePoset, MultiHom, SimplicialComplex,
+from stablekneser.complexes import (FinitePoset, SimplicialComplex,
                                     check_equivariance_combinatorial,
                                     covector_cells, covector_to_hom,
                                     gf2_rank_dense,
-                                    gf2_rank_sparse, hom_atoms, hom_betti,
+                                    gf2_rank_sparse, hom_betti,
                                     hom_cells, hom_poset,
-                                    looped_one_skeleton, multihom_dihedral_act,
+                                    looped_one_skeleton,
                                     neighbourhood_complex, order_complex,
                                     side_sets, verify_nerve, z2_betti)
 from stablekneser.graphs import (DihedralElement, complete_graph, cycle_graph,
-                                 graph_from_edges, homomorphisms, k2,
-                                 one_vertex_looped, stable_kneser_graph)
+                                 graph_from_edges, k2, one_vertex_looped,
+                                 permute_mask, stable_kneser_graph,
+                                 vertex_permutation)
 from stablekneser.matroid import (count_covectors, covector_leq,
-                                  enumerate_cocircuits, enumerate_covectors,
-                                  negate, parse_sign_vector)
+                                  dihedral_act_sign, enumerate_cocircuits,
+                                  enumerate_covectors, negate,
+                                  parse_sign_vector)
 from oracles import (boundary_squared_is_zero, dihedral_sign_reference,
                      equivariance_reference, euler_characteristic_consistent,
-                     hom_cells_by_product_filter, z2_betti_by_frozensets)
+                     hom_cells_by_product_filter, homomorphisms,
+                     z2_betti_by_frozensets)
 
 P = parse_sign_vector
+
+
+def contained(a, b):
+    """Componentwise mask containment, the order on Hom cells."""
+    return all(x & ~y == 0 for x, y in zip(a, b))
+
+
+def member_tuples(cell):
+    return tuple(tuple(t for t in range(a.bit_length()) if a >> t & 1) for a in cell)
 
 
 def test_hom_poset_k2_k3():
@@ -40,15 +53,18 @@ def test_hom_poset_k2_k2():
 
 def test_hom_atoms_are_homomorphisms():
     for h in (complete_graph(3), cycle_graph(5), stable_kneser_graph(2, 1)):
-        atoms = hom_atoms(k2(), h)
+        atoms = hom_cells(k2(), h)[0]
         homs = homomorphisms(k2(), h)
         assert len(atoms) == len(homs)
-        got = {tuple(next(iter(a)) for a in mh.assignment) for mh in atoms}
+        assert all(a.bit_count() == 1 for cell in atoms for a in cell)
+        got = {tuple(a.bit_length() - 1 for a in cell) for cell in atoms}
         assert got == set(homs)
 
 
 def test_hom_poset_sg21_has_10_atoms():
-    assert len(hom_atoms(k2(), stable_kneser_graph(2, 1))) == 10
+    target = stable_kneser_graph(2, 1)
+    assert len(hom_cells(k2(), target)[0]) == 10
+    assert len(hom_poset(k2(), target).atoms()) == 10
 
 
 def test_hom_poset_of_looped_source_is_clique_poset():
@@ -88,7 +104,7 @@ def test_hom_poset_against_brute_force():
                      for a in cell[u] for b in cell[v])
             if ok:
                 brute.add(tuple(tuple(sorted(c)) for c in cell))
-        got = {mh.key() for mh in hom_poset(g, h).elements}
+        got = {member_tuples(c) for c in hom_poset(g, h).elements}
         assert got == brute
 
 
@@ -127,23 +143,13 @@ def small_graphs(draw, max_n):
 @given(small_graphs(3), small_graphs(5))
 def test_hom_betti_matches_order_complex(g, h):
     cells = hom_cells(g, h)
-    got = {tuple(tuple(t for t in range(h.n) if a >> t & 1) for a in c): d
-           for d, cs in cells.items() for c in cs}
+    got = {member_tuples(c): d for d, cs in cells.items() for c in cs}
     assert sum(map(len, cells.values())) == len(got)
     assert got == hom_cells_by_product_filter(g.adjacency, h.adjacency)
     assume(sum(len(cs) for cs in cells.values()) <= 150 and max(cells, default=0) <= 4)
     p = hom_poset(g, h)
-    assert p.above == FinitePoset(p.elements, MultiHom.leq).above
+    assert p.above == FinitePoset(p.elements, contained).above
     assert hom_betti(g, h) == z2_betti(order_complex(p))
-
-
-def test_multihom_validation():
-    target = complete_graph(3)
-    MultiHom((frozenset({0}), frozenset({1, 2}))).validate(k2(), target)
-    with pytest.raises(ValueError):
-        MultiHom((frozenset({0}), frozenset({0}))).validate(k2(), target)
-    with pytest.raises(ValueError):
-        MultiHom((frozenset(), frozenset({0}))).validate(k2(), target)
 
 
 def test_neighbourhood_complexes():
@@ -271,10 +277,10 @@ def test_side_sets():
 
 def test_covector_to_hom_cocircuit_example():
     target = stable_kneser_graph(2, 1)
-    mh = covector_to_hom(P("++++0"), 2, 1, target)
-    names = [{target.labels[i].members() for i in side} for side in mh.assignment]
+    cell = covector_to_hom(P("++++0"), 2, 1, target)
+    names = [{target.labels[i].members() for i in side} for side in member_tuples(cell)]
     assert names == [{(0, 2)}, {(1, 3)}]
-    assert mh.is_atom()
+    assert all(a.bit_count() == 1 for a in cell)
 
 
 def test_covector_to_hom_rejects_non_covector():
@@ -289,7 +295,7 @@ def test_covector_to_hom_monotone_on_C52():
     for s in covs:
         for t in covs:
             if covector_leq(s, t):
-                assert images[s].leq(images[t])
+                assert contained(images[s], images[t])
 
 
 def test_covector_to_hom_cocircuits_are_interleaved_atoms():
@@ -298,16 +304,16 @@ def test_covector_to_hom_cocircuits_are_interleaved_atoms():
         m = 2 * n + k
         target = stable_kneser_graph(n, k)
         interleaved = set()
-        for mh in hom_atoms(k2(), target):
-            a = target.labels[next(iter(mh.assignment[0]))].members()
-            b = target.labels[next(iter(mh.assignment[1]))].members()
+        for cell in hom_cells(k2(), target)[0]:
+            a = target.labels[cell[0].bit_length() - 1].members()
+            b = target.labels[cell[1].bit_length() - 1].members()
             if sorted(a + b)[::2] in (list(a), list(b)):
-                interleaved.add(mh.key())
+                interleaved.add(cell)
         image = set()
         for s in enumerate_cocircuits(m, k):
-            mh = covector_to_hom(s, n, k, target)
-            assert mh.is_atom()
-            image.add(mh.key())
+            cell = covector_to_hom(s, n, k, target)
+            assert all(a.bit_count() == 1 for a in cell)
+            image.add(cell)
         assert image == interleaved
         assert len(image) == len(enumerate_cocircuits(m, k))
 
@@ -319,13 +325,11 @@ def test_covector_to_hom_is_isomorphism_for_n_1():
         covs = enumerate_covectors(m, k)
         poset = hom_poset(k2(), target)
         images = [covector_to_hom(s, 1, k, target) for s in covs]
-        keys = {mh.key() for mh in images}
-        assert len(keys) == len(covs) == poset.n
-        assert keys == {mh.key() for mh in poset.elements}
-        for s in covs:
-            for t in covs:
-                si, ti = images[covs.index(s)], images[covs.index(t)]
-                assert covector_leq(s, t) == si.leq(ti)
+        assert len(set(images)) == len(covs) == poset.n
+        assert set(images) == set(poset.elements)
+        for s, si in zip(covs, images):
+            for t, ti in zip(covs, images):
+                assert covector_leq(s, t) == contained(si, ti)
 
 
 def test_check_equivariance_combinatorial():
@@ -409,21 +413,25 @@ def test_covector_cells_are_all_hom_cells_for_n_1():
         assert len(hom) == len(cells), k
 
 
-def test_negation_matches_swap():
-    target = stable_kneser_graph(2, 1)
-    for s in enumerate_covectors(5, 1):
-        assert covector_to_hom(negate(s), 2, 1, target) == \
-            covector_to_hom(s, 2, 1, target).swap()
+@functools.lru_cache(maxsize=None)
+def _covectors(m, k):
+    return enumerate_covectors(m, k)
 
 
-def test_multihom_dihedral_act_is_action():
-    target = stable_kneser_graph(2, 1)
-    sigma = DihedralElement.sigma(5)
-    rho = DihedralElement.rho(5)
-    mh = covector_to_hom(P("++++0"), 2, 1, target)
-    via_sr = multihom_dihedral_act(multihom_dihedral_act(mh, target, sigma),
-                                   target, rho)
-    assert via_sr == multihom_dihedral_act(mh, target, sigma * rho)
+@settings(deadline=None, max_examples=150)
+@given(st.data())
+def test_covector_to_hom_is_equivariant_on_side_sets(data):
+    # sign vectors and Hom cells under one dihedral element and under negation
+    m = data.draw(st.integers(2, 10), label="m")
+    n = data.draw(st.integers(1, m // 2), label="n")
+    k = m - 2 * n
+    s = data.draw(st.sampled_from(_covectors(m, k)), label="s")
+    g = DihedralElement(m, data.draw(st.integers(0, m - 1)), data.draw(st.booleans()))
+    perm = vertex_permutation(stable_kneser_graph(n, k), g)
+    a, b = covector_to_hom(s, n, k)
+    assert covector_to_hom(dihedral_act_sign(s, g), n, k) == \
+        (permute_mask(a, perm), permute_mask(b, perm))
+    assert covector_to_hom(negate(s), n, k) == (b, a)
 
 
 def test_verify_nerve():

@@ -43,8 +43,10 @@ def test_representation_rho_determinant():
 
 
 def test_representation_rejects_bad_args():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"\(n, k\) = \(0, 1\)"):
         representation(0, 1)
+    with pytest.raises(ValueError, match=r"\(n, k\) = \(2, -1\)"):
+        moment_vectors(2, -1)
 
 
 def test_moment_vectors_odd_case_is_unit_circle():

@@ -12,14 +12,14 @@ from stablekneser.graphs import (CircularSet, DihedralElement, Graph,
                                  enumerate_stable_sets, exponential,
                                  free_action_check, generate_subgroup,
                                  graph_from_edges, graph_to_dimacs,
-                                 graph_to_json_dict, homomorphisms,
+                                 graph_to_json_dict,
                                  is_valid_colouring, k2, kneser_graph,
                                  one_vertex_looped, product,
                                  stable_kneser_graph, stable_set_count,
                                  vertex_criticality_check, vertex_permutation)
 from oracles import (brute_force_automorphisms, brute_force_chromatic,
                      critical_by_all_deletions, dsatur_reference,
-                     members_by_range_scan)
+                     homomorphisms, members_by_range_scan)
 
 
 def is_cycle(g):
@@ -70,7 +70,7 @@ def test_stable_sets_come_out_in_member_order():
 def test_stable_sets_edge_cases():
     assert enumerate_stable_sets(3, 5) == []
     assert [s.members() for s in enumerate_stable_sets(2, 4)] == [(0, 2), (1, 3)]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"\(n, m\) = \(0, 4\)"):
         enumerate_stable_sets(0, 4)
 
 
