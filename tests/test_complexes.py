@@ -413,6 +413,28 @@ def test_covector_cells_are_all_hom_cells_for_n_1():
         assert len(hom) == len(cells), k
 
 
+def test_negation_matches_swap():
+    for s in enumerate_covectors(5, 1):
+        a, b = covector_to_hom(s, 2, 1)
+        assert covector_to_hom(negate(s), 2, 1) == (b, a)
+
+
+def _act_on_cell(cell, target, elem):
+    perm = vertex_permutation(target, elem)
+    return tuple(permute_mask(mask, perm) for mask in cell)
+
+
+def test_multihom_dihedral_act_is_action():
+    # acting by sigma, then by rho, is acting by sigma * rho
+    target = stable_kneser_graph(2, 1)
+    sigma = DihedralElement.sigma(5)
+    rho = DihedralElement.rho(5)
+    cell = covector_to_hom(P("++++0"), 2, 1)
+    via_sr = _act_on_cell(_act_on_cell(cell, target, sigma), target, rho)
+    assert via_sr == _act_on_cell(cell, target, sigma * rho)
+    assert via_sr != cell
+
+
 @functools.lru_cache(maxsize=None)
 def _covectors(m, k):
     return enumerate_covectors(m, k)
