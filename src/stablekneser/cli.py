@@ -224,6 +224,8 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def run(cfg: RunConfig) -> tuple[str, int]:
+    if cfg.n is not None and cfg.n_range is not None:
+        raise ValueError("%s takes --n or --n-range, not both" % cfg.command)
     if cfg.command == "graph":
         doc, status = cmd_graph(cfg)
     elif cfg.command == "homology":

@@ -25,7 +25,7 @@ from .graphs import (CircularSet, DihedralElement, Graph,
                      stable_kneser_graph)
 from .matroid import (SignVector, covector_extension_feasible, dihedral_act_sign,
                       enumerate_covectors, is_covector, negate,
-                      render_sign_vector)
+                      render_sign_vector, side_masks)
 
 
 class FinitePoset:
@@ -376,19 +376,9 @@ def looped_one_skeleton(p: FinitePoset) -> Graph:
 # the covector -> Hom map
 
 
-def _side_masks(s: SignVector) -> tuple[int, int]:
-    """Bitmasks of S_0(s) and S_1(s): j is in S_l when (-1)^j s_j = (-1)^l."""
-    masks = [0, 0]
-    for j, v in enumerate(s):
-        if v:
-            masks[(v < 0) ^ (j & 1)] |= 1 << j
-    return masks[0], masks[1]
-
-
 def side_sets(s: SignVector) -> tuple[CircularSet, CircularSet]:
     """S_l(s) = {j : (-1)^j s_j = (-1)^l} for l = 0, 1."""
-    s0, s1 = _side_masks(s)
-    return CircularSet(len(s), s0), CircularSet(len(s), s1)
+    return tuple(CircularSet(len(s), side) for side in side_masks(s))
 
 
 def _covector_cell(s: SignVector, n: int, target: Graph,
@@ -400,7 +390,7 @@ def _covector_cell(s: SignVector, n: int, target: Graph,
     Cross pairs are edges automatically: the two sides are disjoint.
     """
     cell = []
-    for side in _side_masks(s):
+    for side in side_masks(s):
         verts = inside.get(side)
         if verts is None:
             verts = sum(1 << i for i, lab in enumerate(target.labels)

@@ -14,7 +14,8 @@ import numpy as np
 
 from .graphs import CircularSet, DihedralElement, enumerate_stable_sets
 from .matroid import (SignVector, check_instance, enumerate_cocircuits,
-                      enumerate_covectors, is_covector, render_sign_vector)
+                      enumerate_covectors, is_covector, render_sign_vector,
+                      side_masks)
 
 
 class RealizationError(RuntimeError):
@@ -390,46 +391,20 @@ def point_to_vertex(x: np.ndarray, l: int, n: int, k: int,
                     zero_tol: float = 1e-9) -> CircularSet:
     """A stable n-set inside S_l of the point's sign vector.
 
-    Deterministically the lexicographically least one.  Near-antipodal
-    points with l = 0 map to disjoint (hence adjacent) vertices.
+    Deterministically the lexicographically least one, the first of
+    enumerate_stable_sets inside the side.  Near-antipodal points with
+    l = 0 map to disjoint (hence adjacent) vertices.
     """
     if l not in (0, 1):
         raise ValueError("l must be 0 or 1")
     if config is None:
         config = moment_vectors(n, k)
-    m = config.m
-    s = sign_vector_of_point(x, config, zero_tol)
-    want = 1 if l == 0 else -1
-    allowed = [j for j in range(m) if s[j] != 0 and
-               (s[j] if j % 2 == 0 else -s[j]) == want]
-    chosen = _first_stable_subset(allowed, n, m)
-    if chosen is None:
-        raise ValueError("no stable %d-subset inside S_%d = %s"
-                         % (n, l, allowed))
-    return CircularSet.from_members(m, chosen)
-
-
-def _first_stable_subset(allowed: Sequence[int], n: int, m: int) -> Optional[list]:
-    allowed = sorted(allowed)
-
-    def rec(chosen: list, start: int) -> Optional[list]:
-        if len(chosen) == n:
-            return list(chosen)
-        for idx in range(start, len(allowed)):
-            j = allowed[idx]
-            if chosen:
-                if j - chosen[-1] < 2:
-                    continue
-                if (chosen[0] - j) % m < 2:  # wraparound with the first pick
-                    continue
-            chosen.append(j)
-            got = rec(chosen, idx + 1)
-            if got is not None:
-                return got
-            chosen.pop()
-        return None
-
-    return rec([], 0)
+    side = side_masks(sign_vector_of_point(x, config, zero_tol))[l]
+    for v in enumerate_stable_sets(n, config.m):
+        if v.mask & ~side == 0:
+            return v
+    raise ValueError("no stable %d-subset inside S_%d = %s"
+                     % (n, l, CircularSet(config.m, side)))
 
 
 def vertex_images_csv(n: int, k: int) -> str:

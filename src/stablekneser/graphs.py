@@ -12,12 +12,6 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 
-def _rotate_mask(mask: int, m: int, shift: int) -> int:
-    shift %= m
-    full = (1 << m) - 1
-    return ((mask << shift) | (mask >> (m - shift))) & full if shift else mask
-
-
 @dataclass(frozen=True)
 class CircularSet:
     """A subset of Z_m stored as a bitmask (bit j set iff j is a member)."""
@@ -49,7 +43,8 @@ class CircularSet:
 
     def is_stable(self) -> bool:
         """No two cyclically consecutive members (wraparound pair included)."""
-        return self.mask & _rotate_mask(self.mask, self.m, 1) == 0
+        rotated = (self.mask << 1 | self.mask >> (self.m - 1)) & ((1 << self.m) - 1)
+        return self.mask & rotated == 0
 
     def disjoint(self, other: "CircularSet") -> bool:
         return self.mask & other.mask == 0
@@ -112,18 +107,17 @@ class DihedralElement:
         return self.m // gcd(self.m, self.shift)
 
 
+def position_map(m: int, shift: int, flip: bool) -> list[int]:
+    """Where sigma^shift rho^flip sends each j of Z_m: to j + shift, negated if flip."""
+    sign = -1 if flip else 1
+    return [sign * (j + shift) % m for j in range(m)]
+
+
 def dihedral_act(s: CircularSet, g: DihedralElement) -> CircularSet:
     """Right action on subsets of Z_m: S.sigma = {j+1}, S.rho = {-j}."""
     if s.m != g.m:
         raise ValueError("modulus mismatch: set lives in Z_%d, element in D_%d" % (s.m, 2 * g.m))
-    mask = _rotate_mask(s.mask, s.m, g.shift)
-    if g.flip:
-        rev = 0
-        for j in range(s.m):
-            if mask >> j & 1:
-                rev |= 1 << ((-j) % s.m)
-        mask = rev
-    return CircularSet(s.m, mask)
+    return CircularSet(s.m, permute_mask(s.mask, position_map(s.m, g.shift, g.flip)))
 
 
 def generate_subgroup(generators: Sequence[DihedralElement]) -> list[DihedralElement]:
@@ -583,10 +577,13 @@ def vertex_permutation(g: Graph, elem: DihedralElement) -> list[int]:
     Raises if some image label is not a vertex or adjacency is broken.
     """
     index = g.label_index()
+    pos = position_map(elem.m, elem.shift, elem.flip)
     perm = []
     for lab in g.labels:
-        img = dihedral_act(lab, elem)
-        key = (img.m, img.mask)
+        if lab.m != elem.m:
+            raise ValueError("modulus mismatch: label %s lives in Z_%d, element in D_%d"
+                             % (lab, lab.m, 2 * elem.m))
+        key = (lab.m, permute_mask(lab.mask, pos))
         if key not in index:
             raise ValueError("action does not preserve the vertex set at %s" % lab)
         perm.append(index[key])

@@ -1,9 +1,12 @@
 """The alternating oriented matroid on m points of the moment curve.
 
 Sign vectors over {-1, 0, +1}; a covector is a sign pattern attained by a
-real polynomial of degree <= k at m increasing points.  The membership test
-is a closed-form minimal-degree count, validated elsewhere against an
-exhaustive polynomial oracle and against the geometric realization.
+real polynomial of degree <= k at m increasing points.  Entry j != 0 lies
+on side (s_j < 0) ^ (j & 1) (side_masks), and the degree rule, the
+cocircuits and the dihedral action are all stated in these sides
+(Bjorner et al., Oriented Matroids, 9.4).  The membership test is validated
+elsewhere against an exhaustive polynomial oracle and against the geometric
+realization.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from math import comb
 from operator import itemgetter, neg
 from typing import Callable, Optional, Sequence
 
-from .graphs import DihedralElement
+from .graphs import DihedralElement, position_map
 
 SignVector = tuple[int, ...]
 
@@ -40,29 +43,37 @@ def negate(s: SignVector) -> SignVector:
     return tuple(map(neg, s))
 
 
+def side_masks(s: SignVector) -> tuple[int, int]:
+    """Bitmasks of S_0(s) and S_1(s): j is in S_l when (-1)^j s_j = (-1)^l."""
+    masks = [0, 0]
+    for j, v in enumerate(s):
+        if v:
+            masks[(v < 0) ^ (j & 1)] |= 1 << j
+    return masks[0], masks[1]
+
+
 def minimal_degree(s: SignVector) -> int:
     """Least degree of a real polynomial matching s at m increasing points.
 
-    Each zero entry forces a root.  Between consecutive nonzero entries the
-    forced roots flip the sign once each; when the flip parity disagrees
-    with the required one, a single extra root is needed.
+    Each zero entry forces a root.  With no other root between consecutive
+    nonzero entries a < b, s_b = (-1)^(b-a-1) s_a puts them on opposite
+    sides, so each consecutive nonzero pair on one side needs one more root.
     """
-    nz = [i for i, v in enumerate(s) if v != 0]
-    if not nz:
+    if not any(s):
         raise ValueError("zero sign vector")
-    deg = len(s) - len(nz)
-    for a, b in zip(nz, nz[1:]):
-        zeros_between = b - a - 1
-        differ = s[a] != s[b]
-        if (differ and zeros_between % 2 == 0) or (not differ and zeros_between % 2 == 1):
+    deg, last = 0, None
+    for j, v in enumerate(s):
+        if v:
+            side = (v < 0) ^ (j & 1)
+            deg += side == last
+            last = side
+        else:
             deg += 1
     return deg
 
 
 def is_covector(s: SignVector, k: int) -> bool:
-    if all(v == 0 for v in s):
-        return False
-    return minimal_degree(s) <= k
+    return any(s) and minimal_degree(s) <= k
 
 
 def is_cocircuit(s: SignVector, k: int) -> bool:
@@ -92,59 +103,48 @@ def count_covectors(m: int, k: int) -> int:
 def enumerate_covectors(m: int, k: int) -> list[SignVector]:
     """All covectors of C^{m,k+1}, lexicographic in the order (-1, 0, +1).
 
-    Depth-first over entries with degree pruning; the accumulated degree
-    only grows along a prefix, so branches above k are cut early.
+    Depth-first over entries; the state is the side of the last nonzero
+    entry and the degree so far, which only grows along a prefix, so
+    branches above k are cut early.
     """
     check_instance(m, k)
     out: list[SignVector] = []
     prefix = [0] * m
 
-    def rec(i: int, last_sign: int, zeros_since: int, deg: int, nonzero: bool) -> None:
+    def rec(i: int, last: Optional[int], deg: int) -> None:
         if deg > k:
             return
         if i == m:
-            if nonzero:
+            if last is not None:
                 out.append(tuple(prefix))
             return
         for v in (-1, 0, 1):
             prefix[i] = v
             if v == 0:
-                rec(i + 1, last_sign, zeros_since + 1, deg + 1, nonzero)
+                rec(i + 1, last, deg + 1)
             else:
-                d = deg
-                if last_sign != 0:
-                    differ = v != last_sign
-                    if (differ and zeros_since % 2 == 0) or (not differ and zeros_since % 2 == 1):
-                        d += 1
-                rec(i + 1, v, 0, d, True)
+                side = (v < 0) ^ (i & 1)
+                rec(i + 1, side, deg + (side == last))
         prefix[i] = 0
 
-    rec(0, 0, 0, 0, False)
+    rec(0, None, 0)
     return out
 
 
 def enumerate_cocircuits(m: int, k: int) -> list[SignVector]:
     """Covectors with exactly k zeros; 2*C(m,k) of them.
 
-    Built directly: pick the zero set, then the nonzero signs are forced up
-    to a global flip by the sign-change-at-every-zero condition.
+    Built directly: the k zeros are all the roots, so the sides alternate
+    along the support, which fixes the signs up to a global flip.
     """
     check_instance(m, k)
     out = []
     for zeros in itertools.combinations(range(m), k):
-        zs = set(zeros)
-        nz = [i for i in range(m) if i not in zs]
-        for eps in (-1, 1):
+        support = [j for j in range(m) if j not in zeros]
+        for first in (0, 1):
             s = [0] * m
-            sign = eps
-            prev = None
-            for i in nz:
-                if prev is not None:
-                    gap = i - prev - 1
-                    if gap % 2 == 1:
-                        sign = -sign
-                s[i] = sign
-                prev = i
+            for t, j in enumerate(support):
+                s[j] = -1 if (first ^ t ^ j) & 1 else 1
             out.append(tuple(s))
     out.sort()
     return out
@@ -178,16 +178,13 @@ def covector_leq(s: SignVector, t: SignVector) -> bool:
 def _sign_action_getter(m: int, shift: int, flip: bool) -> Callable:
     """Picks (s.g)_j out of s + negate(s) for g = sigma^shift rho^flip.
 
-    Entry j is (-1)^shift * s_i with i = -j - shift if flip else j - shift,
-    read in s extended to Z by s_{i+m} = (-1)^m s_i; index r of the
-    concatenation is s_r and index r + m is -s_r.
+    Entry i moves to j = position_map(m, shift, flip)[i] and changes sign
+    exactly when i + j is odd; index i of the concatenation is s_i and
+    index i + m is -s_i.
     """
-    mirror = -1 if flip else 1
-    index = []
-    for j in range(m):
-        q, r = divmod(mirror * j - shift, m)
-        negative = (shift % 2 == 1) != (m % 2 == 1 and q % 2 == 1)
-        index.append(r + m if negative else r)
+    index = [0] * m
+    for i, j in enumerate(position_map(m, shift, flip)):
+        index[j] = i + m * ((i + j) & 1)
     if m == 1:   # itemgetter with one index returns the entry, not a tuple
         return lambda both: (both[index[0]],)
     return itemgetter(*index)
@@ -197,9 +194,10 @@ def dihedral_act_sign(s: SignVector, g: DihedralElement,
                       k: Optional[int] = None) -> SignVector:
     """Right dihedral action on sign vectors.
 
-    Extend s to Z with the sign twist s_{j+m} = (-1)^m s_j, then
-    (s.sigma)_j = -s_{j-1} and (s.rho)_j = s_{-j}.  Composed in one pass,
-    (s.sigma^t)_j = (-1)^t s_{j-t} and (s.sigma^t rho)_j = (-1)^t s_{-j-t}.
+    Entry i moves to the position graphs.dihedral_act moves i to and changes
+    sign when it moves by an odd distance, so the sides S_0(s), S_1(s) move
+    as circular sets.  With s extended to Z by the sign twist
+    s_{j+m} = (-1)^m s_j this is (s.sigma)_j = -s_{j-1}, (s.rho)_j = s_{-j}.
     Commutes with taking sign vectors of points under the moment-curve
     action and with the covector-to-Hom map.  When k is given the input
     must be a covector and m - k even (m = 2n + k): the twist (-1)^m then
@@ -222,39 +220,30 @@ FREE = None  # free slot marker in partial sign vectors
 def covector_extension_feasible(partial: Sequence[Optional[int]], k: int) -> bool:
     """Can the free slots be filled so the result is a covector of C^{m,k+1}?
 
-    Dynamic programme over positions; state is (sign of last nonzero entry,
-    parity of zeros since it), value the least accumulated degree.  An
-    all-free pattern is feasible for every k >= 0 (constant signs).
+    Dynamic programme over positions; the state is the side of the last
+    nonzero entry (None before the first), the value the least accumulated
+    degree.  An all-free pattern is feasible for every k >= 0 (constant
+    signs).
     """
     m = len(partial)
     if m <= k:
         raise ValueError("need m > k")
-    # state: (last_sign, zero_parity, any_nonzero) -> min degree
-    states = {(0, 0, False): 0}
-
-    def step(st, val):
-        (last, par, nonzero), deg = st, states[st]
-        if val == 0:
-            return (last, par ^ 1, nonzero), deg + 1
-        d = deg
-        if last != 0:
-            differ = val != last
-            if (differ and par == 0) or (not differ and par == 1):
-                d += 1
-        return (val, 0, True), d
-
-    for entry in partial:
+    states: dict[Optional[int], int] = {None: 0}
+    for j, entry in enumerate(partial):
         choices = (-1, 0, 1) if entry is FREE else (entry,)
-        nxt: dict = {}
-        for st in states:
-            for val in choices:
-                key, deg = step(st, val)
-                if deg <= k and (key not in nxt or deg < nxt[key]):
-                    nxt[key] = deg
+        nxt: dict[Optional[int], int] = {}
+        for last, deg in states.items():
+            for v in choices:
+                side, d = last, deg + 1
+                if v:
+                    side = (v < 0) ^ (j & 1)
+                    d = deg + (side == last)
+                if d <= k and d < nxt.get(side, k + 1):
+                    nxt[side] = d
         states = nxt
         if not states:
             return False
-    return any(nonzero for (_, _, nonzero) in states)
+    return any(last is not None for last in states)
 
 
 def covectors_to_json_dict(m: int, k: int,

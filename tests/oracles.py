@@ -7,6 +7,7 @@ shares code with the implementations under test.
 
 import functools
 import itertools
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -61,6 +62,25 @@ def lp_sign_feasible(s, k: int) -> bool:
     return res.status == 0
 
 
+def minimal_degree_by_gap_parity(s) -> int:
+    """Least degree of a real polynomial matching s at m increasing points.
+
+    Each zero entry forces a root.  Between consecutive nonzero entries the
+    forced roots flip the sign once each; when the flip parity disagrees
+    with the required one, a single extra root is needed.
+    """
+    nz = [i for i, v in enumerate(s) if v != 0]
+    if not nz:
+        raise ValueError("zero sign vector")
+    deg = len(s) - len(nz)
+    for a, b in zip(nz, nz[1:]):
+        zeros_between = b - a - 1
+        differ = s[a] != s[b]
+        if (differ and zeros_between % 2 == 0) or (not differ and zeros_between % 2 == 1):
+            deg += 1
+    return deg
+
+
 def random_polynomial_patterns(m: int, k: int, trials: int, seed: int) -> set:
     """Sign patterns of random degree-<=k polynomials (soundness direction)."""
     rng = np.random.default_rng(seed)
@@ -91,6 +111,17 @@ def dihedral_sign_reference(s, shift: int, flip: bool) -> tuple:
     if flip:
         out = [out[0]] + [twist * out[m - j] for j in range(1, m)]
     return tuple(out)
+
+
+def dihedral_set_reference(members, m: int, shift: int, flip: bool) -> frozenset:
+    """Right dihedral action on a subset of Z_m, member by member.
+
+    Sends each member j to j + shift, then to its negative if `flip`.
+    """
+    out = {(j + shift) % m for j in members}
+    if flip:
+        out = {(-j) % m for j in out}
+    return frozenset(out)
 
 
 def equivariance_reference(n: int, k: int, covectors,
@@ -344,6 +375,29 @@ def sampled_sign_patterns(vectors, samples: int, seed: int, zero_tol: float) -> 
     full = signs[~np.any(signs == 0, axis=1)]
     rows, counts = np.unique(full, axis=0, return_counts=True)
     return {tuple(int(v) for v in row): int(c) for row, c in zip(rows, counts)}
+
+
+def first_stable_subset_by_search(allowed: Sequence[int], n: int, m: int) -> Optional[list]:
+    allowed = sorted(allowed)
+
+    def rec(chosen: list, start: int) -> Optional[list]:
+        if len(chosen) == n:
+            return list(chosen)
+        for idx in range(start, len(allowed)):
+            j = allowed[idx]
+            if chosen:
+                if j - chosen[-1] < 2:
+                    continue
+                if (chosen[0] - j) % m < 2:  # wraparound with the first pick
+                    continue
+            chosen.append(j)
+            got = rec(chosen, idx + 1)
+            if got is not None:
+                return got
+            chosen.pop()
+        return None
+
+    return rec([], 0)
 
 
 def euler_characteristic_consistent(f_vector, betti) -> bool:

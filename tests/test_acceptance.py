@@ -11,7 +11,7 @@ from stablekneser.charclasses import (classify, generator, one_plus,
                                       poly_one, restrict, total_sw_class,
                                       total_sw_class_from_blocks,
                                       vanishing_windows, wbar)
-from stablekneser.charclasses import CYCLIC_4, ODD
+from stablekneser.charclasses import CYCLIC_4
 from stablekneser.complexes import (check_equivariance_combinatorial,
                                     covector_to_hom, hom_poset,
                                     neighbourhood_complex, order_complex,
@@ -19,11 +19,10 @@ from stablekneser.complexes import (check_equivariance_combinatorial,
 from stablekneser.geometry import (eq3_deviations, max_edge_defect,
                                    min_vertex_norm, moment_vectors,
                                    representation)
-from stablekneser.graphs import (chromatic_number, complete_graph, k2,
-                                 stable_kneser_graph, vertex_criticality_check)
+from stablekneser.graphs import (chromatic_number, k2, stable_kneser_graph,
+                                 vertex_criticality_check)
 from stablekneser.matroid import (covector_leq, enumerate_cocircuits,
-                                  enumerate_covectors, is_covector,
-                                  minimal_degree)
+                                  enumerate_covectors, is_covector)
 from oracles import polynomial_sign_patterns
 
 TOL = 1e-9

@@ -186,6 +186,8 @@ def test_classify_requires_range():
     (["geometry", "--n", "0", "--k", "2"], "(n, k) = (0, 2)"),
     (["geometry", "--n", "2", "--k", "-1"], "(n, k) = (2, -1)"),
     (["geometry", "--k", "2", "--sweep", "--n-range", "0..2"], "(n, k) = (0, 2)"),
+    (["geometry", "--n", "2", "--k", "2", "--n-range", "0..3"], "--n or --n-range"),
+    (["classify", "--k", "2", "--n", "5", "--n-range", "1..2"], "--n or --n-range"),
 ])
 def test_main_refuses_bad_input_with_one_line(capsys, argv, names):
     assert cli.main(argv) == 2

@@ -2,10 +2,10 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from stablekneser.geometry import (MomentConfig, RealizationError,
-                                   borsuk_adjacent, config_for,
-                                   eq3_deviations, geometry_row,
+from stablekneser.geometry import (RealizationError, borsuk_adjacent,
+                                   config_for, eq3_deviations, geometry_row,
                                    max_edge_defect, min_vertex_norm,
                                    moment_vectors, point_to_vertex,
                                    realize_cocircuit, representation,
@@ -17,8 +17,8 @@ from stablekneser.graphs import (CircularSet, DihedralElement,
 from stablekneser.matroid import (dihedral_act_sign, enumerate_cocircuits,
                                   is_covector, negate, parse_sign_vector)
 import stablekneser.geometry as geometry_module
-from oracles import (alternating_sums_by_set, max_edge_defect_by_pairs,
-                     sampled_sign_patterns)
+from oracles import (alternating_sums_by_set, first_stable_subset_by_search,
+                     max_edge_defect_by_pairs, sampled_sign_patterns)
 
 TOL = 1e-9
 
@@ -276,6 +276,22 @@ def test_point_to_vertex():
         b = point_to_vertex(-x, 0, 2, 1, config)
         assert point_to_vertex(x, 1, 2, 1, config) == b
         assert g.has_edge(idx[(5, a.mask)], idx[(5, b.mask)])
+
+
+@settings(deadline=None)
+@given(st.integers(1, 4), st.integers(0, 4), st.sampled_from((0, 1)), st.data())
+def test_point_to_vertex_matches_search_reference(n, k, l, data):
+    config = moment_vectors(n, k)
+    x = np.array(data.draw(st.lists(st.floats(-1, 1), min_size=k + 1, max_size=k + 1)))
+    s = sign_vector_of_point(x, config)
+    allowed = [j for j in range(config.m)
+               if s[j] != 0 and (-1) ** j * s[j] == (-1) ** l]
+    want = first_stable_subset_by_search(allowed, n, config.m)
+    if want is None:
+        with pytest.raises(ValueError, match="no stable %d-subset" % n):
+            point_to_vertex(x, l, n, k, config)
+    else:
+        assert point_to_vertex(x, l, n, k, config).members() == tuple(want)
 
 
 def test_geometry_row_keys():

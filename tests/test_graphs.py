@@ -18,8 +18,8 @@ from stablekneser.graphs import (CircularSet, DihedralElement, Graph,
                                  stable_kneser_graph, stable_set_count,
                                  vertex_criticality_check, vertex_permutation)
 from oracles import (brute_force_automorphisms, brute_force_chromatic,
-                     critical_by_all_deletions, dsatur_reference,
-                     homomorphisms, members_by_range_scan)
+                     critical_by_all_deletions, dihedral_set_reference,
+                     dsatur_reference, homomorphisms, members_by_range_scan)
 
 
 def is_cycle(g):
@@ -251,6 +251,18 @@ def test_dihedral_act_examples():
     assert dihedral_act(s, DihedralElement.rho(5)).members() == (0, 3)
     with pytest.raises(ValueError):
         dihedral_act(s, DihedralElement.sigma(6))
+    with pytest.raises(ValueError, match="modulus mismatch"):
+        vertex_permutation(stable_kneser_graph(2, 1), DihedralElement.rho(6))
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_dihedral_act_matches_member_wise_reference(data):
+    m = data.draw(st.integers(1, 12))
+    s = CircularSet(m, data.draw(st.integers(0, (1 << m) - 1)))
+    g = DihedralElement(m, data.draw(st.integers(-2 * m, 2 * m)), data.draw(st.booleans()))
+    assert set(dihedral_act(s, g).members()) == \
+        dihedral_set_reference(s.members(), m, g.shift, g.flip)
 
 
 def test_dihedral_right_action_and_relation():

@@ -4,17 +4,17 @@ import random
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from stablekneser.graphs import DihedralElement
+from stablekneser.graphs import CircularSet, DihedralElement, dihedral_act
 from stablekneser.matroid import (cocircuit_count, count_covectors,
                                   covector_extension_feasible,
                                   covector_leq, dihedral_act_sign,
                                   enumerate_cocircuits, enumerate_covectors,
                                   is_cocircuit, is_covector, is_vector,
                                   minimal_degree, negate, parse_sign_vector,
-                                  render_sign_vector)
+                                  render_sign_vector, side_masks)
 from oracles import (dihedral_sign_reference, lp_sign_feasible,
-                     polynomial_sign_patterns, random_polynomial_patterns,
-                     sign_vectors_orthogonal)
+                     minimal_degree_by_gap_parity, polynomial_sign_patterns,
+                     random_polynomial_patterns, sign_vectors_orthogonal)
 
 P = parse_sign_vector
 
@@ -67,6 +67,27 @@ def test_random_polynomials_only_hit_covectors():
             assert is_covector(s, k)
 
 
+@st.composite
+def sign_vectors(draw, max_m, nonzero=False):
+    m = draw(st.integers(1, max_m))
+    s = tuple(draw(st.lists(st.sampled_from((-1, 0, 1)), min_size=m, max_size=m)))
+    assume(not nonzero or any(s))
+    return s
+
+
+@settings(deadline=None)
+@given(sign_vectors(12, nonzero=True))
+def test_minimal_degree_counts_zeros_and_same_side_pairs(s):
+    assert minimal_degree(s) == minimal_degree_by_gap_parity(s)
+
+
+def test_side_masks_example():
+    # alternating signs stay on one side; a repeated sign changes side
+    assert side_masks(P("+-0-+")) == (0b11011, 0)
+    assert side_masks(P("+++0-")) == (0b00101, 0b10010)
+    assert side_masks(P("000")) == (0, 0)
+
+
 def test_is_covector_examples():
     assert not is_covector(P("+-+"), 1)
     assert is_covector(P("+0-"), 1)
@@ -91,7 +112,8 @@ def test_enumeration_is_lexicographic_and_complete():
         covs = enumerate_covectors(m, k)
         assert covs == sorted(covs)
         assert len(set(covs)) == len(covs)
-        brute = [s for s in all_nonzero_sign_vectors(m) if minimal_degree(s) <= k]
+        brute = [s for s in all_nonzero_sign_vectors(m)
+                 if minimal_degree_by_gap_parity(s) <= k]
         assert set(covs) == set(brute)
 
 
@@ -227,8 +249,8 @@ def test_dihedral_act_sign_rejects_k_of_the_wrong_parity():
 
 @st.composite
 def sign_vector_and_elements(draw, count):
-    m = draw(st.integers(1, 10))
-    s = tuple(draw(st.lists(st.sampled_from((-1, 0, 1)), min_size=m, max_size=m)))
+    s = draw(sign_vectors(10))
+    m = len(s)
     elems = [DihedralElement(m, draw(st.integers(-2 * m, 2 * m)), draw(st.booleans()))
              for _ in range(count)]
     return (s, *elems)
@@ -250,6 +272,17 @@ def test_dihedral_act_sign_action_law(case):
 def test_dihedral_act_sign_matches_stepwise_reference(case):
     s, g = case
     assert dihedral_act_sign(s, g) == dihedral_sign_reference(s, g.shift, g.flip)
+
+
+@settings(deadline=None)
+@given(sign_vector_and_elements(1))
+def test_dihedral_action_moves_sides_as_circular_sets(case):
+    s, g = case
+    m = len(s)
+    moved = tuple(dihedral_act(CircularSet(m, side), g).mask for side in side_masks(s))
+    assert side_masks(dihedral_act_sign(s, g)) == moved
+    s0, s1 = side_masks(s)
+    assert side_masks(negate(s)) == (s1, s0)
 
 
 @settings(deadline=None)
@@ -281,7 +314,7 @@ def test_covector_extension_against_brute_force():
             s = list(partial)
             for i, v in zip(free, fill):
                 s[i] = v
-            if any(s) and minimal_degree(tuple(s)) <= k:
+            if any(s) and minimal_degree_by_gap_parity(tuple(s)) <= k:
                 brute = True
                 break
         assert covector_extension_feasible(partial, k) == brute, (partial, k)
