@@ -6,7 +6,10 @@ bitmasks that hom_cells enumerates, one mask per source vertex, ordered by
 componentwise mask containment.  The covector map gives Hom(K_2, SG_{n,k})
 cells as the same vertex-bitmask pairs (A, B); negation is the swap (B, A),
 and a dihedral element acts on each mask by graphs.permute_mask under its
-graphs.vertex_permutation.  Hom homology is computed from the cells
+graphs.vertex_permutation.  A covector is its side-mask pair (S_0, S_1)
+from matroid.covector_sides, keyed by the int S_0 | S_1 << m in the
+equivariance check; sign-vector tuples appear only where covectors are
+taken in or reported.  Hom homology is computed from the cells
 themselves; the order complex of the cell poset, built from the same cells,
 gives a second homology route.  A simplex is the one-coordinate cell, so
 one cellular boundary routine serves Hom and simplicial complexes alike,
@@ -15,7 +18,6 @@ its rows bit-packed into ints and ranked over GF(2).
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -23,9 +25,9 @@ from typing import Callable, Optional, Sequence
 from . import graphs
 from .graphs import (CircularSet, DihedralElement, Graph,
                      stable_kneser_graph)
-from .matroid import (SignVector, covector_extension_feasible, dihedral_act_sign,
-                      enumerate_covectors, is_covector, negate,
-                      render_sign_vector, side_masks)
+from .matroid import (SignVector, covector_extension_feasible, covector_sides,
+                      dihedral_act_sign, enumerate_covectors, is_covector,
+                      render_sign_vector, side_masks, sign_vector_from_sides)
 
 
 class FinitePoset:
@@ -376,31 +378,25 @@ def looped_one_skeleton(p: FinitePoset) -> Graph:
 # the covector -> Hom map
 
 
-def side_sets(s: SignVector) -> tuple[CircularSet, CircularSet]:
-    """S_l(s) = {j : (-1)^j s_j = (-1)^l} for l = 0, 1."""
-    return tuple(CircularSet(len(s), side) for side in side_masks(s))
+def _vertices_inside(side: int, target: Graph) -> int:
+    """Bitmask of the target vertices whose stable set lies inside the side mask."""
+    return sum(1 << i for i, lab in enumerate(target.labels) if lab.mask & ~side == 0)
 
 
-def _covector_cell(s: SignVector, n: int, target: Graph,
-                   inside: dict[int, int]) -> tuple[int, int]:
-    """The Hom(K_2, SG_{n,k}) cell (A, B) of a covector, as vertex bitmasks.
+def _side_vertices(side: int, m: int, n: int, target: Graph,
+                   inside: dict[int, int]) -> int:
+    """_vertices_inside for a covector side, memoised in `inside`; never empty.
 
-    A holds the vertices whose stable set lies inside S_0(s), B those inside
-    S_1(s).  `inside` memoises side mask -> vertex bitmask for one target.
-    Cross pairs are edges automatically: the two sides are disjoint.
+    Cross pairs of a covector's cell are edges automatically: the two sides
+    are disjoint.
     """
-    cell = []
-    for side in side_masks(s):
-        verts = inside.get(side)
-        if verts is None:
-            verts = sum(1 << i for i, lab in enumerate(target.labels)
-                        if lab.mask & ~side == 0)
-            if not verts:
-                raise ValueError("side %s carries no stable %d-set"
-                                 % (CircularSet(len(s), side), n))
-            inside[side] = verts
-        cell.append(verts)
-    return cell[0], cell[1]
+    verts = inside.get(side)
+    if verts is None:
+        verts = _vertices_inside(side, target)
+        if not verts:
+            raise ValueError("side %s carries no stable %d-set" % (CircularSet(m, side), n))
+        inside[side] = verts
+    return verts
 
 
 def covector_to_hom(s: SignVector, n: int, k: int,
@@ -420,7 +416,9 @@ def covector_to_hom(s: SignVector, n: int, k: int,
                          % (m, k + 1, render_sign_vector(s)))
     if target is None:
         target = stable_kneser_graph(n, k)
-    return _covector_cell(s, n, target, {})
+    inside: dict[int, int] = {}
+    s0, s1 = side_masks(s)
+    return _side_vertices(s0, m, n, target, inside), _side_vertices(s1, m, n, target, inside)
 
 
 def covector_cells(n: int, k: int,
@@ -430,11 +428,28 @@ def covector_cells(n: int, k: int,
     Keys follow enumerate_covectors; cells are pairs of vertex bitmasks of
     SG_{n,k} as in hom_cells(K_2, SG_{n,k}), one per side.
     """
+    m = 2 * n + k
     if target is None:
         target = stable_kneser_graph(n, k)
     inside: dict[int, int] = {}
-    return {s: _covector_cell(s, n, target, inside)
-            for s in enumerate_covectors(2 * n + k, k)}
+    return {s: tuple(_side_vertices(side, m, n, target, inside) for side in side_masks(s))
+            for s in enumerate_covectors(m, k)}
+
+
+def _position_move(m: int, elem: DihedralElement) -> Optional[list[int]]:
+    """Where dihedral_act_sign moves each entry under elem, read off the unit sign vectors.
+
+    None unless the m unit vectors go, bijectively, to unit vectors whose
+    nonzero entry stays on the side it started on.
+    """
+    pos = []
+    for j in range(m):
+        sides = side_masks(dihedral_act_sign((0,) * j + (1,) + (0,) * (m - j - 1), elem))
+        moved = sides[j & 1]   # +1 at j lies on side j & 1
+        if sides[1 - (j & 1)] or moved.bit_count() != 1:
+            return None
+        pos.append(moved.bit_length() - 1)
+    return pos if sorted(pos) == list(range(m)) else None
 
 
 def check_equivariance_combinatorial(n: int, k: int) -> dict:
@@ -443,31 +458,46 @@ def check_equivariance_combinatorial(n: int, k: int) -> dict:
     sigma and rho act on sign vectors by the twisted shift/flip rules and on
     Hom(K_2, SG_{n,k}) through vertex labels, a cell (A, B) going to
     (pi(A), pi(B)) for the vertex permutation pi; negation must match the
-    K_2 swap (A, B) -> (B, A).  Each covector's cell is built once, and each
-    vertex bitmask is permuted once per generator; an image that is not
-    itself an enumerated covector counts as a violation.  Returns a report
-    whose violation list is expected empty.
+    K_2 swap (A, B) -> (B, A).  A covector is its side masks (S_0, S_1),
+    keyed S_0 | S_1 << m.  The sign action moves sides as sets, by the
+    position move of each generator; one table per generator sends each
+    covector side S to gS when the vertices inside gS are pi of those inside
+    S, and to None otherwise, so a covector passes when both its sides map
+    and the moved key is itself a covector.  Negation is the swapped key.
+    Returns a report whose violation list is expected empty, in covector
+    order and sigma, rho, negation within a covector.
     """
     m = 2 * n + k
     target = stable_kneser_graph(n, k)
-    actions = []
+    covs = covector_sides(m, k)
+    keys = {s0 | s1 << m for s0, s1 in covs}
+    inside: dict[int, int] = {}
+    for side in dict.fromkeys(itertools.chain.from_iterable(covs)):
+        _side_vertices(side, m, n, target, inside)
+    tables = []
     for name, elem in (("sigma", DihedralElement.sigma(m)), ("rho", DihedralElement.rho(m))):
         perm = graphs.vertex_permutation(target, elem)
-        actions.append((name, elem, functools.cache(
-            functools.partial(graphs.permute_mask, perm=perm))))
-    cells = covector_cells(n, k, target)
+        pos = _position_move(m, elem)
+        table = dict.fromkeys(inside)
+        if pos is not None:
+            for side, verts in inside.items():
+                moved = graphs.permute_mask(side, pos)
+                if _vertices_inside(moved, target) == graphs.permute_mask(verts, perm):
+                    table[side] = moved
+        tables.append((name, table))
     violations = []
-    for s, (a, b) in cells.items():
-        for name, elem, image in actions:
-            if cells.get(dihedral_act_sign(s, elem)) != (image(a), image(b)):
-                violations.append((render_sign_vector(s), name))
-        if cells.get(negate(s)) != (b, a):
-            violations.append((render_sign_vector(s), "negation"))
+    for s0, s1 in covs:
+        for name, table in tables:
+            g0, g1 = table[s0], table[s1]
+            if g0 is None or g1 is None or g0 | g1 << m not in keys:
+                violations.append((render_sign_vector(sign_vector_from_sides(m, s0, s1)), name))
+        if s1 | s0 << m not in keys:
+            violations.append((render_sign_vector(sign_vector_from_sides(m, s0, s1)), "negation"))
     return {
         "n": n,
         "k": k,
         "m": m,
-        "covectors_checked": len(cells),
+        "covectors_checked": len(covs),
         "violations": violations,
     }
 

@@ -257,20 +257,25 @@ def verify_realization(m: int, k: int, samples: int = 100000,
     report: dict = {"m": m, "k": k, "samples": samples, "seed": seed}
 
     vals = rng.normal(size=(samples, k + 1)) @ config.vectors.T
-    signs = np.where(np.abs(vals) < zero_tol, 0, np.sign(vals))
-    full = signs[~np.any(signs == 0, axis=1)]
-    # one fixed-width scalar per row, bit j set when sign j is +
-    packed = np.packbits(full > 0, axis=1, bitorder="little")
-    codes, counts = np.unique(packed.view("V%d" % packed.shape[1]).ravel(),
-                              return_counts=True)
+    plus = vals[(np.abs(vals) >= zero_tol).all(axis=1)] > 0
+    # the full-support rows as little-endian uint64 words, bit j of the row
+    # set when sign j is +; sorted, so equal rows form runs
+    width = -(-m // 64) * 64
+    codes = np.packbits(np.pad(plus, ((0, 0), (0, width - m))), axis=1,
+                        bitorder="little").view("<u8")
+    codes = codes[np.lexsort(codes.T)]
+    first = np.ones(len(codes), dtype=bool)
+    first[1:] = (codes[1:] != codes[:-1]).any(axis=1)
+    starts = np.flatnonzero(first)
+    counts = np.diff(starts, append=len(codes))
     seen = set()
     non_covector = 0
-    for code, count in zip(codes, counts):
-        bits = int.from_bytes(code.tobytes(), "little")
+    for words, count in zip(codes[starts].tolist(), counts.tolist()):
+        bits = sum(w << 64 * i for i, w in enumerate(words))
         s = tuple(1 if bits >> j & 1 else -1 for j in range(m))
         seen.add(s)
         if not is_covector(s, k):
-            non_covector += int(count)
+            non_covector += count
     report["sampled_full_support_patterns"] = len(seen)
     report["non_covector_samples"] = non_covector
     if non_covector:

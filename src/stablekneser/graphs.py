@@ -49,9 +49,6 @@ class CircularSet:
     def disjoint(self, other: "CircularSet") -> bool:
         return self.mask & other.mask == 0
 
-    def act(self, g: "DihedralElement") -> "CircularSet":
-        return dihedral_act(self, g)
-
     def __str__(self) -> str:
         return "{" + ",".join(str(j) for j in self.members()) + "}"
 

@@ -4,7 +4,10 @@ Sign vectors over {-1, 0, +1}; a covector is a sign pattern attained by a
 real polynomial of degree <= k at m increasing points.  Entry j != 0 lies
 on side (s_j < 0) ^ (j & 1) (side_masks), and the degree rule, the
 cocircuits and the dihedral action are all stated in these sides
-(Bjorner et al., Oriented Matroids, 9.4).  The membership test is validated
+(Bjorner et al., Oriented Matroids, 9.4).  Inside the package a covector
+is the pair of side bitmasks (S_0, S_1) that covector_sides enumerates;
+tuples over {-1, 0, +1} (sign_vector_from_sides) appear only where sign
+vectors are parsed, rendered or reported.  The membership test is validated
 elsewhere against an exhaustive polynomial oracle and against the geometric
 realization.
 """
@@ -12,12 +15,11 @@ realization.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
 from math import comb
-from operator import itemgetter, neg
-from typing import Callable, Optional, Sequence
+from operator import neg
+from typing import Optional, Sequence
 
-from .graphs import DihedralElement, position_map
+from .graphs import DihedralElement, permute_mask, position_map
 
 SignVector = tuple[int, ...]
 
@@ -50,6 +52,21 @@ def side_masks(s: SignVector) -> tuple[int, int]:
         if v:
             masks[(v < 0) ^ (j & 1)] |= 1 << j
     return masks[0], masks[1]
+
+
+def sign_vector_from_sides(m: int, s0: int, s1: int) -> SignVector:
+    """The sign vector of length m with sides S_0 = s0 and S_1 = s1; inverts side_masks.
+
+    Entry j of S_l is + when j + l is even, so the + entries are the even
+    positions of S_0 and the odd ones of S_1.
+    """
+    if s0 & s1 or (s0 | s1) >> m:
+        raise ValueError("side masks %#x and %#x are not disjoint subsets of Z_%d"
+                         % (s0, s1, m))
+    even = int("01" * m, 2)   # bit j set for every even j < 2m
+    plus = (s0 & even) | (s1 & even << 1)
+    minus = (s0 | s1) ^ plus
+    return tuple((plus >> j & 1) - (minus >> j & 1) for j in range(m))
 
 
 def minimal_degree(s: SignVector) -> int:
@@ -100,35 +117,40 @@ def count_covectors(m: int, k: int) -> int:
                for z in range(r))
 
 
-def enumerate_covectors(m: int, k: int) -> list[SignVector]:
-    """All covectors of C^{m,k+1}, lexicographic in the order (-1, 0, +1).
+def covector_sides(m: int, k: int) -> list[tuple[int, int]]:
+    """The side masks (S_0, S_1) of every covector of C^{m,k+1}.
 
-    Depth-first over entries; the state is the side of the last nonzero
-    entry and the degree so far, which only grows along a prefix, so
-    branches above k are cut early.
+    In enumerate_covectors order: lexicographic in the entries, each taken
+    in the order (-1, 0, +1).  Depth-first over entries; the state is the
+    side of the last nonzero entry, the degree so far, which only grows
+    along a prefix, so branches above k are cut early, and the two masks.
     """
     check_instance(m, k)
-    out: list[SignVector] = []
-    prefix = [0] * m
+    out: list[tuple[int, int]] = []
 
-    def rec(i: int, last: Optional[int], deg: int) -> None:
-        if deg > k:
-            return
+    def rec(i: int, last: Optional[int], deg: int, s0: int, s1: int) -> None:
         if i == m:
             if last is not None:
-                out.append(tuple(prefix))
+                out.append((s0, s1))
             return
-        for v in (-1, 0, 1):
-            prefix[i] = v
-            if v == 0:
-                rec(i + 1, last, deg + 1)
-            else:
-                side = (v < 0) ^ (i & 1)
-                rec(i + 1, side, deg + (side == last))
-        prefix[i] = 0
+        bit = 1 << i
+        for side in (1 - (i & 1), None, i & 1):   # the entry -1, 0, +1
+            if side is None:
+                if deg < k:
+                    rec(i + 1, last, deg + 1, s0, s1)
+            elif deg + (side == last) <= k:
+                if side:
+                    rec(i + 1, 1, deg + (last == 1), s0, s1 | bit)
+                else:
+                    rec(i + 1, 0, deg + (last == 0), s0 | bit, s1)
 
-    rec(0, None, 0)
+    rec(0, None, 0, 0, 0)
     return out
+
+
+def enumerate_covectors(m: int, k: int) -> list[SignVector]:
+    """All covectors of C^{m,k+1} as sign vectors, lexicographic in the order (-1, 0, +1)."""
+    return [sign_vector_from_sides(m, s0, s1) for s0, s1 in covector_sides(m, k)]
 
 
 def enumerate_cocircuits(m: int, k: int) -> list[SignVector]:
@@ -174,30 +196,15 @@ def covector_leq(s: SignVector, t: SignVector) -> bool:
     return all(a == 0 or a == b for a, b in zip(s, t))
 
 
-@lru_cache(maxsize=1024)
-def _sign_action_getter(m: int, shift: int, flip: bool) -> Callable:
-    """Picks (s.g)_j out of s + negate(s) for g = sigma^shift rho^flip.
-
-    Entry i moves to j = position_map(m, shift, flip)[i] and changes sign
-    exactly when i + j is odd; index i of the concatenation is s_i and
-    index i + m is -s_i.
-    """
-    index = [0] * m
-    for i, j in enumerate(position_map(m, shift, flip)):
-        index[j] = i + m * ((i + j) & 1)
-    if m == 1:   # itemgetter with one index returns the entry, not a tuple
-        return lambda both: (both[index[0]],)
-    return itemgetter(*index)
-
-
 def dihedral_act_sign(s: SignVector, g: DihedralElement,
                       k: Optional[int] = None) -> SignVector:
     """Right dihedral action on sign vectors.
 
     Entry i moves to the position graphs.dihedral_act moves i to and changes
     sign when it moves by an odd distance, so the sides S_0(s), S_1(s) move
-    as circular sets.  With s extended to Z by the sign twist
-    s_{j+m} = (-1)^m s_j this is (s.sigma)_j = -s_{j-1}, (s.rho)_j = s_{-j}.
+    as circular sets: each side mask is permuted under position_map.  With
+    s extended to Z by the sign twist s_{j+m} = (-1)^m s_j this is
+    (s.sigma)_j = -s_{j-1}, (s.rho)_j = s_{-j}.
     Commutes with taking sign vectors of points under the moment-curve
     action and with the covector-to-Hom map.  When k is given the input
     must be a covector and m - k even (m = 2n + k): the twist (-1)^m then
@@ -211,7 +218,8 @@ def dihedral_act_sign(s: SignVector, g: DihedralElement,
                          "does not preserve C^{m,k+1}" % (m, k))
     if k is not None and not is_covector(s, k):
         raise ValueError("not a covector: %s" % render_sign_vector(s))
-    return _sign_action_getter(m, g.shift, g.flip)(tuple(s) + negate(s))
+    pos = position_map(m, g.shift, g.flip)
+    return sign_vector_from_sides(m, *(permute_mask(x, pos) for x in side_masks(s)))
 
 
 FREE = None  # free slot marker in partial sign vectors

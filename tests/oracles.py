@@ -81,6 +81,36 @@ def minimal_degree_by_gap_parity(s) -> int:
     return deg
 
 
+def covectors_by_prefix_dfs(m: int, k: int) -> list[tuple]:
+    """All covectors of C^{m,k+1} as sign tuples, lexicographic in the order (-1, 0, +1).
+
+    Depth-first over entries of one shared prefix; the state is the side of
+    the last nonzero entry and the degree so far, which only grows along a
+    prefix, so branches above k are cut early.
+    """
+    out: list[tuple] = []
+    prefix = [0] * m
+
+    def rec(i: int, last: Optional[int], deg: int) -> None:
+        if deg > k:
+            return
+        if i == m:
+            if last is not None:
+                out.append(tuple(prefix))
+            return
+        for v in (-1, 0, 1):
+            prefix[i] = v
+            if v == 0:
+                rec(i + 1, last, deg + 1)
+            else:
+                side = (v < 0) ^ (i & 1)
+                rec(i + 1, side, deg + (side == last))
+        prefix[i] = 0
+
+    rec(0, None, 0)
+    return out
+
+
 def random_polynomial_patterns(m: int, k: int, trials: int, seed: int) -> set:
     """Sign patterns of random degree-<=k polynomials (soundness direction)."""
     rng = np.random.default_rng(seed)

@@ -13,15 +13,15 @@ from stablekneser.complexes import (FinitePoset, SimplicialComplex,
                                     hom_cells, hom_poset,
                                     looped_one_skeleton,
                                     neighbourhood_complex, order_complex,
-                                    side_sets, verify_nerve, z2_betti)
-from stablekneser.graphs import (DihedralElement, complete_graph, cycle_graph,
-                                 graph_from_edges, k2, one_vertex_looped,
+                                    verify_nerve, z2_betti)
+from stablekneser.graphs import (CircularSet, DihedralElement, complete_graph,
+                                 cycle_graph, graph_from_edges, k2, one_vertex_looped,
                                  permute_mask, stable_kneser_graph,
                                  vertex_permutation)
 from stablekneser.matroid import (count_covectors, covector_leq,
                                   dihedral_act_sign, enumerate_cocircuits,
                                   enumerate_covectors, negate,
-                                  parse_sign_vector)
+                                  parse_sign_vector, side_masks)
 from oracles import (boundary_squared_is_zero, dihedral_sign_reference,
                      equivariance_reference, euler_characteristic_consistent,
                      hom_cells_by_product_filter, homomorphisms,
@@ -270,7 +270,7 @@ def test_sphere_homology_instances():
 
 
 def test_side_sets():
-    s0, s1 = side_sets(P("++++0"))
+    s0, s1 = (CircularSet(5, side) for side in side_masks(P("++++0")))
     assert s0.members() == (0, 2)
     assert s1.members() == (1, 3)
 

@@ -11,7 +11,7 @@ from stablekneser.geometry import (RealizationError, borsuk_adjacent,
                                    realize_cocircuit, representation,
                                    sign_vector_of_point, signed_sum, v_of_set,
                                    verify_realization)
-from stablekneser.graphs import (CircularSet, DihedralElement,
+from stablekneser.graphs import (CircularSet, DihedralElement, dihedral_act,
                                  enumerate_stable_sets, generate_subgroup,
                                  stable_kneser_graph)
 from stablekneser.matroid import (dihedral_act_sign, enumerate_cocircuits,
@@ -134,6 +134,16 @@ def test_verify_realization_counts_match_unique_rows(monkeypatch):
             c for s, c in rows.items() if s[0] != 1)
 
 
+def test_verify_realization_packs_rows_past_one_word():
+    # m = 70 takes two uint64 words per sampled row; the report is the one
+    # recorded from the byte-string np.unique sampler the word packing replaced
+    assert verify_realization(70, 2, samples=1000) == {
+        "m": 70, "k": 2, "samples": 1000, "seed": 0,
+        "sampled_full_support_patterns": 636, "non_covector_samples": 0,
+        "cocircuits_realized": 4830, "status": "pass"}
+    assert len(sampled_sign_patterns(config_for(70, 2).vectors, 1000, 0, TOL)) == 636
+
+
 def test_verify_realization_refuses_bad_input_up_front():
     with pytest.raises(ValueError, match=r"\(m, k\) = \(3, 5\)"):
         verify_realization(3, 5)
@@ -189,7 +199,7 @@ def test_v_of_set_example_and_equivariance():
         for vert in enumerate_stable_sets(n, m):
             base = v_of_set(vert, config)
             for g in elems:
-                dev = np.linalg.norm(v_of_set(vert.act(g), config) - rep.act(base, g))
+                dev = np.linalg.norm(v_of_set(dihedral_act(vert, g), config) - rep.act(base, g))
                 assert dev < TOL, (n, k, g)
 
 

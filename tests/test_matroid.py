@@ -7,12 +7,13 @@ from hypothesis import assume, example, given, settings, strategies as st
 from stablekneser.graphs import CircularSet, DihedralElement, dihedral_act
 from stablekneser.matroid import (cocircuit_count, count_covectors,
                                   covector_extension_feasible,
-                                  covector_leq, dihedral_act_sign,
+                                  covector_leq, covector_sides, dihedral_act_sign,
                                   enumerate_cocircuits, enumerate_covectors,
                                   is_cocircuit, is_covector, is_vector,
                                   minimal_degree, negate, parse_sign_vector,
-                                  render_sign_vector, side_masks)
-from oracles import (dihedral_sign_reference, lp_sign_feasible,
+                                  render_sign_vector, side_masks,
+                                  sign_vector_from_sides)
+from oracles import (covectors_by_prefix_dfs, dihedral_sign_reference, lp_sign_feasible,
                      minimal_degree_by_gap_parity, polynomial_sign_patterns,
                      random_polynomial_patterns, sign_vectors_orthogonal)
 
@@ -81,6 +82,47 @@ def test_minimal_degree_counts_zeros_and_same_side_pairs(s):
     assert minimal_degree(s) == minimal_degree_by_gap_parity(s)
 
 
+@settings(deadline=None)
+@given(sign_vectors(12))
+def test_sign_vector_from_sides_inverts_side_masks(s):
+    assert sign_vector_from_sides(len(s), *side_masks(s)) == s
+
+
+def test_sign_vector_from_sides_refuses_bad_masks():
+    assert sign_vector_from_sides(5, 0b00101, 0b10010) == P("+++0-")
+    with pytest.raises(ValueError, match="not disjoint"):
+        sign_vector_from_sides(5, 0b00101, 0b00100)
+    with pytest.raises(ValueError, match="Z_5"):
+        sign_vector_from_sides(5, 0b100000, 0)
+
+
+@st.composite
+def instances(draw, max_m):
+    m = draw(st.integers(1, max_m))
+    return m, draw(st.integers(0, m - 1))
+
+
+@settings(deadline=None, max_examples=15)
+@given(instances(12))
+def test_covector_sides_follow_the_prefix_dfs(case):
+    m, k = case
+    assert covector_sides(m, k) == [side_masks(s) for s in covectors_by_prefix_dfs(m, k)]
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.data())
+def test_covectors_closed_under_negation_and_the_sign_action(data):
+    # m = 2n + k, so that the twisted action preserves C^{m,k+1}
+    m = data.draw(st.integers(2, 12), label="m")
+    k = data.draw(st.sampled_from(range(m % 2, m, 2)), label="k")
+    sides = covector_sides(m, k)
+    covs = set(sides)
+    assert all((s1, s0) in covs for s0, s1 in sides)
+    s = sign_vector_from_sides(m, *data.draw(st.sampled_from(sides), label="s"))
+    g = DihedralElement(m, data.draw(st.integers(0, m - 1)), data.draw(st.booleans()))
+    assert side_masks(dihedral_act_sign(s, g, k)) in covs
+
+
 def test_side_masks_example():
     # alternating signs stay on one side; a repeated sign changes side
     assert side_masks(P("+-0-+")) == (0b11011, 0)
@@ -130,7 +172,7 @@ def test_cocircuits_direct_vs_filter():
 def test_count_covectors_closed_form():
     for m in range(1, 13):
         for k in range(m):
-            assert count_covectors(m, k) == len(enumerate_covectors(m, k)), (m, k)
+            assert count_covectors(m, k) == len(covector_sides(m, k)), (m, k)
     assert count_covectors(14, 6) == 417146
     assert count_covectors(7, 6) == 3 ** 7 - 1
 
