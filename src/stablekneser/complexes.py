@@ -255,10 +255,6 @@ def z2_betti(x: SimplicialComplex) -> tuple[int, ...]:
 # Hom poset
 
 
-def hom_size_estimate(g: Graph, h: Graph) -> int:
-    return (2 ** h.n - 1) ** g.n
-
-
 def hom_cells(g: Graph, h: Graph,
               max_cells: int = 10 ** 6) -> dict[int, list[tuple[int, ...]]]:
     """The cells of Hom(G, H) as tuples of target bitmasks, keyed by dimension.
@@ -273,9 +269,6 @@ def hom_cells(g: Graph, h: Graph,
     looped source vertex takes a set of looped, pairwise adjacent targets.
     Refuses once more than `max_cells` cells are found.
     """
-    if g.n > 3 and hom_size_estimate(g, h) > max_cells:
-        raise ValueError("refusing: size estimate %d cells exceeds %d"
-                         % (hom_size_estimate(g, h), max_cells))
     adj = h.adjacency
     looped_targets = sum(1 << t for t in h.looped_vertices())
     loop = [g.has_loop(u) for u in range(g.n)]

@@ -176,18 +176,19 @@ def sign_vector_of_point(x: np.ndarray, config: MomentConfig,
     return tuple(0 if abs(t) < zero_tol else (1 if t > 0 else -1) for t in vals)
 
 
-_REALIZE_BLOCK = 1 << 12   # sign vectors per stacked SVD
+_REALIZE_BLOCK = 1 << 12   # sign vectors per stacked complete QR
 
 
 def _realize_zero_sets(vectors: Sequence[SignVector], config: MomentConfig,
                        zero_tol: float = 1e-9) -> np.ndarray:
     """Unit points with the given sign vectors, one row each, via their zero sets.
 
-    The vectors must share one zero count.  Each point is the last right
-    singular vector of its zero-set rows, negated when that gives the target
-    sign vector; the SVDs run stacked, a block of vectors at a time.  Raises
-    RealizationError naming the first vector, in the given order, that
-    neither the point nor its negative realizes.
+    The vectors must share one zero count z <= k.  Each point is the last
+    column of the complete Householder QR of its z zero-set rows taken as
+    columns, a unit vector orthogonal to all of them, negated when that
+    gives the target sign vector; the QRs run stacked, a block of vectors at
+    a time.  Raises RealizationError naming the first vector, in the given
+    order, that neither the point nor its negative realizes.
     """
     signs = np.array(vectors, dtype=int).reshape(len(vectors), config.m)
     zeros = np.nonzero(signs == 0)[1].reshape(len(signs), -1)
@@ -196,7 +197,8 @@ def _realize_zero_sets(vectors: Sequence[SignVector], config: MomentConfig,
     points = np.empty((len(signs), config.k + 1))
     for lo in range(0, len(signs), _REALIZE_BLOCK):
         block = slice(lo, lo + _REALIZE_BLOCK)
-        x = np.linalg.svd(config.vectors[zeros[block]])[2][:, -1]
+        rows = config.vectors[zeros[block]]
+        x = np.linalg.qr(np.swapaxes(rows, 1, 2), mode="complete")[0][:, :, -1]
         vals = x @ config.vectors.T
         got = np.where(np.abs(vals) < zero_tol, 0, np.sign(vals)).astype(int)
         direct = (got == signs[block]).all(axis=1)
@@ -263,16 +265,16 @@ def verify_realization(m: int, k: int, samples: int = 100000,
     width = -(-m // 64) * 64
     codes = np.packbits(np.pad(plus, ((0, 0), (0, width - m))), axis=1,
                         bitorder="little").view("<u8")
-    codes = codes[np.lexsort(codes.T)]
+    order = np.lexsort(codes.T)
+    codes = codes[order]
     first = np.ones(len(codes), dtype=bool)
     first[1:] = (codes[1:] != codes[:-1]).any(axis=1)
     starts = np.flatnonzero(first)
     counts = np.diff(starts, append=len(codes))
     seen = set()
     non_covector = 0
-    for words, count in zip(codes[starts].tolist(), counts.tolist()):
-        bits = sum(w << 64 * i for i, w in enumerate(words))
-        s = tuple(1 if bits >> j & 1 else -1 for j in range(m))
+    rows = np.where(plus[order[starts]], 1, -1).tolist()
+    for s, count in zip(map(tuple, rows), counts.tolist()):
         seen.add(s)
         if not is_covector(s, k):
             non_covector += count

@@ -255,29 +255,33 @@ def k2() -> Graph:
 def enumerate_stable_sets(n: int, m: int) -> list[CircularSet]:
     """All stable n-subsets of Z_m, in lexicographic member order.
 
-    Stable means no two cyclically consecutive elements.  Returns [] when
-    m < 2n (no such set fits).
+    Stable means no two cyclically consecutive elements.  The sets with 0
+    are 0 plus a gapped (n-1)-subset of [2, m-2], the others a gapped
+    n-subset of [1, m-1], each run listed by _gapped_masks.  Returns []
+    when m < 2n (no such set fits).
     """
     if n < 1:
         raise ValueError("stable n-subsets of Z_m need n >= 1, got (n, m) = (%d, %d)"
                          % (n, m))
     if m < 2 * n:
         return []
-    out: list[CircularSet] = []
+    # every set containing 0 precedes every set avoiding it
+    return ([CircularSet(m, 1 | rest) for rest in _gapped_masks(2, m - 2, n - 1, {})]
+            + [CircularSet(m, mask) for mask in _gapped_masks(1, m - 1, n, {})])
 
-    def rec(start: int, limit: int, mask: int, need: int) -> None:
-        if need == 0:
-            out.append(CircularSet(m, mask))
-            return
-        # prune: `need` more elements with pairwise gaps >= 2 must fit
-        for j in range(start, limit - 2 * (need - 1) + 1):
-            rec(j + 2, limit, mask | 1 << j, need - 1)
 
-    # each run comes out in lexicographic order, and every set containing 0
-    # precedes every set avoiding it
-    rec(2, m - 2, 1, n - 1)     # sets containing 0: exclude 1 and m-1
-    rec(1, m - 1, 0, n)         # sets avoiding 0
-    return out
+def _gapped_masks(start: int, limit: int, need: int, memo: dict) -> list[int]:
+    """Masks of the need-subsets of [start, limit] with gaps >= 2, lexicographically.
+
+    Each least member j goes before every mask of the state (j + 2, need - 1).
+    memo, one per limit, keeps each (start, need) state's list: built once.
+    """
+    if (start, need) not in memo:
+        # prune: `need` elements with pairwise gaps >= 2 must fit
+        memo[start, need] = [1 << j | rest for j in range(start, limit - 2 * need + 3)
+                             for rest in _gapped_masks(j + 2, limit, need - 1, memo)
+                             ] if need else [0]
+    return memo[start, need]
 
 
 def stable_set_count(n: int, m: int) -> int:

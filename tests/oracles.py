@@ -361,6 +361,29 @@ def homomorphisms(g, h) -> list[tuple[int, ...]]:
     return out
 
 
+def stable_set_masks_by_recursion(n: int, m: int) -> list[int]:
+    """Masks of the stable n-subsets of Z_m, one recursive call per set member.
+
+    Sets containing 0 first (0 excludes 1 and m - 1), then the sets avoiding
+    0; each run extends the mask in increasing member order, so both runs
+    and their concatenation are lexicographic.
+    """
+    if m < 2 * n:
+        return []
+    out = []
+
+    def rec(start: int, limit: int, mask: int, need: int) -> None:
+        if need == 0:
+            out.append(mask)
+            return
+        for j in range(start, limit - 2 * (need - 1) + 1):
+            rec(j + 2, limit, mask | 1 << j, need - 1)
+
+    rec(2, m - 2, 1, n - 1)
+    rec(1, m - 1, 0, n)
+    return out
+
+
 def members_by_range_scan(m: int, mask: int) -> tuple:
     return tuple(j for j in range(m) if mask >> j & 1)
 

@@ -78,8 +78,10 @@ def test_hom_poset_of_looped_source_is_clique_poset():
 
 
 def test_hom_poset_size_refusal():
-    with pytest.raises(ValueError):
-        hom_poset(complete_graph(4), complete_graph(6), max_cells=10 ** 4)
+    cells = hom_cells(complete_graph(4), complete_graph(6), max_cells=10 ** 4)
+    assert sum(map(len, cells.values())) == 3360
+    with pytest.raises(ValueError, match="more than 3000 cells"):
+        hom_cells(complete_graph(4), complete_graph(6), max_cells=3000)
     with pytest.raises(ValueError, match="more than 1000 cells"):
         hom_cells(k2(), stable_kneser_graph(2, 3), max_cells=1000)
 

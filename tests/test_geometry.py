@@ -168,8 +168,20 @@ def test_stacked_realization_matches_one_svd_per_cocircuit(monkeypatch):
         for s, x in zip(cocircuits, points):
             rows = config.vectors[[j for j, v in enumerate(s) if v == 0]]
             null = np.linalg.svd(rows)[2][-1]
-            assert np.array_equal(x, null) or np.array_equal(x, -null), s
+            assert min(np.abs(x - null).max(), np.abs(x + null).max()) < 1e-12, s
             assert sign_vector_of_point(x, config) == s
+
+
+def test_stacked_realization_matches_one_qr_per_cocircuit(monkeypatch):
+    monkeypatch.setattr(geometry_module, "_REALIZE_BLOCK", 7)   # blocks split
+    for m, k in [(8, 3), (9, 4), (6, 5)]:
+        config = config_for(m, k)
+        cocircuits = enumerate_cocircuits(m, k)
+        points = geometry_module._realize_zero_sets(cocircuits, config)
+        for s, x in zip(cocircuits, points):
+            rows = config.vectors[[j for j, v in enumerate(s) if v == 0]]
+            q = np.linalg.qr(rows.T, mode="complete")[0][:, -1]
+            assert np.array_equal(x, q) or np.array_equal(x, -q), s
 
 
 def test_verify_realization_names_the_first_unrealized_cocircuit(monkeypatch):

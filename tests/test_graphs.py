@@ -19,7 +19,8 @@ from stablekneser.graphs import (CircularSet, DihedralElement, Graph,
                                  vertex_criticality_check, vertex_permutation)
 from oracles import (brute_force_automorphisms, brute_force_chromatic,
                      critical_by_all_deletions, dihedral_set_reference,
-                     dsatur_reference, homomorphisms, members_by_range_scan)
+                     dsatur_reference, homomorphisms, members_by_range_scan,
+                     stable_set_masks_by_recursion)
 
 
 def is_cycle(g):
@@ -65,6 +66,15 @@ def test_stable_sets_come_out_in_member_order():
     for m in range(1, 11):
         for mask in range(1 << m):
             assert CircularSet(m, mask).members() == members_by_range_scan(m, mask)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 10), st.integers(1, 26))
+def test_memoised_stable_sets_follow_the_recursive_search(n, m):
+    sets = enumerate_stable_sets(n, m)
+    assert [s.mask for s in sets] == stable_set_masks_by_recursion(n, m)
+    assert all(s.m == m for s in sets)
+    assert len(sets) == stable_set_count(n, m)
 
 
 def test_stable_sets_edge_cases():
