@@ -258,10 +258,6 @@ class GradedPoly:
         return " + ".join(parts)
 
 
-def poly_zero(ring: str, max_degree: int) -> GradedPoly:
-    return GradedPoly(ring, max_degree)
-
-
 def poly_one(ring: str, max_degree: int) -> GradedPoly:
     return GradedPoly(ring, max_degree, ((0,) * len(_GENS[ring]),))
 
@@ -318,10 +314,18 @@ def ring_for(n: int, k: int) -> str:
 
 
 def total_sw_class(n: int, k: int, max_degree: int = 64) -> GradedPoly:
-    """Closed-form total class of the bundle attached to the dihedral action."""
+    """Closed-form total class of the bundle attached to the dihedral action.
+
+    The bound must reach the ring's largest generator degree, or the class
+    cannot be written down: 1 in ODD and TWO_MOD_4, 2 in ZERO_MOD_4.
+    """
     if n < 1 or k < 0:
         raise ValueError("need n >= 1 and k >= 0, got (n, k) = (%d, %d)" % (n, k))
     ring = ring_for(n, k)
+    least = max(_DEGS[ring])
+    if max_degree < least:
+        raise ValueError("(n, k) = (%d, %d): the total class in ring %s needs "
+                         "max_degree >= %d, got %d" % (n, k, ring, least, max_degree))
     if k % 2 == 1:
         r = (k - 1) // 2
         return one_plus(ODD, max_degree, "a") ** (r + 1)
@@ -572,9 +576,6 @@ def classify(n: int, k: int, max_degree: int = 64) -> ClassificationReport:
     vanishing dual class in degree 1 or any even degree refutes test-graph
     behaviour for all large n of the same parity class.
     """
-    if max_degree < 0:
-        raise ValueError("(n, k) = (%d, %d): max_degree must be >= 0, got %d"
-                         % (n, k, max_degree))
     m = 2 * n + k
     ring = ring_for(n, k)
     w = total_sw_class(n, k, max_degree)

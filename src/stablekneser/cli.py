@@ -120,8 +120,15 @@ def cmd_matroid(cfg: RunConfig) -> tuple[dict, int]:
 
 def cmd_classify(cfg: RunConfig) -> tuple[dict, int]:
     lo, hi = cfg.n_range if cfg.n_range else (cfg.n, cfg.n)
-    rows = [charclasses.classify(n, cfg.k, cfg.max_degree).to_json_dict()
-            for n in range(lo, hi + 1)]
+    # classify depends on n only through ring_for(n, k) and the n and m fields,
+    # so each ring is analysed once and its report copied to every n it serves.
+    by_ring: dict[str, dict] = {}
+    rows = []
+    for n in range(lo, hi + 1):
+        ring = charclasses.ring_for(n, cfg.k)
+        if ring not in by_ring:
+            by_ring[ring] = charclasses.classify(n, cfg.k, cfg.max_degree).to_json_dict()
+        rows.append(dict(by_ring[ring], n=n, m=2 * n + cfg.k))
     report = {"command": "classify", "k": cfg.k,
               "max_degree": cfg.max_degree, "reports": rows}
     return report, 0

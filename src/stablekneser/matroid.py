@@ -102,10 +102,6 @@ def is_covector(s: SignVector, k: int) -> bool:
     return any(s) and minimal_degree(s) <= k
 
 
-def is_cocircuit(s: SignVector, k: int) -> bool:
-    return sum(1 for v in s if v == 0) == k and is_covector(s, k)
-
-
 def check_instance(m: int, k: int) -> None:
     """Refuse (m, k) unless 0 <= k < m, the range where C^{m,k+1} is defined."""
     if not 0 <= k < m:

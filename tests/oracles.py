@@ -2,7 +2,8 @@
 
 Everything here is deliberately naive: exhaustive polynomial families,
 LP feasibility, brute-force colourings and permutation search.  None of it
-shares code with the implementations under test.
+shares code with the implementations under test, except `poly_zero`, which
+builds the empty series through the package's own constructor.
 """
 
 import functools
@@ -10,6 +11,8 @@ import itertools
 from typing import Optional, Sequence
 
 import numpy as np
+
+from stablekneser.charclasses import GradedPoly
 
 
 def polynomial_sign_patterns(m: int, k: int) -> set:
@@ -79,6 +82,11 @@ def minimal_degree_by_gap_parity(s) -> int:
         if (differ and zeros_between % 2 == 0) or (not differ and zeros_between % 2 == 1):
             deg += 1
     return deg
+
+
+def is_cocircuit(s, k: int) -> bool:
+    """A covector with exactly k zeros, by the gap-parity degree."""
+    return sum(1 for v in s if v == 0) == k and minimal_degree_by_gap_parity(s) <= k
 
 
 def covectors_by_prefix_dfs(m: int, k: int) -> list[tuple]:
@@ -564,6 +572,10 @@ TERM_RESTRICTIONS = {
     ("ODD", "p"): ("CYCLIC_4", {"a": (1, 0)}),
     ("ODD", "phi_rho"): ("ODD", {"a": (1,)}),
 }
+
+
+def poly_zero(ring: str, max_degree: int) -> GradedPoly:
+    return GradedPoly(ring, max_degree)
 
 
 def term_degree(ring: str, mono) -> int:

@@ -3,17 +3,18 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import (TERM_GENS, term_degree, term_monomials, term_ok,
-                     terms_invert, terms_mul, terms_pow, terms_restrict,
-                     terms_str)
+from oracles import (TERM_GENS, poly_zero, term_degree, term_monomials,
+                     term_ok, terms_invert, terms_mul, terms_pow,
+                     terms_restrict, terms_str)
 from stablekneser.charclasses import (CYCLIC_4, ODD, TWO_MOD_4, ZERO_MOD_4,
                                       GradedPoly, classify, generator,
                                       one_plus, poly_invert, poly_one,
-                                      poly_zero, restrict, restriction_names,
+                                      restrict, restriction_names,
                                       ring_for, total_sw_class,
                                       total_sw_class_from_blocks,
                                       vanishing_window, vanishing_windows,
                                       wbar)
+import stablekneser.charclasses as charclasses_module
 
 D = 24  # default truncation for the small tests
 
@@ -223,6 +224,26 @@ def test_classify_report_json():
     assert doc["verdict"] == "TEST_GRAPH_CERTIFIED"
     assert doc["ring_case"] == ZERO_MOD_4
     assert isinstance(doc["w"], str) and doc["w"].startswith("1 + ")
+
+
+@pytest.mark.parametrize("n, k", [(1, 1), (2, 3), (1, 0), (2, 2), (2, 0), (1, 2)])
+@pytest.mark.parametrize("top", [0, 1, 2])
+def test_degree_bound_below_a_generator_is_refused_up_front(monkeypatch, n, k, top):
+    ring = ring_for(n, k)
+    least = 2 if ring == ZERO_MOD_4 else 1
+    if top >= least:
+        w = total_sw_class(n, k, top)
+        assert w * wbar(n, k, top) == poly_one(ring, top)
+        assert classify(n, k, top).w == w
+        return
+    monkeypatch.setattr(charclasses_module, "one_plus",
+                        lambda *args: pytest.fail("series work before the check"))
+    message = ("(n, k) = (%d, %d): the total class in ring %s needs max_degree >= %d, "
+               "got %d" % (n, k, ring, least, top))
+    for fn in (total_sw_class, wbar, classify):
+        with pytest.raises(ValueError) as exc:
+            fn(n, k, top)
+        assert str(exc.value) == message
 
 
 def test_w_times_wbar_is_one_on_a_grid():

@@ -5,8 +5,9 @@ import sys
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from stablekneser import cli
+from stablekneser import charclasses, cli
 
 SCHEMA_DIR = os.path.join(os.path.dirname(cli.__file__), "schemas")
 
@@ -100,6 +101,21 @@ def test_cmd_classify_sweep():
     jsonschema.validate(doc5, load_schema("classification_report.schema.json"))
 
 
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 24), st.integers(1, 12), st.integers(1, 12),
+       st.sampled_from([2, 3, 64]))
+def test_classify_sweep_equals_the_per_n_analysis(k, a, b, top):
+    lo, hi = min(a, b), max(a, b)
+    argv = ["classify", "--k", str(k), "--n-range", "%d..%d" % (lo, hi),
+            "--max-degree", str(top)]
+    want = [charclasses.classify(n, k, top).to_json_dict() for n in range(lo, hi + 1)]
+    text, status = run_cli(argv)
+    assert status == 0 and json.loads(text)["reports"] == want
+    pretty, _ = run_cli(argv + ["--pretty"])
+    assert pretty == cli._pretty_lines({"command": "classify", "k": k,
+                                        "max_degree": top, "reports": want})
+
+
 def test_cmd_classify_k4_parity_split():
     text, _ = run_cli(["classify", "--k", "4", "--n-range", "2..5"])
     verdicts = {r["n"]: r["verdict"] for r in json.loads(text)["reports"]}
@@ -188,6 +204,8 @@ def test_classify_requires_range():
     (["geometry", "--k", "2", "--sweep", "--n-range", "0..2"], "(n, k) = (0, 2)"),
     (["geometry", "--n", "2", "--k", "2", "--n-range", "0..3"], "--n or --n-range"),
     (["classify", "--k", "2", "--n", "5", "--n-range", "1..2"], "--n or --n-range"),
+    (["classify", "--n", "1", "--k", "2", "--max-degree", "1"],
+     "(n, k) = (1, 2): the total class in ring ZERO_MOD_4 needs max_degree >= 2, got 1"),
 ])
 def test_main_refuses_bad_input_with_one_line(capsys, argv, names):
     assert cli.main(argv) == 2

@@ -9,13 +9,14 @@ from stablekneser.matroid import (cocircuit_count, count_covectors,
                                   covector_extension_feasible,
                                   covector_leq, covector_sides, dihedral_act_sign,
                                   enumerate_cocircuits, enumerate_covectors,
-                                  is_cocircuit, is_covector, is_vector,
-                                  minimal_degree, negate, parse_sign_vector,
+                                  is_covector, is_vector, minimal_degree,
+                                  negate, parse_sign_vector,
                                   render_sign_vector, side_masks,
                                   sign_vector_from_sides)
-from oracles import (covectors_by_prefix_dfs, dihedral_sign_reference, lp_sign_feasible,
-                     minimal_degree_by_gap_parity, polynomial_sign_patterns,
-                     random_polynomial_patterns, sign_vectors_orthogonal)
+from oracles import (covectors_by_prefix_dfs, dihedral_sign_reference, is_cocircuit,
+                     lp_sign_feasible, minimal_degree_by_gap_parity,
+                     polynomial_sign_patterns, random_polynomial_patterns,
+                     sign_vectors_orthogonal)
 
 P = parse_sign_vector
 
