@@ -12,6 +12,7 @@ import argparse
 import contextlib
 import functools
 import json
+import math
 import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -246,6 +247,10 @@ def run(cfg: RunConfig) -> tuple[str, int]:
     elif cfg.command == "geometry":
         if cfg.n is None and not (cfg.sweep and cfg.n_range is not None):
             raise ValueError("geometry needs --n, or --sweep with --n-range")
+        if not 0 < cfg.zero_tol < math.inf:
+            n = cfg.n if cfg.n is not None else "%d..%d" % cfg.n_range
+            raise ValueError("geometry of (n, k) = (%s, %d) needs a finite --zero-tol > 0, "
+                             "got %r" % (n, cfg.k, cfg.zero_tol))
         text, status = cmd_geometry(cfg)
         return text, status
     else:  # pragma: no cover - argparse guards this

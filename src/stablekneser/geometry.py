@@ -176,7 +176,7 @@ def sign_vector_of_point(x: np.ndarray, config: MomentConfig,
     return tuple(0 if abs(t) < zero_tol else (1 if t > 0 else -1) for t in vals)
 
 
-_REALIZE_BLOCK = 1 << 12   # sign vectors per stacked complete QR
+_REALIZE_BLOCK = 1 << 12   # sign vectors per stacked complete QR, points per sampled block
 
 
 def _realize_zero_sets(vectors: Sequence[SignVector], config: MomentConfig,
@@ -240,6 +240,22 @@ def _tope_witness(s: SignVector, config: MomentConfig,
     return None
 
 
+def _merge_counts(codes: np.ndarray, counts: np.ndarray,
+                  block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of codes and block, sorted, with their counts.
+
+    codes holds distinct rows with counts; each row of block counts once.
+    """
+    codes = np.concatenate([codes, block])
+    counts = np.concatenate([counts, np.ones(len(block), dtype=counts.dtype)])
+    order = np.lexsort(codes.T)
+    codes, counts = codes[order], counts[order]
+    first = np.ones(len(codes), dtype=bool)
+    first[1:] = (codes[1:] != codes[:-1]).any(axis=1)
+    starts = np.flatnonzero(first)
+    return codes[starts], np.add.reduceat(counts, starts)
+
+
 def verify_realization(m: int, k: int, samples: int = 100000,
                        seed: int = 0, zero_tol: float = 1e-9) -> dict:
     """Cross-validate the covector rule against the geometric configuration.
@@ -249,31 +265,42 @@ def verify_realization(m: int, k: int, samples: int = 100000,
         samples plus one targeted witness per covector) are exactly the
         zero-free covectors;
     (c) every cocircuit is realized by solving its zero set.
-    Any discrepancy raises RealizationError.
+    Any discrepancy raises RealizationError.  The points of (a) are drawn
+    _REALIZE_BLOCK at a time, the same stream as one draw, and only the
+    distinct sign patterns are kept between blocks, so memory follows the
+    number of distinct patterns, not samples.  A negative samples or seed,
+    or a zero_tol that is not finite and positive, is refused before any
+    sampling.
     """
     config = config_for(m, k)
     if samples < 0:
         raise ValueError("realization of (m, k) = (%d, %d) needs samples >= 0, got %d"
                          % (m, k, samples))
+    if not 0 < zero_tol < np.inf:
+        raise ValueError("realization of (m, k) = (%d, %d) needs a finite zero_tol > 0, "
+                         "got %r" % (m, k, zero_tol))
+    if seed < 0:
+        raise ValueError("realization of (m, k) = (%d, %d) needs seed >= 0, got %d"
+                         % (m, k, seed))
     rng = np.random.default_rng(seed)
     report: dict = {"m": m, "k": k, "samples": samples, "seed": seed}
 
-    vals = rng.normal(size=(samples, k + 1)) @ config.vectors.T
-    plus = vals[(np.abs(vals) >= zero_tol).all(axis=1)] > 0
-    # the full-support rows as little-endian uint64 words, bit j of the row
-    # set when sign j is +; sorted, so equal rows form runs
-    width = -(-m // 64) * 64
-    codes = np.packbits(np.pad(plus, ((0, 0), (0, width - m))), axis=1,
-                        bitorder="little").view("<u8")
-    order = np.lexsort(codes.T)
-    codes = codes[order]
-    first = np.ones(len(codes), dtype=bool)
-    first[1:] = (codes[1:] != codes[:-1]).any(axis=1)
-    starts = np.flatnonzero(first)
-    counts = np.diff(starts, append=len(codes))
+    # each full-support row as little-endian uint64 words, bit j set when
+    # sign j is +; only the distinct words seen so far are kept between blocks
+    words = -(-m // 64)
+    codes = np.zeros((0, words), dtype="<u8")
+    counts = np.zeros(0, dtype=np.int64)
+    for lo in range(0, samples, _REALIZE_BLOCK):
+        size = min(_REALIZE_BLOCK, samples - lo)
+        vals = rng.normal(size=(size, k + 1)) @ config.vectors.T
+        plus = vals[(np.abs(vals) >= zero_tol).all(axis=1)] > 0
+        block = np.packbits(np.pad(plus, ((0, 0), (0, 64 * words - m))), axis=1,
+                            bitorder="little").view("<u8")
+        codes, counts = _merge_counts(codes, counts, block)
     seen = set()
     non_covector = 0
-    rows = np.where(plus[order[starts]], 1, -1).tolist()
+    plus = np.unpackbits(codes.view(np.uint8), axis=1, count=m, bitorder="little")
+    rows = np.where(plus, 1, -1).tolist()
     for s, count in zip(map(tuple, rows), counts.tolist()):
         seen.add(s)
         if not is_covector(s, k):

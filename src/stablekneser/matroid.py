@@ -19,6 +19,8 @@ from math import comb
 from operator import neg, sub
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .graphs import DihedralElement, permute_mask, position_map
 
 SignVector = tuple[int, ...]
@@ -165,16 +167,14 @@ def enumerate_cocircuits(m: int, k: int) -> list[SignVector]:
     along the support, which fixes the signs up to a global flip.
     """
     check_instance(m, k)
-    out = []
-    for zeros in itertools.combinations(range(m), k):
-        support = [j for j in range(m) if j not in zeros]
-        for first in (0, 1):
-            s = [0] * m
-            for t, j in enumerate(support):
-                s[j] = -1 if (first ^ t ^ j) & 1 else 1
-            out.append(tuple(s))
-    out.sort()
-    return out
+    zeros = np.array(list(itertools.combinations(range(m), k)),
+                     dtype=np.intp).reshape(comb(m, k), k)
+    zero = np.zeros((len(zeros), m), dtype=bool)
+    np.put_along_axis(zero, zeros, True, axis=1)
+    t = np.cumsum(~zero, axis=1) - 1   # index of entry j within the support
+    signs = np.where(zero, 0, 1 - 2 * ((t ^ np.arange(m)) & 1)).astype(np.int8)
+    signs = np.concatenate([signs, -signs])
+    return list(map(tuple, signs[np.lexsort(signs.T[::-1])].tolist()))
 
 
 def cocircuit_count(m: int, k: int) -> int:

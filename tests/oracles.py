@@ -89,6 +89,24 @@ def is_cocircuit(s, k: int) -> bool:
     return sum(1 for v in s if v == 0) == k and minimal_degree_by_gap_parity(s) <= k
 
 
+def cocircuits_by_support_loop(m: int, k: int) -> list[tuple]:
+    """Every cocircuit as a sorted list of sign tuples, one entry at a time.
+
+    The k zeros are all the roots, so the signs alternate along the support
+    (with the parity of j), up to a global flip.
+    """
+    out = []
+    for zeros in itertools.combinations(range(m), k):
+        support = [j for j in range(m) if j not in zeros]
+        for first in (0, 1):
+            s = [0] * m
+            for t, j in enumerate(support):
+                s[j] = -1 if (first ^ t ^ j) & 1 else 1
+            out.append(tuple(s))
+    out.sort()
+    return out
+
+
 def covectors_by_prefix_dfs(m: int, k: int) -> list[tuple]:
     """All covectors of C^{m,k+1} as sign tuples, lexicographic in the order (-1, 0, +1).
 

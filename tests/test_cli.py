@@ -206,6 +206,15 @@ def test_classify_requires_range():
     (["classify", "--k", "2", "--n", "5", "--n-range", "1..2"], "--n or --n-range"),
     (["classify", "--n", "1", "--k", "2", "--max-degree", "1"],
      "(n, k) = (1, 2): the total class in ring ZERO_MOD_4 needs max_degree >= 2, got 1"),
+    (["matroid", "--m", "5", "--k", "2", "--zero-tol", "-1", "--samples", "10"],
+     "(m, k) = (5, 2) needs a finite zero_tol > 0, got -1.0"),
+    (["matroid", "--m", "5", "--k", "2", "--zero-tol", "nan"], "(m, k) = (5, 2)"),
+    (["matroid", "--m", "5", "--k", "2", "--seed", "-1"],
+     "(m, k) = (5, 2) needs seed >= 0, got -1"),
+    (["geometry", "--n", "2", "--k", "2", "--zero-tol", "0"],
+     "(n, k) = (2, 2) needs a finite --zero-tol > 0, got 0.0"),
+    (["geometry", "--k", "2", "--sweep", "--n-range", "2..4", "--zero-tol", "inf"],
+     "(n, k) = (2..4, 2)"),
 ])
 def test_main_refuses_bad_input_with_one_line(capsys, argv, names):
     assert cli.main(argv) == 2

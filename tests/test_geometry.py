@@ -1,3 +1,4 @@
+import tracemalloc
 from math import comb
 
 import numpy as np
@@ -134,6 +135,47 @@ def test_verify_realization_counts_match_unique_rows(monkeypatch):
             c for s, c in rows.items() if s[0] != 1)
 
 
+@pytest.mark.parametrize("block", [1, 7, 4096])
+def test_verify_realization_does_not_depend_on_the_block_size(monkeypatch, block):
+    # each block costs a merge, so the small blocks stop before 20000 samples
+    sample_counts = {1: (0, 5, 500), 7: (0, 5, 4096, 4097),
+                     4096: (0, 5, 4096, 4097, 20000)}[block]
+    cases = [(m, k, samples, seed) for m, k, seed in [(5, 2, 0), (12, 4, 2), (70, 2, 1)]
+             for samples in sample_counts]
+    expected = {case: (verify_realization(*case), sampled_sign_patterns(
+        config_for(*case[:2]).vectors, case[2], case[3], TOL)) for case in cases}
+    monkeypatch.setattr(geometry_module, "_REALIZE_BLOCK", block)
+    for case, (report, rows) in expected.items():
+        assert verify_realization(*case) == report, case
+        assert report["sampled_full_support_patterns"] == len(rows), case
+    # a wrong covector rule: the rejected samples are still counted per row
+    monkeypatch.setattr(geometry_module, "is_covector", lambda s, k: s[0] == 1)
+    for case, (_, rows) in expected.items():
+        rejected = sum(c for s, c in rows.items() if s[0] != 1)
+        if not rejected:
+            continue
+        with pytest.raises(RealizationError) as err:
+            verify_realization(*case)
+        assert err.value.report["sampled_full_support_patterns"] == len(rows), case
+        assert err.value.report["non_covector_samples"] == rejected, case
+
+
+def test_verify_realization_memory_does_not_grow_with_samples():
+    verify_realization(12, 4, samples=10**4, seed=0)   # warm-up: lazy imports
+    tracemalloc.start()
+    try:
+        report = verify_realization(12, 4, samples=10**6, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the report recorded when all the samples were drawn at once
+    assert report == {
+        "m": 12, "k": 4, "samples": 10**6, "seed": 0,
+        "sampled_full_support_patterns": 1043, "non_covector_samples": 0,
+        "cocircuits_realized": 990, "status": "pass"}
+    assert peak < 4 << 20, "traced peak %.1f MB" % (peak / 2**20)
+
+
 def test_verify_realization_packs_rows_past_one_word():
     # m = 70 takes two uint64 words per sampled row; the report is the one
     # recorded from the byte-string np.unique sampler the word packing replaced
@@ -149,6 +191,11 @@ def test_verify_realization_refuses_bad_input_up_front():
         verify_realization(3, 5)
     with pytest.raises(ValueError, match=r"\(m, k\) = \(6, 2\)"):
         verify_realization(6, 2, samples=-1)
+    for tol in (-1.0, 0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=r"\(m, k\) = \(5, 2\) needs a finite zero_tol"):
+            verify_realization(5, 2, samples=10, zero_tol=tol)
+    with pytest.raises(ValueError, match=r"\(m, k\) = \(5, 2\) needs seed >= 0, got -1"):
+        verify_realization(5, 2, seed=-1)
     assert verify_realization(4, 1, samples=0)["sampled_full_support_patterns"] == 0
 
 

@@ -13,7 +13,8 @@ from stablekneser.matroid import (cocircuit_count, count_covectors,
                                   negate, parse_sign_vector,
                                   render_sign_vector, side_masks,
                                   sign_vector_from_sides)
-from oracles import (covectors_by_prefix_dfs, dihedral_sign_reference, is_cocircuit,
+from oracles import (cocircuits_by_support_loop, covectors_by_prefix_dfs,
+                     dihedral_sign_reference, is_cocircuit,
                      lp_sign_feasible, minimal_degree_by_gap_parity,
                      polynomial_sign_patterns, random_polynomial_patterns,
                      sign_vectors_orthogonal)
@@ -168,6 +169,12 @@ def test_cocircuits_direct_vs_filter():
                         if sum(1 for v in s if v == 0) == k}
             assert direct == filtered
             assert all(is_cocircuit(s, k) for s in direct)
+
+
+def test_cocircuits_equal_the_support_loop():
+    cases = [(m, k) for m in range(1, 11) for k in range(m)] + [(14, 6), (70, 2)]
+    for m, k in cases:
+        assert enumerate_cocircuits(m, k) == cocircuits_by_support_loop(m, k), (m, k)
 
 
 def test_count_covectors_closed_form():
