@@ -508,11 +508,6 @@ def vanishing_windows(n: int, k: int) -> list[tuple[int, int]]:
     return out
 
 
-def vanishing_window(n: int, k: int) -> Optional[tuple[int, int]]:
-    windows = vanishing_windows(n, k)
-    return windows[0] if windows else None
-
-
 TEST_GRAPH_CERTIFIED = "TEST_GRAPH_CERTIFIED"
 TEST_GRAPH_UP_TO_DEGREE = "TEST_GRAPH_UP_TO_DEGREE"
 NON_TEST_FOR_LARGE_N = "NON_TEST_FOR_LARGE_N"

@@ -83,8 +83,11 @@ def cmd_graph(cfg: RunConfig) -> tuple[dict, int]:
 
 def cmd_homology(cfg: RunConfig) -> tuple[dict, int]:
     g = graphs.stable_kneser_graph(cfg.n, cfg.k)
-    hom_betti = list(complexes.hom_betti(graphs.k2(), g))
-    nc_betti = list(complexes.z2_betti(complexes.neighbourhood_complex(g)))
+    try:
+        hom_betti = list(complexes.hom_betti(graphs.k2(), g))
+        nc_betti = list(complexes.z2_betti(complexes.neighbourhood_complex(g)))
+    except ValueError as exc:
+        raise ValueError("homology of (n, k) = (%d, %d): %s" % (cfg.n, cfg.k, exc)) from exc
     expected = sphere_betti(cfg.k)
     report = {
         "command": "homology",
@@ -245,6 +248,8 @@ def run(cfg: RunConfig) -> tuple[str, int]:
             raise ValueError("classify needs --n or --n-range")
         doc, status = cmd_classify(cfg)
     elif cfg.command == "geometry":
+        if cfg.pretty:
+            raise ValueError("geometry prints CSV; --pretty applies to the JSON subcommands")
         if cfg.n is None and not (cfg.sweep and cfg.n_range is not None):
             raise ValueError("geometry needs --n, or --sweep with --n-range")
         if not 0 < cfg.zero_tol < math.inf:

@@ -76,9 +76,6 @@ class FinitePoset:
                 out.append(i)
         return out
 
-    def maximal(self) -> list[int]:
-        return [i for i in range(self.n) if self.above[i] == 1 << i]
-
     def covers(self) -> list[list[int]]:
         """covers[i] = indices j covering i."""
         n = self.n
@@ -136,9 +133,6 @@ class SimplicialComplex:
         verts = sorted({v for f in uniq for v in f}, key=repr)
         uniq.sort(key=lambda f: (len(f), sorted(map(repr, f))))
         return cls(tuple(verts), tuple(uniq))
-
-    def dimension(self) -> int:
-        return max((len(f) - 1 for f in self.facets), default=-1)
 
     def all_faces(self, max_faces: int = 10 ** 6) -> dict[int, list[frozenset]]:
         """Downward closure, keyed by dimension."""
@@ -353,18 +347,6 @@ def order_complex(p: FinitePoset) -> SimplicialComplex:
     """Chains of the poset; facets are the maximal chains."""
     chains = p.maximal_chains()
     return SimplicialComplex.from_faces([frozenset(c) for c in chains])
-
-
-def looped_one_skeleton(p: FinitePoset) -> Graph:
-    """Reflexive graph on atoms; adjacent iff a common upper bound exists."""
-    atoms = p.atoms()
-    na = len(atoms)
-    adj = [0] * na
-    for a in range(na):
-        for b in range(na):
-            if p.above[atoms[a]] & p.above[atoms[b]]:
-                adj[a] |= 1 << b
-    return Graph(tuple(adj))
 
 
 # ---------------------------------------------------------------------------

@@ -62,16 +62,6 @@ class OrthogonalRep:
             out = self.rho_matrix @ out
         return out
 
-    def act(self, x: np.ndarray, g: DihedralElement) -> np.ndarray:
-        return self.matrix(g) @ x
-
-    def matrices_text(self, digits: int = 6) -> str:
-        """Both generator matrices, printable for audit."""
-        fmt = {"float_kind": lambda v: "% .*f" % (digits, v)}
-        return "sigma =\n%s\nrho =\n%s\n" % (
-            np.array2string(self.sigma_matrix, formatter=fmt),
-            np.array2string(self.rho_matrix, formatter=fmt))
-
     def relation_deviations(self) -> dict[str, float]:
         eye = np.eye(self.dim)
         sig, rho = self.sigma_matrix, self.rho_matrix
@@ -212,12 +202,6 @@ def _realize_zero_sets(vectors: Sequence[SignVector], config: MomentConfig,
     return points
 
 
-def realize_cocircuit(s: SignVector, config: MomentConfig,
-                      zero_tol: float = 1e-9) -> np.ndarray:
-    """A unit point whose sign vector is s, via the exact zero-set solve."""
-    return _realize_zero_sets([s], config, zero_tol)[0]
-
-
 def _tope_witness(s: SignVector, config: MomentConfig,
                   max_steps: int = 200000) -> Optional[np.ndarray]:
     """A point with sign vector s, or None.
@@ -336,17 +320,10 @@ def verify_realization(m: int, k: int, samples: int = 100000,
 # the vertex map v(S) and Borsuk-graph experiments
 
 
-def signed_sum(s: CircularSet, config: MomentConfig) -> np.ndarray:
-    total = np.zeros(config.k + 1)
-    for i in s.members():
-        total += (-1) ** i * config.vectors[i]
-    return total
-
-
 def v_of_set(s: CircularSet, config: MomentConfig,
              min_norm: float = 1e-12) -> np.ndarray:
     """Normalized alternating sum over the set; never zero on stable sets."""
-    total = signed_sum(s, config)
+    total = _signed_sums([s], config)[0]
     nrm = float(np.linalg.norm(total))
     if nrm < min_norm:
         raise ValueError("alternating sum vanished on %s; "
@@ -363,10 +340,11 @@ def _incidence(verts: Sequence[CircularSet], m: int) -> np.ndarray:
 
 
 def _signed_sums(verts: Sequence[CircularSet], config: MomentConfig) -> np.ndarray:
-    """signed_sum of every set, as rows; the sets must have equal size.
+    """The alternating sum of (-1)^i v_i over the members i of every set, as rows.
 
-    Adds the terms member by member in the order signed_sum does, all sets
-    at once, so every row equals signed_sum bit for bit.
+    The sets must have equal size.  Adds the terms member by member in
+    increasing order, all sets at once, so every row equals that loop over
+    one set bit for bit.
     """
     members = np.nonzero(_incidence(verts, config.m))[1].reshape(len(verts), -1)
     terms = np.where(np.arange(config.m) % 2 == 0, 1.0, -1.0)[:, None] * config.vectors
@@ -439,18 +417,6 @@ def point_to_vertex(x: np.ndarray, l: int, n: int, k: int,
             return v
     raise ValueError("no stable %d-subset inside S_%d = %s"
                      % (n, l, CircularSet(config.m, side)))
-
-
-def vertex_images_csv(n: int, k: int) -> str:
-    """The point set {v(S)} as CSV rows: members;coordinates."""
-    config = moment_vectors(n, k)
-    header = "members," + ",".join("x%d" % i for i in range(k + 1))
-    lines = [header]
-    for s in enumerate_stable_sets(n, config.m):
-        point = v_of_set(s, config)
-        lines.append("%s,%s" % ("|".join(str(j) for j in s.members()),
-                                ",".join(repr(float(c)) for c in point)))
-    return "\n".join(lines) + "\n"
 
 
 def geometry_row(n: int, k: int) -> dict:

@@ -236,14 +236,6 @@ def complete_graph(s: int) -> Graph:
     return graph_from_edges(s, [(i, j) for i in range(s) for j in range(i + 1, s)])
 
 
-def cycle_graph(length: int) -> Graph:
-    return graph_from_edges(length, [(i, (i + 1) % length) for i in range(length)])
-
-
-def one_vertex_looped() -> Graph:
-    return Graph((1,))
-
-
 def k2() -> Graph:
     return complete_graph(2)
 
@@ -284,14 +276,6 @@ def _gapped_masks(start: int, limit: int, need: int, memo: dict) -> list[int]:
     return memo[start, need]
 
 
-def stable_set_count(n: int, m: int) -> int:
-    """Closed form m/(m-n) * C(m-n, n)."""
-    from math import comb
-    if m < 2 * n:
-        return 0
-    return m * comb(m - n, n) // (m - n)
-
-
 def kneser_graph(n: int, k: int) -> Graph:
     """KG_{n,k}: n-subsets of Z_{2n+k}, adjacent iff disjoint."""
     if n < 1 or k < 0:
@@ -321,55 +305,6 @@ def _disjointness_graph(labels: Sequence[CircularSet]) -> Graph:
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
     return Graph(tuple(adj), tuple(labels))
-
-
-# ---------------------------------------------------------------------------
-# categorical product and exponential
-
-
-def product(g: Graph, h: Graph) -> Graph:
-    """Categorical product: (u,u') ~ (v,v') iff u~v in G and u'~v' in H."""
-    nv = g.n * h.n
-    adj = [0] * nv
-    for u in range(g.n):
-        for up in range(h.n):
-            i = u * h.n + up
-            for v in range(g.n):
-                if not g.has_edge(u, v):
-                    continue
-                row = h.adjacency[up]
-                for vp in range(h.n):
-                    if row >> vp & 1:
-                        adj[i] |= 1 << (v * h.n + vp)
-    return Graph(tuple(adj))
-
-
-def exponential(g: Graph, h: Graph, max_vertices: int = 10 ** 6) -> Graph:
-    """Exponential graph [G,H]: vertices are all maps V(G)->V(H).
-
-    (f,g') is an edge iff every edge (u,v) of G has (f(u), g'(v)) in E(H);
-    looped vertices are exactly the graph homomorphisms G -> H.
-    """
-    if h.n ** g.n > max_vertices:
-        raise ValueError("exponential graph would have %d vertices (limit %d)"
-                         % (h.n ** g.n, max_vertices))
-    maps = list(itertools.product(range(h.n), repeat=g.n))
-    gedges = []
-    for u in range(g.n):
-        row = g.adjacency[u]
-        for v in range(g.n):
-            if row >> v & 1:
-                gedges.append((u, v))
-    nv = len(maps)
-    adj = [0] * nv
-    for i, f in enumerate(maps):
-        for j in range(i, nv):
-            fj = maps[j]
-            if all(h.has_edge(f[u], fj[v]) and h.has_edge(fj[u], f[v])
-                   for u, v in gedges):
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    return Graph(tuple(adj))
 
 
 # ---------------------------------------------------------------------------
@@ -662,33 +597,3 @@ def automorphism_group_order(g: Graph, max_vertices: int = 16) -> int:
 
     rec(0)
     return count
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def graph_to_json_dict(g: Graph) -> dict:
-    """JSON document {m, n, k, vertices, edges}; m/n/k need labels."""
-    doc: dict = {"m": None, "n": None, "k": None}
-    if g.labels is not None:
-        m = g.labels[0].m
-        sizes = {len(l) for l in g.labels}
-        if len(sizes) == 1:
-            nn = sizes.pop()
-            doc = {"m": m, "n": nn, "k": m - 2 * nn}
-        else:
-            doc = {"m": m, "n": None, "k": None}
-        doc["vertices"] = [list(l.members()) for l in g.labels]
-    else:
-        doc["vertices"] = [[v] for v in range(g.n)]
-    doc["edges"] = [[i, j] for i, j in g.edges(include_loops=False)]
-    return doc
-
-
-def graph_to_dimacs(g: Graph) -> str:
-    """DIMACS edge-list format, vertices 1-based."""
-    edges = g.edges(include_loops=False)
-    lines = ["p edge %d %d" % (g.n, len(edges))]
-    lines += ["e %d %d" % (i + 1, j + 1) for i, j in edges]
-    return "\n".join(lines) + "\n"

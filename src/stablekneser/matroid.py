@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from math import comb
-from operator import neg, sub
+from operator import sub
 from typing import Optional, Sequence
 
 import numpy as np
@@ -41,10 +41,6 @@ def parse_sign_vector(text: str) -> SignVector:
 
 def render_sign_vector(s: SignVector) -> str:
     return "".join(_CHARS[v] for v in s)
-
-
-def negate(s: SignVector) -> SignVector:
-    return tuple(map(neg, s))
 
 
 def side_masks(s: SignVector) -> tuple[int, int]:
@@ -257,13 +253,3 @@ def covector_extension_feasible(partial: Sequence[Optional[int]], k: int) -> boo
         if not states:
             return False
     return any(last is not None for last in states)
-
-
-def covectors_to_json_dict(m: int, k: int,
-                           covectors: Sequence[SignVector]) -> dict:
-    return {
-        "m": m,
-        "k": k,
-        "count": len(covectors),
-        "covectors": [render_sign_vector(s) for s in covectors],
-    }

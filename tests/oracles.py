@@ -2,17 +2,21 @@
 
 Everything here is deliberately naive: exhaustive polynomial families,
 LP feasibility, brute-force colourings and permutation search.  None of it
-shares code with the implementations under test, except `poly_zero`, which
-builds the empty series through the package's own constructor.
+shares code with the implementations under test, except the fixtures
+`poly_zero`, `cycle_graph` and `one_vertex_looped`, which build the empty
+series and two small graphs through the package's own constructors.
 """
 
 import functools
 import itertools
+from operator import neg
 from typing import Optional, Sequence
 
 import numpy as np
 
 from stablekneser.charclasses import GradedPoly
+from stablekneser.graphs import Graph, graph_from_edges
+from stablekneser.matroid import SignVector
 
 
 def polynomial_sign_patterns(m: int, k: int) -> set:
@@ -150,6 +154,10 @@ def random_polynomial_patterns(m: int, k: int, trials: int, seed: int) -> set:
             continue
         out.add(tuple(1 if v > 0 else -1 for v in vals))
     return out
+
+
+def negate(s: SignVector) -> SignVector:
+    return tuple(map(neg, s))
 
 
 def dihedral_sign_reference(s, shift: int, flip: bool) -> tuple:
@@ -355,6 +363,14 @@ def hom_cells_by_product_filter(g_adjacency, h_adjacency) -> dict:
     return out
 
 
+def cycle_graph(length: int) -> Graph:
+    return graph_from_edges(length, [(i, (i + 1) % length) for i in range(length)])
+
+
+def one_vertex_looped() -> Graph:
+    return Graph((1,))
+
+
 def homomorphisms(g, h) -> list[tuple[int, ...]]:
     """All graph homomorphisms G -> H by backtracking."""
     gedges = [(u, v) for u in range(g.n) for v in range(g.n)
@@ -408,6 +424,14 @@ def stable_set_masks_by_recursion(n: int, m: int) -> list[int]:
     rec(2, m - 2, 1, n - 1)
     rec(1, m - 1, 0, n)
     return out
+
+
+def stable_set_count(n: int, m: int) -> int:
+    """Closed form m/(m-n) * C(m-n, n)."""
+    from math import comb
+    if m < 2 * n:
+        return 0
+    return m * comb(m - n, n) // (m - n)
 
 
 def members_by_range_scan(m: int, mask: int) -> tuple:

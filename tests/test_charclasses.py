@@ -12,8 +12,7 @@ from stablekneser.charclasses import (CYCLIC_4, ODD, TWO_MOD_4, ZERO_MOD_4,
                                       restrict, restriction_names,
                                       ring_for, total_sw_class,
                                       total_sw_class_from_blocks,
-                                      vanishing_window, vanishing_windows,
-                                      wbar)
+                                      vanishing_windows, wbar)
 import stablekneser.charclasses as charclasses_module
 
 D = 24  # default truncation for the small tests
@@ -167,13 +166,13 @@ def test_naturality_of_rho_restriction_for_odd_k():
 
 
 def test_vanishing_window_examples():
-    assert vanishing_window(3, 5) == (2, 4)
-    assert vanishing_window(2, 3) == (1, 2)
-    assert vanishing_window(3, 6) == (2, 4)   # n odd, m = 0 mod 4 case
-    assert vanishing_window(4, 6) == (2, 4)   # n even, m = 2 mod 4 case
-    assert vanishing_window(3, 1) is None
-    assert vanishing_window(2, 4) is None     # r = 2 below the threshold
-    assert vanishing_window(1, 0) is None
+    assert vanishing_windows(3, 5)[:1] == [(2, 4)]
+    assert vanishing_windows(2, 3)[:1] == [(1, 2)]
+    assert vanishing_windows(3, 6)[:1] == [(2, 4)]   # n odd, m = 0 mod 4 case
+    assert vanishing_windows(4, 6)[:1] == [(2, 4)]   # n even, m = 2 mod 4 case
+    assert vanishing_windows(3, 1)[:1] == []
+    assert vanishing_windows(2, 4)[:1] == []   # r = 2 below the threshold
+    assert vanishing_windows(1, 0)[:1] == []
 
 
 def test_windows_match_series():

@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import subprocess
@@ -7,7 +8,7 @@ import jsonschema
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stablekneser import charclasses, cli
+from stablekneser import charclasses, cli, complexes
 
 SCHEMA_DIR = os.path.join(os.path.dirname(cli.__file__), "schemas")
 
@@ -215,6 +216,7 @@ def test_classify_requires_range():
      "(n, k) = (2, 2) needs a finite --zero-tol > 0, got 0.0"),
     (["geometry", "--k", "2", "--sweep", "--n-range", "2..4", "--zero-tol", "inf"],
      "(n, k) = (2..4, 2)"),
+    (["geometry", "--n", "2", "--k", "2", "--pretty"], "geometry prints CSV"),
 ])
 def test_main_refuses_bad_input_with_one_line(capsys, argv, names):
     assert cli.main(argv) == 2
@@ -222,6 +224,16 @@ def test_main_refuses_bad_input_with_one_line(capsys, argv, names):
     assert out == ""
     assert err.startswith("stablekneser: error: ") and err.count("\n") == 1
     assert names in err
+
+
+def test_homology_refusal_names_the_instance(capsys, monkeypatch):
+    monkeypatch.setattr(complexes, "hom_cells",
+                        functools.partial(complexes.hom_cells, max_cells=50))
+    assert cli.main(["homology", "--n", "2", "--k", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("stablekneser: error: homology of (n, k) = (2, 2): "
+                   "refusing: more than 50 cells\n")
 
 
 def test_geometry_has_no_seed_option(capsys):

@@ -11,21 +11,20 @@ from stablekneser.complexes import (FinitePoset, SimplicialComplex,
                                     gf2_rank_dense,
                                     gf2_rank_sparse, hom_betti,
                                     hom_cells, hom_poset,
-                                    looped_one_skeleton,
                                     neighbourhood_complex, order_complex,
                                     verify_nerve, z2_betti)
 from stablekneser.graphs import (CircularSet, DihedralElement, complete_graph,
-                                 cycle_graph, graph_from_edges, k2, one_vertex_looped,
-                                 permute_mask, stable_kneser_graph,
-                                 vertex_permutation)
+                                 graph_from_edges, k2, permute_mask,
+                                 stable_kneser_graph, vertex_permutation)
 from stablekneser.matroid import (count_covectors, covector_leq,
                                   dihedral_act_sign, enumerate_cocircuits,
-                                  enumerate_covectors, negate,
-                                  parse_sign_vector, side_masks)
-from oracles import (boundary_squared_is_zero, dihedral_sign_reference,
-                     equivariance_reference, euler_characteristic_consistent,
-                     hom_cells_by_product_filter, homomorphisms,
-                     z2_betti_by_frozensets)
+                                  enumerate_covectors, parse_sign_vector,
+                                  side_masks)
+from oracles import (boundary_squared_is_zero, cycle_graph,
+                     dihedral_sign_reference, equivariance_reference,
+                     euler_characteristic_consistent,
+                     hom_cells_by_product_filter, homomorphisms, negate,
+                     one_vertex_looped, z2_betti_by_frozensets)
 
 P = parse_sign_vector
 
@@ -464,29 +463,6 @@ def test_verify_nerve():
     with pytest.raises(ValueError):
         verify_nerve(4, 2)  # 25 vertices; needs max_set_size
     assert verify_nerve(4, 2, max_set_size=1)
-
-
-def test_looped_one_skeleton_hexagon():
-    p = hom_poset(k2(), complete_graph(3))
-    g = looped_one_skeleton(p)
-    assert g.n == 6
-    assert sorted(g.degree(v) for v in range(6)) == [3] * 6  # loop + 2 nbrs
-    assert len(g.looped_vertices()) == 6
-    loopless = graph_from_edges(
-        6, [(i, j) for i in range(6) for j in range(i + 1, 6)
-            if g.has_edge(i, j)])
-    assert all(loopless.degree(v) == 2 for v in range(6))
-
-
-def test_looped_one_skeleton_degenerate():
-    chain = FinitePoset(["a", "ab"], lambda x, y: set(x) <= set(y))
-    g = looped_one_skeleton(chain)
-    assert g.n == 1 and g.has_loop(0)
-    # antichain of atoms with no common upper bounds: loops only
-    anti = FinitePoset(["p", "q", "r"], lambda a, b: a == b)
-    g2 = looped_one_skeleton(anti)
-    assert g2.n == 3
-    assert all(g2.neighbours(v) == (v,) for v in range(3))
 
 
 def test_poset_rejects_bad_order():

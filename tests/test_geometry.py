@@ -9,17 +9,16 @@ from stablekneser.geometry import (RealizationError, borsuk_adjacent,
                                    config_for, eq3_deviations, geometry_row,
                                    max_edge_defect, min_vertex_norm,
                                    moment_vectors, point_to_vertex,
-                                   realize_cocircuit, representation,
-                                   sign_vector_of_point, signed_sum, v_of_set,
-                                   verify_realization)
+                                   representation, sign_vector_of_point,
+                                   v_of_set, verify_realization)
 from stablekneser.graphs import (CircularSet, DihedralElement, dihedral_act,
                                  enumerate_stable_sets, generate_subgroup,
                                  stable_kneser_graph)
 from stablekneser.matroid import (dihedral_act_sign, enumerate_cocircuits,
-                                  is_covector, negate, parse_sign_vector)
+                                  is_covector, parse_sign_vector)
 import stablekneser.geometry as geometry_module
 from oracles import (alternating_sums_by_set, first_stable_subset_by_search,
-                     max_edge_defect_by_pairs, sampled_sign_patterns)
+                     max_edge_defect_by_pairs, negate, sampled_sign_patterns)
 
 TOL = 1e-9
 
@@ -91,14 +90,14 @@ def test_sign_action_matches_geometry():
             if 0 in s:
                 continue
             for g in elems:
-                assert sign_vector_of_point(rep.act(x, g), config) == \
+                assert sign_vector_of_point(rep.matrix(g) @ x, config) == \
                     dihedral_act_sign(s, g), (n, k, g)
 
 
 def test_realize_cocircuit():
     config = moment_vectors(2, 1)
     for s in enumerate_cocircuits(5, 1):
-        x = realize_cocircuit(s, config)
+        x = geometry_module._realize_zero_sets([s], config)[0]
         assert sign_vector_of_point(x, config) == s
 
 
@@ -203,7 +202,7 @@ def test_verify_realization_detects_corruption():
     # a corrupt "cocircuit" whose zero set does not support its signs
     config = moment_vectors(2, 1)
     with pytest.raises(RealizationError):
-        realize_cocircuit(parse_sign_vector("+-+-0"), config)
+        geometry_module._realize_zero_sets([parse_sign_vector("+-+-0")], config)
 
 
 def test_stacked_realization_matches_one_svd_per_cocircuit(monkeypatch):
@@ -246,7 +245,7 @@ def test_verify_realization_names_the_first_unrealized_cocircuit(monkeypatch):
 def test_v_of_set_example_and_equivariance():
     config = moment_vectors(2, 1)
     s = CircularSet.from_members(5, [0, 2])
-    raw = signed_sum(s, config)
+    raw = alternating_sums_by_set([s.members()], config.vectors)[0]
     assert abs(np.linalg.norm(raw) - 2 * np.cos(np.pi / 5)) < TOL
     assert abs(np.linalg.norm(v_of_set(s, config)) - 1.0) < TOL
     for n, k in [(2, 1), (2, 2), (4, 2)]:
@@ -258,7 +257,7 @@ def test_v_of_set_example_and_equivariance():
         for vert in enumerate_stable_sets(n, m):
             base = v_of_set(vert, config)
             for g in elems:
-                dev = np.linalg.norm(v_of_set(dihedral_act(vert, g), config) - rep.act(base, g))
+                dev = np.linalg.norm(v_of_set(dihedral_act(vert, g), config) - rep.matrix(g) @ base)
                 assert dev < TOL, (n, k, g)
 
 
@@ -306,7 +305,6 @@ def test_signed_sums_and_edge_defect_match_the_loops_bit_for_bit():
             sums = geometry_module._signed_sums(verts, config)
             loop = alternating_sums_by_set([s.members() for s in verts], config.vectors)
             assert np.array_equal(sums, loop), (n, k)
-            assert np.array_equal(sums, np.array([signed_sum(s, config) for s in verts]))
             assert min_vertex_norm(n, k) == float(np.linalg.norm(loop, axis=1).min())
             assert max_edge_defect(n, k) == max_edge_defect_by_pairs(
                 [s.mask for s in verts], loop), (n, k)
@@ -332,7 +330,7 @@ def test_borsuk_edges_cover_sg_edges_at_large_n():
 
 def test_point_to_vertex():
     config = moment_vectors(2, 1)
-    x = realize_cocircuit(parse_sign_vector("++++0"), config)
+    x = geometry_module._realize_zero_sets([parse_sign_vector("++++0")], config)[0]
     assert point_to_vertex(x, 0, 2, 1, config).members() == (0, 2)
     assert point_to_vertex(x, 1, 2, 1, config).members() == (1, 3)
     g = stable_kneser_graph(2, 1)
@@ -373,21 +371,3 @@ def test_geometry_row_keys():
         row = geometry_row(n, k)
         assert row["min_vertex_norm"] == min_vertex_norm(n, k), (n, k)
         assert row["max_edge_defect"] == max_edge_defect(n, k), (n, k)
-
-
-def test_matrices_text_audit_form():
-    text = representation(2, 1).matrices_text()
-    assert text.startswith("sigma =")
-    assert "rho =" in text
-    assert text.count("-0.809017") >= 1  # -cos(pi/5) appears in sigma
-
-
-def test_vertex_images_csv():
-    from stablekneser.geometry import vertex_images_csv
-    text = vertex_images_csv(2, 1)
-    lines = text.strip().split("\n")
-    assert lines[0] == "members,x0,x1"
-    assert len(lines) == 6  # header + 5 vertices
-    row = dict(zip(("members", "x0", "x1"), lines[1].split(",")))
-    assert row["members"] == "0|2"
-    assert abs(float(row["x0"]) - np.cos(np.pi / 5)) < TOL

@@ -1,5 +1,4 @@
 import itertools
-import json
 import random
 
 import pytest
@@ -8,19 +7,17 @@ from hypothesis import given, settings, strategies as st
 from stablekneser import graphs
 from stablekneser.graphs import (CircularSet, DihedralElement, Graph,
                                  automorphism_group_order, chromatic_number,
-                                 complete_graph, cycle_graph, dihedral_act,
-                                 enumerate_stable_sets, exponential,
-                                 free_action_check, generate_subgroup,
-                                 graph_from_edges, graph_to_dimacs,
-                                 graph_to_json_dict,
-                                 is_valid_colouring, k2, kneser_graph,
-                                 one_vertex_looped, product,
-                                 stable_kneser_graph, stable_set_count,
-                                 vertex_criticality_check, vertex_permutation)
+                                 complete_graph, dihedral_act,
+                                 enumerate_stable_sets, free_action_check,
+                                 generate_subgroup, graph_from_edges,
+                                 is_valid_colouring, kneser_graph,
+                                 stable_kneser_graph, vertex_criticality_check,
+                                 vertex_permutation)
 from oracles import (brute_force_automorphisms, brute_force_chromatic,
-                     critical_by_all_deletions, dihedral_set_reference,
-                     dsatur_reference, homomorphisms, members_by_range_scan,
-                     stable_set_masks_by_recursion)
+                     critical_by_all_deletions, cycle_graph,
+                     dihedral_set_reference, dsatur_reference,
+                     members_by_range_scan, one_vertex_looped,
+                     stable_set_count, stable_set_masks_by_recursion)
 
 
 def is_cycle(g):
@@ -117,29 +114,6 @@ def test_kneser_graph_families():
     for n, k in ((0, 1), (2, -1)):
         with pytest.raises(ValueError, match=r"\(n, k\) = \(%d, %d\)" % (n, k)):
             kneser_graph(n, k)
-
-
-def test_product():
-    p = product(k2(), k2())
-    assert p.n == 4
-    assert len(p.edges(include_loops=False)) == 2
-    assert all(p.degree(v) == 1 for v in range(4))
-
-
-def test_exponential():
-    e = exponential(k2(), complete_graph(3))
-    assert len(e.looped_vertices()) == 6 == len(homomorphisms(k2(), complete_graph(3)))
-    term = exponential(complete_graph(3), one_vertex_looped())
-    assert term.n == 1 and term.has_loop(0)
-    with pytest.raises(ValueError):
-        exponential(complete_graph(5), complete_graph(20), max_vertices=1000)
-
-
-def test_hom_count_matches_looped_vertices():
-    cases = [(k2(), complete_graph(3)), (k2(), cycle_graph(5)),
-             (cycle_graph(3), complete_graph(4)), (k2(), kneser_graph(2, 0))]
-    for g, h in cases:
-        assert len(homomorphisms(g, h)) == len(exponential(g, h).looped_vertices())
 
 
 def test_chromatic_number_basics():
@@ -367,20 +341,6 @@ def test_subgroup_generation():
     rotations = generate_subgroup([DihedralElement.sigma(6)])
     assert len(rotations) == 6
     assert len(generate_subgroup([DihedralElement.sigma(6, 3)])) == 2
-
-
-def test_json_and_dimacs_export():
-    g = stable_kneser_graph(2, 1)
-    doc = graph_to_json_dict(g)
-    assert doc["m"] == 5 and doc["n"] == 2 and doc["k"] == 1
-    assert sorted(map(tuple, doc["vertices"])) == \
-        sorted(s.members() for s in enumerate_stable_sets(2, 5))
-    assert len(doc["edges"]) == 5
-    json.dumps(doc)  # serializable
-    dimacs = graph_to_dimacs(g)
-    lines = dimacs.strip().split("\n")
-    assert lines[0] == "p edge 5 5"
-    assert len(lines) == 6 and all(l.startswith("e ") for l in lines[1:])
 
 
 def test_labels_must_be_injective():

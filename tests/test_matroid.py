@@ -10,12 +10,11 @@ from stablekneser.matroid import (cocircuit_count, count_covectors,
                                   covector_leq, covector_sides, dihedral_act_sign,
                                   enumerate_cocircuits, enumerate_covectors,
                                   is_covector, is_vector, minimal_degree,
-                                  negate, parse_sign_vector,
-                                  render_sign_vector, side_masks,
-                                  sign_vector_from_sides)
+                                  parse_sign_vector, render_sign_vector,
+                                  side_masks, sign_vector_from_sides)
 from oracles import (cocircuits_by_support_loop, covectors_by_prefix_dfs,
                      dihedral_sign_reference, is_cocircuit,
-                     lp_sign_feasible, minimal_degree_by_gap_parity,
+                     lp_sign_feasible, minimal_degree_by_gap_parity, negate,
                      polynomial_sign_patterns, random_polynomial_patterns,
                      sign_vectors_orthogonal)
 
@@ -373,11 +372,3 @@ def test_covector_extension_against_brute_force():
 def test_render_parse_roundtrip():
     for s in enumerate_covectors(4, 2):
         assert parse_sign_vector(render_sign_vector(s)) == s
-
-
-def test_covectors_json_export():
-    from stablekneser.matroid import covectors_to_json_dict
-    covs = enumerate_covectors(3, 1)
-    doc = covectors_to_json_dict(3, 1, covs)
-    assert doc["count"] == 12 and doc["m"] == 3 and doc["k"] == 1
-    assert "+++" in doc["covectors"] and "+0-" in doc["covectors"]
