@@ -267,12 +267,17 @@ def run(cfg: RunConfig) -> tuple[str, int]:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Console entry point: a refused input or an unwritable --out path is one
-    line on stderr, exit code 2.  The --out file is opened before the work.
+    line on stderr, exit code 2.  The --out file is opened for appending
+    before the work, so a path that cannot be opened is refused first, and
+    is emptied and written only once the report is ready: a refused input
+    leaves an existing file as it was.
     """
     cfg = config_from_args(build_parser().parse_args(argv))
     try:
+        if cfg.out:
+            open(cfg.out, "a").close()
+        text, status = run(cfg)
         with open(cfg.out, "w") if cfg.out else contextlib.nullcontext(sys.stdout) as fh:
-            text, status = run(cfg)
             fh.write(text)
     except (ValueError, OSError) as exc:
         sys.stderr.write("stablekneser: error: %s\n" % exc)

@@ -27,13 +27,7 @@ class CircularSet:
         return cls(m, mask)
 
     def members(self) -> tuple[int, ...]:
-        out = []
-        mask = self.mask
-        while mask:
-            low = mask & -mask
-            out.append(low.bit_length() - 1)
-            mask ^= low
-        return tuple(out)
+        return tuple(_bits(self.mask))
 
     def __len__(self) -> int:
         return self.mask.bit_count()
@@ -314,9 +308,11 @@ def _disjointness_graph(labels: Sequence[CircularSet]) -> Graph:
 def chromatic_number(g: Graph, return_colouring: bool = False):
     """Exact chromatic number by branch and bound.
 
-    Clique lower bound, greedy upper bound, then k-colourability decided by
-    backtracking in a fixed vertex order.  Practical to a few dozen
-    vertices.  A loop makes the graph uncolourable and raises.
+    Greedy colouring in decreasing degree order for the upper bound, a
+    greedy clique for the lower bound, then each colour count between them
+    decided by `_k_colouring`.  The witness is the greedy colouring unless
+    the search finds fewer colours.  A loop makes the graph uncolourable
+    and raises.
     """
     if not g.is_loopless():
         raise ValueError("graph has a loop; chromatic number undefined")
@@ -341,7 +337,7 @@ def chromatic_number(g: Graph, return_colouring: bool = False):
     best = greedy[:]
     chi = ub
     for kcol in range(lb, ub):
-        col = _try_colour(g, order, kcol)
+        col = _k_colouring(g, kcol)
         if col is not None:
             chi = kcol
             best = col
@@ -384,68 +380,99 @@ def _clique_lower_bound(g: Graph, order: Sequence[int]) -> int:
     return max(best, 1)
 
 
-def _try_colour(g: Graph, order: Sequence[int], kcol: int) -> Optional[list[int]]:
-    """Exact k-colourability by saturation-ordered backtracking (DSATUR).
+def _k_colouring(g: Graph, kcol: int) -> Optional[list[int]]:
+    """Exact k-colourability by maximal independent colour classes (Lawler).
 
-    Always branches on the uncoloured vertex seeing the most distinct
-    neighbour colours (ties by degree, then the fixed order), and spends a
-    fresh colour class at most once per node.  `order` must list every
-    vertex once.  Returns a proper colouring with colours < kcol, or None.
+    Some colouring gives the class of any chosen vertex v a maximal
+    independent set (move vertices into it until it is maximal), so the
+    search picks v of highest degree in what is left (lowest index on
+    ties), tries every maximal independent set containing v as one class,
+    listed by pivoted Bron-Kerbosch (Tomita et al. 2006) on the complement,
+    and colours the rest with one colour fewer.  Two colours are a
+    breadth-first 2-colouring.  Returns a proper colouring with colours
+    < kcol, or None.
     """
-    n = g.n
-    # Relabel the vertices by the static tie-break, degree and then `order`
-    # (the sort is stable): among the most saturated vertices the branching
-    # vertex is then the lowest bit.
-    static = sorted(order, key=lambda v: -g.degree(v))
-    pos = [0] * n
-    for i, v in enumerate(static):
-        pos[v] = i
-    adj = [permute_mask(g.adjacency[v], pos) for v in static]
-    colour = [-1] * n
-    forbidden = [0] * kcol      # forbidden[c]: vertices with a neighbour coloured c
-    level = [0] * (kcol + 1)    # level[s]: uncoloured vertices seeing s colours
-    level[0] = (1 << n) - 1
+    adj = g.adjacency
 
-    def rec(coloured: int, used: int) -> bool:
-        if coloured == n:
-            return True
-        s = kcol
-        while not level[s]:
-            s -= 1
-        if s == kcol:
-            return False
-        bit = level[s] & -level[s]
-        v = bit.bit_length() - 1
-        level[s] ^= bit
-        saved = level[:]
-        row = adj[v]
-        for c in range(min(kcol, used + 1)):
-            old = forbidden[c]
-            if old & bit:
-                continue
-            fresh = row & ~old
-            forbidden[c] = old | fresh
-            # every uncoloured vertex sits at level <= s; going down, a
-            # vertex moved up one level is not moved again
-            for t in range(s, -1, -1):
-                moved = level[t] & fresh
-                if moved:
-                    level[t] ^= moved
-                    level[t + 1] |= moved
-            colour[v] = c
-            if rec(coloured + 1, max(used, c + 1)):
-                return True
-            forbidden[c] = old
-            level[:] = saved
-        level[s] |= bit
-        return False
+    def rec(mask: int, k: int) -> Optional[list[int]]:
+        if not mask:
+            return []
+        if k <= 1:
+            independent = k == 1 and all(adj[v] & mask == 0 for v in _bits(mask))
+            return [mask] if independent else None
+        if k == 2:
+            return _two_colouring(adj, mask)
+        v = max(_bits(mask), key=lambda u: ((adj[u] & mask).bit_count(), -u))
 
-    if not rec(0, 0):
+        def extend(chosen: int, cand: int, done: int) -> Optional[list[int]]:
+            # cand: vertices that may still join `chosen`; done: vertices
+            # already branched on, so a set that could take one of them is
+            # either not maximal or was tried before
+            if not cand:
+                if done:
+                    return None
+                rest = rec(mask & ~chosen, k - 1)
+                return None if rest is None else [chosen] + rest
+            # pivot u: branch only on u and its neighbours in cand, since a
+            # maximal set without them would take u
+            u = min(_bits(cand | done),
+                    key=lambda w: (cand & (adj[w] | 1 << w)).bit_count())
+            branch = cand & (adj[u] | 1 << u)
+            while branch:
+                low = branch & -branch
+                outside = ~(adj[low.bit_length() - 1] | low)
+                found = extend(chosen | low, cand & outside, done & outside)
+                if found is not None:
+                    return found
+                cand ^= low
+                done |= low
+                branch ^= low
+            return None
+
+        bit = 1 << v
+        return extend(bit, mask & ~adj[v] & ~bit, 0)
+
+    classes = rec((1 << g.n) - 1, kcol)
+    if classes is None:
         return None
-    out = [-1] * n
-    for i, v in enumerate(static):
-        out[v] = colour[i]
+    colour = [-1] * g.n
+    for c, cls in enumerate(classes):
+        for v in _bits(cls):
+            colour[v] = c
+    return colour
+
+
+def _bits(mask: int) -> list[int]:
+    """The set bits of mask, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return out
+
+
+def _two_colouring(adj: Sequence[int], mask: int) -> Optional[list[int]]:
+    """The two sides of G[mask] by breadth-first search, or None if not bipartite."""
+    sides = [0, 0]
+    rest = mask
+    while rest:
+        frontier = rest & -rest
+        same = other = 0
+        while frontier:
+            same |= frontier
+            reach = 0
+            for v in _bits(frontier):
+                reach |= adj[v]
+            reach &= mask
+            if reach & same:
+                return None
+            frontier = reach & ~other
+            same, other = other, same
+        sides[0] |= same
+        sides[1] |= other
+        rest &= ~(same | other)
+    return sides
 
 
 def is_valid_colouring(g: Graph, colouring: Sequence[int]) -> bool:
@@ -495,7 +522,7 @@ def vertex_criticality_check(g: Graph, chi: Optional[int] = None,
         if find(v) != v:
             continue
         h = g.delete_vertex(v)
-        col = _try_colour(h, _degree_order(h), chi - 1)
+        col = _k_colouring(h, chi - 1)
         if col is None:
             return False
         if not is_valid_colouring(h, col):

@@ -250,9 +250,9 @@ def dsatur_reference(g, order, kcol: int):
 
     Always branches on the uncoloured vertex seeing the most distinct
     neighbour colours (ties by degree, then the fixed order), and spends a
-    fresh colour class at most once per node.  This is the plain form of
-    `graphs._try_colour`, with tuple keys and per-node neighbour lists; the
-    two must return the same colouring (or None) on every input.
+    fresh colour class at most once per node.  It branches on single
+    vertices, not on colour classes, so it checks `graphs._k_colouring`
+    by a different route: the two must agree on whether a colouring exists.
     """
     n = g.n
     colour = [-1] * n

@@ -166,6 +166,25 @@ def test_out_to_a_missing_directory_is_refused_before_the_work(tmp_path, capsys,
     assert str(out) in err and not out.exists()
 
 
+@pytest.mark.parametrize("argv", [["classify", "--k", "1"],
+                                  ["geometry", "--n", "2", "--k", "2", "--pretty"]])
+def test_refused_input_leaves_the_out_file_as_it_was(tmp_path, capsys, argv):
+    out = tmp_path / "x.csv"
+    out.write_bytes(b"keep me\n")
+    assert cli.main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("stablekneser: error: ")
+    assert out.read_bytes() == b"keep me\n"
+
+
+def test_out_file_is_replaced_by_the_full_report(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    out.write_bytes(b"an older and longer report than the new one\n" * 100)
+    argv = ["geometry", "--n", "2", "--k", "2"]
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    assert cli.main(argv) == 0
+    assert out.read_text() == capsys.readouterr().out
+
+
 def test_pretty_classify():
     text, _ = run_cli(["classify", "--k", "1", "--n", "3", "--pretty"])
     assert "TEST_GRAPH_CERTIFIED" in text

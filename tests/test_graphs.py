@@ -137,9 +137,9 @@ def test_chromatic_number_against_brute_force():
 
 
 def test_chromatic_stable_kneser_is_k_plus_2():
-    # includes the 25/36/30/27-vertex instances; all are sub-second
+    # includes the 25/36/30/27/49/50/55-vertex instances; each is sub-second
     for n, k in [(1, 1), (1, 2), (1, 3), (2, 1), (3, 1), (2, 2), (2, 0),
-                 (4, 2), (5, 2), (3, 3), (2, 5)]:
+                 (4, 2), (5, 2), (3, 3), (2, 5), (6, 2), (3, 4), (4, 3)]:
         assert chromatic_number(stable_kneser_graph(n, k)) == k + 2
 
 
@@ -153,6 +153,12 @@ def test_vertex_criticality():
         vertex_criticality_check(Graph(()))
 
 
+def test_stable_kneser_4_3_is_vertex_critical():
+    g = stable_kneser_graph(4, 3)
+    rotation = vertex_permutation(g, DihedralElement.sigma(11))
+    assert vertex_criticality_check(g, 5, [rotation])
+
+
 @st.composite
 def loopless_graphs(draw, max_n):
     n = draw(st.integers(0, max_n))
@@ -161,22 +167,31 @@ def loopless_graphs(draw, max_n):
     return graph_from_edges(n, [p for p, b in zip(pairs, keep) if b])
 
 
+def assert_agrees_with_reference(g, order, kcol):
+    """Colourable exactly when `dsatur_reference` says so, and properly."""
+    got = graphs._k_colouring(g, kcol)
+    assert (got is None) == (dsatur_reference(g, order, kcol) is None), kcol
+    if got is not None:
+        assert is_valid_colouring(g, got)
+        assert all(c < kcol for c in got)
+    return got
+
+
 @settings(deadline=None, max_examples=150)
 @given(loopless_graphs(12), st.data())
-def test_try_colour_matches_reference_search(g, data):
+def test_k_colouring_agrees_with_reference_search(g, data):
     order = data.draw(st.permutations(range(g.n)))
     for kcol in range(6):
-        assert graphs._try_colour(g, order, kcol) == dsatur_reference(g, order, kcol)
+        assert_agrees_with_reference(g, order, kcol)
 
 
-def test_try_colour_matches_reference_on_stable_kneser():
-    for n, k in [(2, 2), (3, 2), (4, 2), (3, 3), (2, 4)]:
+def test_k_colouring_agrees_with_reference_on_stable_kneser():
+    for n, k in [(2, 2), (3, 2), (4, 2), (5, 2), (3, 3), (2, 4)]:
         g = stable_kneser_graph(n, k)
         order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
         for kcol in (k + 1, k + 2):
-            got = graphs._try_colour(g, order, kcol)
-            assert got == dsatur_reference(g, order, kcol), (n, k, kcol)
-            assert (got is not None) == (kcol == k + 2)
+            got = assert_agrees_with_reference(g, order, kcol)
+            assert (got is not None) == (kcol == k + 2), (n, k, kcol)
 
 
 def circulant(n, steps):
@@ -217,7 +232,7 @@ def test_criticality_refuses_bad_automorphisms_before_searching(monkeypatch):
     def no_search(*args):
         raise AssertionError("colouring search ran")
 
-    monkeypatch.setattr(graphs, "_try_colour", no_search)
+    monkeypatch.setattr(graphs, "_k_colouring", no_search)
     monkeypatch.setattr(graphs, "chromatic_number", no_search)
     g = cycle_graph(5)
     for bad in ([0, 0, 1, 2, 3], [1, 2, 3, 4], [0, 2, 1, 3, 4]):
