@@ -13,6 +13,7 @@ import contextlib
 import functools
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -267,19 +268,26 @@ def run(cfg: RunConfig) -> tuple[str, int]:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Console entry point: a refused input or an unwritable --out path is one
-    line on stderr, exit code 2.  The --out file is opened for appending
-    before the work, so a path that cannot be opened is refused first, and
-    is emptied and written only once the report is ready: a refused input
-    leaves an existing file as it was.
+    line on stderr, exit code 2.  The --out file is opened before the work,
+    so a path that cannot be opened is refused first, and is emptied and
+    written only once the report is ready: a refused input leaves an
+    existing file as it was and removes a file that this run created.
     """
     cfg = config_from_args(build_parser().parse_args(argv))
+    created = False
     try:
         if cfg.out:
-            open(cfg.out, "a").close()
+            try:
+                open(cfg.out, "x").close()
+                created = True
+            except FileExistsError:
+                open(cfg.out, "a").close()
         text, status = run(cfg)
         with open(cfg.out, "w") if cfg.out else contextlib.nullcontext(sys.stdout) as fh:
             fh.write(text)
     except (ValueError, OSError) as exc:
+        if created:
+            os.remove(cfg.out)
         sys.stderr.write("stablekneser: error: %s\n" % exc)
         return 2
     return status

@@ -45,8 +45,11 @@ class FinitePoset:
             if not (self.above[i] >> i & 1):
                 raise ValueError("order not reflexive")
             for j in range(n):
-                if i != j and (self.above[i] >> j & 1) and (self.above[j] >> i & 1):
-                    raise ValueError("order not antisymmetric")
+                if self.above[i] >> j & 1:
+                    if i != j and self.above[j] >> i & 1:
+                        raise ValueError("order not antisymmetric")
+                    if self.above[j] & ~self.above[i]:
+                        raise ValueError("order not transitive")
 
     @classmethod
     def from_up_sets(cls, elements: Sequence, above: Sequence[int]) -> "FinitePoset":
@@ -130,9 +133,14 @@ class SimplicialComplex:
         for size, group in by_size.items():
             larger = [g for big, gs in by_size.items() if big > size for g in gs]
             uniq += [f for f in group if not any(f < g for g in larger)]
-        verts = sorted({v for f in uniq for v in f}, key=repr)
-        uniq.sort(key=lambda f: (len(f), sorted(map(repr, f))))
-        return cls(tuple(verts), tuple(uniq))
+        return cls._from_facets(uniq)
+
+    @classmethod
+    def _from_facets(cls, facets: list[frozenset]) -> "SimplicialComplex":
+        """The complex of distinct, pairwise incomparable facets, sorted as from_faces sorts."""
+        verts = sorted({v for f in facets for v in f}, key=repr)
+        facets.sort(key=lambda f: (len(f), sorted(map(repr, f))))
+        return cls(tuple(verts), tuple(facets))
 
     def all_faces(self, max_faces: int = 10 ** 6) -> dict[int, list[frozenset]]:
         """Downward closure, keyed by dimension."""
@@ -344,9 +352,11 @@ def neighbourhood_complex(g: Graph) -> SimplicialComplex:
 
 
 def order_complex(p: FinitePoset) -> SimplicialComplex:
-    """Chains of the poset; facets are the maximal chains."""
-    chains = p.maximal_chains()
-    return SimplicialComplex.from_faces([frozenset(c) for c in chains])
+    """Chains of the poset; facets are the maximal chains.
+
+    Distinct maximal chains are never nested, so no maximality filter runs.
+    """
+    return SimplicialComplex._from_facets([frozenset(c) for c in p.maximal_chains()])
 
 
 # ---------------------------------------------------------------------------

@@ -177,13 +177,13 @@ def _realize_zero_sets(vectors: Sequence[SignVector], config: MomentConfig,
     column of the complete Householder QR of its z zero-set rows taken as
     columns, a unit vector orthogonal to all of them, negated when that
     gives the target sign vector; the QRs run stacked, a block of vectors at
-    a time.  Raises RealizationError naming the first vector, in the given
-    order, that neither the point nor its negative realizes.
+    a time.  With no zeros the complete QR is the identity and the point is
+    +-e_k, which realizes the two cocircuits at k = 0.  Raises
+    RealizationError naming the first vector, in the given order, that
+    neither the point nor its negative realizes.
     """
     signs = np.array(vectors, dtype=int).reshape(len(vectors), config.m)
     zeros = np.nonzero(signs == 0)[1].reshape(len(signs), -1)
-    if not zeros.shape[1]:
-        raise ValueError("no zero entries to solve for; use a sampled point")
     points = np.empty((len(signs), config.k + 1))
     for lo in range(0, len(signs), _REALIZE_BLOCK):
         block = slice(lo, lo + _REALIZE_BLOCK)
@@ -200,28 +200,6 @@ def _realize_zero_sets(vectors: Sequence[SignVector], config: MomentConfig,
                                    {"cocircuit": s, "got": render_sign_vector(tuple(got[i]))})
         points[block] = np.where(direct[:, None], x, -x)
     return points
-
-
-def _tope_witness(s: SignVector, config: MomentConfig,
-                  max_steps: int = 200000) -> Optional[np.ndarray]:
-    """A point with sign vector s, or None.
-
-    Perceptron iteration on the strict system s_j <x, v_j> > 0; converges
-    whenever the open cone is nonempty, so a None for an actual covector
-    would falsify the realization.
-    """
-    rows = np.array(s, dtype=float)[:, None] * config.vectors
-    rows /= np.linalg.norm(rows, axis=1)[:, None]
-    x, *_ = np.linalg.lstsq(config.vectors, np.array(s, dtype=float), rcond=None)
-    if not np.linalg.norm(x):
-        x = rows.sum(axis=0)
-    for _ in range(max_steps):
-        prods = rows @ x
-        worst = int(np.argmin(prods))
-        if prods[worst] > 1e-12:
-            return x / np.linalg.norm(x)
-        x = x + rows[worst]
-    return None
 
 
 def _merge_counts(codes: np.ndarray, counts: np.ndarray,
@@ -245,10 +223,14 @@ def verify_realization(m: int, k: int, samples: int = 100000,
     """Cross-validate the covector rule against the geometric configuration.
 
     (a) every sampled generic sign vector satisfies the covector rule;
-    (b) for m <= 8, k <= 4 the full-support sign patterns found (random
-        samples plus one targeted witness per covector) are exactly the
-        zero-free covectors;
-    (c) every cocircuit is realized by solving its zero set.
+    (c) every cocircuit is realized by solving its zero set;
+    (b) for m <= 8, k <= 4 the sampled full-support sign patterns are
+        zero-free covectors, and every zero-free covector t is realized by
+        the sum of the points of (c) of the cocircuits below it, those c
+        with t.c = m - k.  Every covector is the composition of the
+        cocircuits below it (Bjorner et al., Oriented Matroids, ch. 3), so at
+        each j every term has sign t_j or 0 and some term has t_j: the sum
+        has sign vector t exactly.
     Any discrepancy raises RealizationError.  The points of (a) are drawn
     _REALIZE_BLOCK at a time, the same stream as one draw, and only the
     distinct sign patterns are kept between blocks, so memory follows the
@@ -281,36 +263,27 @@ def verify_realization(m: int, k: int, samples: int = 100000,
         block = np.packbits(np.pad(plus, ((0, 0), (0, 64 * words - m))), axis=1,
                             bitorder="little").view("<u8")
         codes, counts = _merge_counts(codes, counts, block)
-    seen = set()
-    non_covector = 0
     plus = np.unpackbits(codes.view(np.uint8), axis=1, count=m, bitorder="little")
-    rows = np.where(plus, 1, -1).tolist()
-    for s, count in zip(map(tuple, rows), counts.tolist()):
-        seen.add(s)
-        if not is_covector(s, k):
-            non_covector += count
-    report["sampled_full_support_patterns"] = len(seen)
+    sampled = list(map(tuple, np.where(plus, 1, -1).tolist()))
+    non_covector = sum(c for s, c in zip(sampled, counts.tolist()) if not is_covector(s, k))
+    report["sampled_full_support_patterns"] = len(sampled)
     report["non_covector_samples"] = non_covector
     if non_covector:
         raise RealizationError("sampled sign pattern violates the covector rule", report)
 
-    if m <= 8 and k <= 4:
-        zero_free = {s for s in enumerate_covectors(m, k) if 0 not in s}
-        for s in sorted(zero_free):
-            if s in seen:
-                continue
-            x = _tope_witness(s, config)
-            if x is not None and sign_vector_of_point(x, config, zero_tol) == s:
-                seen.add(s)
-        report["zero_free_covectors"] = len(zero_free)
-        if seen != zero_free:
-            report["missed"] = [render_sign_vector(s) for s in sorted(zero_free - seen)]
-            report["extra"] = [render_sign_vector(s) for s in sorted(seen - zero_free)]
-            raise RealizationError("full-support patterns != zero-free covectors", report)
-
     cocircuits = enumerate_cocircuits(m, k)
-    if k > 0:
-        _realize_zero_sets(cocircuits, config, zero_tol)
+    points = _realize_zero_sets(cocircuits, config, zero_tol)
+    if m <= 8 and k <= 4:
+        topes = np.array([s for s in enumerate_covectors(m, k) if 0 not in s])
+        vals = (topes @ np.array(cocircuits).T == m - k) @ points @ config.vectors.T
+        got = np.where(np.abs(vals) < zero_tol, 0, np.sign(vals))
+        missed = sorted(map(tuple, topes[(got != topes).any(axis=1)].tolist()))
+        extra = sorted(set(sampled).difference(map(tuple, topes.tolist())))
+        report["zero_free_covectors"] = len(topes)
+        if missed or extra:
+            report["missed"] = [render_sign_vector(s) for s in missed]
+            report["extra"] = [render_sign_vector(s) for s in extra]
+            raise RealizationError("full-support patterns != zero-free covectors", report)
     report["cocircuits_realized"] = len(cocircuits) if k > 0 else 0
     report["status"] = "pass"
     return report
@@ -369,7 +342,7 @@ def max_edge_defect(n: int, k: int) -> float:
 
     ||v(S) + v(T)||^2 = 2 + 2<v(S), v(T)> is monotone in the Gram entry, so
     the largest entry over disjoint pairs S < T gives the maximum exactly.
-    Disjointness is read from row blocks of the membership overlap counts.
+    Disjointness and the Gram entries are computed one row block at a time.
     """
     config = moment_vectors(n, k)
     verts = enumerate_stable_sets(n, config.m)
@@ -379,7 +352,6 @@ def max_edge_defect(n: int, k: int) -> float:
 def _max_defect(verts: Sequence[CircularSet], sums: np.ndarray, m: int) -> float:
     norms = np.linalg.norm(sums, axis=1)
     unit = sums / norms[:, None]
-    gram = unit @ unit.T
     member = _incidence(verts, m).astype(np.float32)
     nv = len(verts)
     later = np.arange(nv)
@@ -389,7 +361,8 @@ def _max_defect(verts: Sequence[CircularSet], sums: np.ndarray, m: int) -> float
         hi = min(lo + step, nv)
         edge = (member[lo:hi] @ member.T == 0) & (later > later[lo:hi, None])
         if edge.any():
-            worst = max(worst, 2.0 + 2.0 * float(gram[lo:hi][edge].max()))
+            gram = unit[lo:hi] @ unit.T
+            worst = max(worst, 2.0 + 2.0 * float(gram[edge].max()))
     return float(np.sqrt(max(worst, 0.0)))
 
 

@@ -176,6 +176,15 @@ def test_refused_input_leaves_the_out_file_as_it_was(tmp_path, capsys, argv):
     assert out.read_bytes() == b"keep me\n"
 
 
+@pytest.mark.parametrize("argv", [["classify", "--k", "1"],
+                                  ["geometry", "--n", "2", "--k", "2", "--pretty"]])
+def test_refused_input_removes_the_out_file_it_created(tmp_path, capsys, argv):
+    out = tmp_path / "new.csv"
+    assert cli.main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("stablekneser: error: ")
+    assert not out.exists()
+
+
 def test_out_file_is_replaced_by_the_full_report(tmp_path, capsys):
     out = tmp_path / "x.csv"
     out.write_bytes(b"an older and longer report than the new one\n" * 100)

@@ -466,5 +466,8 @@ def test_verify_nerve():
 
 
 def test_poset_rejects_bad_order():
-    with pytest.raises(ValueError):
-        FinitePoset([0, 1], lambda a, b: True)  # not antisymmetric
+    with pytest.raises(ValueError, match="order not antisymmetric"):
+        FinitePoset([0, 1], lambda a, b: True)
+    # 0 <= 1 and 1 <= 2 without 0 <= 2 would give order_complex the chain (0, 1, 2)
+    with pytest.raises(ValueError, match="order not transitive"):
+        FinitePoset([0, 1, 2], lambda a, b: b - a in (0, 1))

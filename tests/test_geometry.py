@@ -15,7 +15,8 @@ from stablekneser.graphs import (CircularSet, DihedralElement, dihedral_act,
                                  enumerate_stable_sets, generate_subgroup,
                                  stable_kneser_graph)
 from stablekneser.matroid import (dihedral_act_sign, enumerate_cocircuits,
-                                  is_covector, parse_sign_vector)
+                                  enumerate_covectors, is_covector,
+                                  parse_sign_vector, render_sign_vector)
 import stablekneser.geometry as geometry_module
 from oracles import (alternating_sums_by_set, first_stable_subset_by_search,
                      max_edge_defect_by_pairs, negate, sampled_sign_patterns)
@@ -102,14 +103,18 @@ def test_realize_cocircuit():
 
 
 def test_verify_realization_full_sweep():
-    # tope coverage is witness-certified, so modest sampling suffices
+    # every tope is realized by the sum of its cocircuit points, so the
+    # check passes without samples; 2 * sum_{i <= k} C(m-1, i) topes
     for m in range(2, 9):
         for k in range(0, min(m, 5)):
-            report = verify_realization(m, k, samples=3000, seed=0)
-            assert report["status"] == "pass", (m, k)
-            assert report["non_covector_samples"] == 0, (m, k)
-            if k > 0:
-                assert report["cocircuits_realized"] == 2 * comb(m, k)
+            for samples in (0, 3000):
+                report = verify_realization(m, k, samples=samples, seed=0)
+                assert report["status"] == "pass", (m, k)
+                assert report["non_covector_samples"] == 0, (m, k)
+                assert report["zero_free_covectors"] == 2 * sum(
+                    comb(m - 1, i) for i in range(k + 1)), (m, k)
+                if k > 0:
+                    assert report["cocircuits_realized"] == 2 * comb(m, k)
     with pytest.raises(ValueError):
         config_for(3, 3)
 
@@ -157,6 +162,28 @@ def test_verify_realization_does_not_depend_on_the_block_size(monkeypatch, block
             verify_realization(*case)
         assert err.value.report["sampled_full_support_patterns"] == len(rows), case
         assert err.value.report["non_covector_samples"] == rejected, case
+
+
+def test_verify_realization_reports_missed_and_extra_topes(monkeypatch):
+    covectors = enumerate_covectors(5, 2)
+    non_tope = parse_sign_vector("+-+-+")   # four sign changes: not a covector at k = 2
+    assert not is_covector(non_tope, 2)
+    monkeypatch.setattr(geometry_module, "enumerate_covectors",
+                        lambda m, k: covectors + [non_tope])
+    with pytest.raises(RealizationError) as err:
+        verify_realization(5, 2, samples=3000, seed=0)
+    assert err.value.report["missed"] == ["+-+-+"]
+    assert err.value.report["extra"] == []
+    assert err.value.report["zero_free_covectors"] == 23
+    # drop a tope that the samples hit: it comes back as a sampled extra
+    rows = sampled_sign_patterns(config_for(5, 2).vectors, 3000, 0, TOL)
+    dropped = max(rows)
+    monkeypatch.setattr(geometry_module, "enumerate_covectors",
+                        lambda m, k: [s for s in covectors if s != dropped])
+    with pytest.raises(RealizationError) as err:
+        verify_realization(5, 2, samples=3000, seed=0)
+    assert err.value.report["missed"] == []
+    assert err.value.report["extra"] == [render_sign_vector(dropped)]
 
 
 def test_verify_realization_memory_does_not_grow_with_samples():
@@ -220,7 +247,8 @@ def test_stacked_realization_matches_one_svd_per_cocircuit(monkeypatch):
 
 def test_stacked_realization_matches_one_qr_per_cocircuit(monkeypatch):
     monkeypatch.setattr(geometry_module, "_REALIZE_BLOCK", 7)   # blocks split
-    for m, k in [(8, 3), (9, 4), (6, 5)]:
+    # at k = 0 the zero sets are empty and the complete QR is the identity
+    for m, k in [(8, 3), (9, 4), (6, 5), (8, 0)]:
         config = config_for(m, k)
         cocircuits = enumerate_cocircuits(m, k)
         points = geometry_module._realize_zero_sets(cocircuits, config)
@@ -295,6 +323,17 @@ def test_max_edge_defect():
     # decreasing trend for k = 2
     values = [max_edge_defect(n, 2) for n in range(2, 12)]
     assert all(a > b for a, b in zip(values, values[1:]))
+
+
+def test_max_edge_defect_memory_stays_in_row_blocks():
+    max_edge_defect(3, 2)   # warm-up: lazy imports
+    tracemalloc.start()
+    try:
+        max_edge_defect(8, 6)   # 4,719 vertices: a dense Gram matrix is 178 MB
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 << 20, "traced peak %.1f MB" % (peak / 2**20)
 
 
 def test_signed_sums_and_edge_defect_match_the_loops_bit_for_bit():
