@@ -31,11 +31,12 @@ stay 2D + 1 bits wide instead of D·(D + 1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
 from .geometry import representation
+from .graphs import set_bits
 
 ODD = "ODD"
 TWO_MOD_4 = "TWO_MOD_4"
@@ -96,13 +97,6 @@ def _monomial_at(ring: str, max_degree: int, degree: int, bit: int) -> Monomial:
     return (i, j, (degree - i - j) // 2)
 
 
-def _bits(mask: int) -> Iterator[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def _times_monomial(ring: str, max_degree: int, bit: int, mask: int) -> int:
     """A component times the basis monomial at `bit` of another component."""
     if ring == ZERO_MOD_4:
@@ -119,7 +113,7 @@ def _times_monomial(ring: str, max_degree: int, bit: int, mask: int) -> int:
 def _times(ring: str, max_degree: int, a: int, b: int) -> int:
     """Product of two homogeneous components, iterating over a's monomials."""
     out = 0
-    for bit in _bits(a):
+    for bit in set_bits(a):
         out ^= _times_monomial(ring, max_degree, bit, b)
     return out
 
@@ -165,7 +159,7 @@ class GradedPoly:
 
     def _monomials(self, degree: int) -> list[Monomial]:
         return [_monomial_at(self.ring, self.max_degree, degree, bit)
-                for bit in _bits(self.masks[degree])]
+                for bit in set_bits(self.masks[degree])]
 
     @property
     def terms(self) -> frozenset:
@@ -286,7 +280,7 @@ def poly_invert(p: GradedPoly) -> GradedPoly:
     if p.constant_term() != 1:
         raise ValueError("not invertible: constant term is 0")
     ring, top = p.ring, p.max_degree
-    support = [(i, tuple(_bits(a))) for i, a in enumerate(p.masks) if i and a]
+    support = [(i, tuple(set_bits(a))) for i, a in enumerate(p.masks) if i and a]
     inv = [p.masks[0]]
     for d in range(1, top + 1):
         acc = 0

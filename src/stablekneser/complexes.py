@@ -11,19 +11,23 @@ from matroid.covector_sides, keyed by the int S_0 | S_1 << m in the
 equivariance check; sign-vector tuples appear only where covectors are
 taken in or reported.  Hom homology is computed from the cells
 themselves; the order complex of the cell poset, built from the same cells,
-gives a second homology route.  A simplex is the one-coordinate cell, so
-one cellular boundary routine serves Hom and simplicial complexes alike,
-its rows bit-packed into ints and ranked over GF(2).
+gives a second homology route.  A simplicial complex keeps its facets as
+vertex bitmasks, bit i for vertex i: the neighbourhood complex takes the
+maximal adjacency rows, the order complex the maximal chains as masks of
+element indices, and faces are listed as submasks.  A simplex mask is then
+the one-coordinate cell (mask,), so one cellular boundary routine serves
+Hom and simplicial complexes alike, its rows bit-packed into ints and
+ranked over GF(2).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from . import graphs
-from .graphs import (CircularSet, DihedralElement, Graph,
+from .graphs import (CircularSet, DihedralElement, Graph, set_bits,
                      stable_kneser_graph)
 from .matroid import (SignVector, covector_extension_feasible, covector_sides,
                       dihedral_act_sign, enumerate_covectors, is_covector,
@@ -72,98 +76,84 @@ class FinitePoset:
 
     def atoms(self) -> list[int]:
         """Minimal elements (the poset has no artificial bottom)."""
-        n = self.n
-        out = []
-        for i in range(n):
-            if all(not (self.above[j] >> i & 1) for j in range(n) if j != i):
-                out.append(i)
-        return out
+        above_another = 0
+        for i, up in enumerate(self.above):
+            above_another |= up & ~(1 << i)
+        return set_bits(((1 << self.n) - 1) & ~above_another)
 
     def covers(self) -> list[list[int]]:
-        """covers[i] = indices j covering i."""
-        n = self.n
-        out: list[list[int]] = [[] for _ in range(n)]
-        for i in range(n):
-            ups = [j for j in range(n) if j != i and self.leq(i, j)]
-            for j in ups:
-                if not any(self.leq(i, l) and self.leq(l, j)
-                           for l in ups if l != j):
-                    out[i].append(j)
+        """covers[i] = indices j covering i: the minimal elements of i's strict up-set."""
+        strict = [up & ~(1 << i) for i, up in enumerate(self.above)]
+        out = []
+        for ups in strict:
+            beyond = 0
+            for j in set_bits(ups):
+                beyond |= strict[j]
+            out.append(set_bits(ups & ~beyond))
         return out
 
-    def maximal_chains(self) -> list[tuple[int, ...]]:
+    def maximal_chains(self) -> list[int]:
+        """The maximal chains, each as the bitmask of its element indices."""
         cov = self.covers()
-        minimal = self.atoms()
-        chains: list[tuple[int, ...]] = []
+        chains: list[int] = []
 
-        def rec(chain: list[int]) -> None:
-            ups = cov[chain[-1]]
-            if not ups:
-                chains.append(tuple(chain))
-                return
-            for j in ups:
-                chain.append(j)
-                rec(chain)
-                chain.pop()
+        def rec(i: int, chain: int) -> None:
+            if not cov[i]:
+                chains.append(chain)
+            for j in cov[i]:
+                rec(j, chain | 1 << j)
 
-        for i in minimal:
-            rec([i])
+        for i in self.atoms():
+            rec(i, 1 << i)
         return chains
+
+
+def _size_then_value(face: int) -> tuple[int, int]:
+    return face.bit_count(), face
 
 
 @dataclass(frozen=True)
 class SimplicialComplex:
-    """Abstract simplicial complex given by its facets (maximal faces)."""
+    """Abstract simplicial complex given by its facets (maximal faces).
 
-    vertices: tuple
-    facets: tuple[frozenset, ...]
+    A face is a bitmask over the vertices 0, 1, ...; a caller with labelled
+    vertices maps bit i to its own i-th label.  The facets are distinct,
+    pairwise incomparable and sorted by (bit_count, value).
+    """
+
+    facets: tuple[int, ...]
 
     @classmethod
-    def from_faces(cls, faces: Sequence[frozenset]) -> "SimplicialComplex":
-        """Keep the distinct inclusion-maximal nonempty faces as facets.
+    def from_faces(cls, faces: Iterable[int]) -> "SimplicialComplex":
+        """Keep the distinct nonzero masks that no other mask contains as facets."""
+        facets: list[int] = []
+        for f in sorted(set(faces) - {0}, key=_size_then_value, reverse=True):
+            if all(f & ~g for g in facets):
+                facets.append(f)
+        return cls(tuple(reversed(facets)))
 
-        Facets are ordered by size, then by the sorted reprs of their
-        vertices; vertices are sorted by repr.
+    def all_faces(self, max_faces: int = 10 ** 6) -> dict[int, list[int]]:
+        """Downward closure keyed by dimension: every facet's nonzero submasks, sorted.
+
+        Refuses once more than max_faces distinct faces are found.
         """
-        by_size: dict[int, dict[frozenset, None]] = {}   # insertion-ordered sets
-        for f in faces:
-            if f:
-                by_size.setdefault(len(f), {})[frozenset(f)] = None
-        uniq = []
-        for size, group in by_size.items():
-            larger = [g for big, gs in by_size.items() if big > size for g in gs]
-            uniq += [f for f in group if not any(f < g for g in larger)]
-        return cls._from_facets(uniq)
-
-    @classmethod
-    def _from_facets(cls, facets: list[frozenset]) -> "SimplicialComplex":
-        """The complex of distinct, pairwise incomparable facets, sorted as from_faces sorts."""
-        verts = sorted({v for f in facets for v in f}, key=repr)
-        facets.sort(key=lambda f: (len(f), sorted(map(repr, f))))
-        return cls(tuple(verts), tuple(facets))
-
-    def all_faces(self, max_faces: int = 10 ** 6) -> dict[int, list[frozenset]]:
-        """Downward closure, keyed by dimension."""
-        byd: dict[int, set] = {}
+        top = max(map(int.bit_count, self.facets), default=0)
+        by_size: list[set[int]] = [set() for _ in range(top + 1)]
         total = 0
         for facet in self.facets:
-            fl = sorted(facet, key=repr)
-            for size in range(1, len(fl) + 1):
-                bucket = byd.setdefault(size - 1, set())
-                for sub in itertools.combinations(fl, size):
-                    fs = frozenset(sub)
-                    if fs not in bucket:
-                        bucket.add(fs)
-                        total += 1
-                        if total > max_faces:
-                            raise ValueError("complex exceeds %d faces" % max_faces)
-        return {d: sorted(fs, key=lambda f: sorted(map(repr, f)))
-                for d, fs in byd.items()}
+            sub = facet
+            while sub:
+                bucket = by_size[sub.bit_count()]
+                if sub not in bucket:
+                    bucket.add(sub)
+                    total += 1
+                    if total > max_faces:
+                        raise ValueError("complex exceeds %d faces" % max_faces)
+                sub = (sub - 1) & facet
+        return {size - 1: sorted(by_size[size]) for size in range(1, top + 1)}
 
     def f_vector(self) -> tuple[int, ...]:
-        byd = self.all_faces()
-        top = max(byd) if byd else -1
-        return tuple(len(byd.get(d, ())) for d in range(top + 1))
+        return tuple(map(len, self.all_faces().values()))
 
 
 def gf2_rank_dense(rows: Sequence[int]) -> int:
@@ -246,11 +236,9 @@ def _cellular_betti(cells: dict[int, list[tuple[int, ...]]]) -> tuple[int, ...]:
 def z2_betti(x: SimplicialComplex) -> tuple[int, ...]:
     """Betti numbers over GF(2), trailing zeros trimmed.
 
-    A face is the one-coordinate cell (mask,), bit i for x.vertices[i].
+    A face mask is the one-coordinate cell (mask,) of _cellular_betti.
     """
-    bit = {v: 1 << i for i, v in enumerate(x.vertices)}.__getitem__
-    return _cellular_betti({d: [(sum(map(bit, f)),) for f in fs]
-                            for d, fs in x.all_faces().items()})
+    return _cellular_betti({d: [(f,) for f in fs] for d, fs in x.all_faces().items()})
 
 
 # ---------------------------------------------------------------------------
@@ -342,21 +330,16 @@ def hom_poset(g: Graph, h: Graph, max_cells: int = 10 ** 6) -> FinitePoset:
 
 
 def neighbourhood_complex(g: Graph) -> SimplicialComplex:
-    """Sets of vertices with a common neighbour."""
-    faces = []
-    for v in range(g.n):
-        nb = frozenset(g.neighbours(v))
-        if nb:
-            faces.append(nb)
-    return SimplicialComplex.from_faces(faces)
+    """Sets of vertices with a common neighbour; the facets are the maximal rows of g.adjacency."""
+    return SimplicialComplex.from_faces(g.adjacency)
 
 
 def order_complex(p: FinitePoset) -> SimplicialComplex:
-    """Chains of the poset; facets are the maximal chains.
+    """Chains of the poset, bit i for p.elements[i]; the facets are the maximal chains.
 
     Distinct maximal chains are never nested, so no maximality filter runs.
     """
-    return SimplicialComplex._from_facets([frozenset(c) for c in p.maximal_chains()])
+    return SimplicialComplex(tuple(sorted(p.maximal_chains(), key=_size_then_value)))
 
 
 # ---------------------------------------------------------------------------
@@ -493,8 +476,12 @@ def verify_nerve(n: int, k: int, max_set_size: Optional[int] = None,
 
     For every nonempty vertex family of SG_{n,k} (up to max_set_size), fixing
     s_j = (-1)^j on the union must be covector-extendable exactly when some
-    stable set avoids the union.
+    stable set avoids the union.  A max_set_size below 1 would check no
+    family, so it is refused.
     """
+    if max_set_size is not None and max_set_size < 1:
+        raise ValueError("nerve check of (n, k) = (%d, %d): max_set_size %d checks no family"
+                         % (n, k, max_set_size))
     m = 2 * n + k
     verts = [lab for lab in stable_kneser_graph(n, k).labels]
     nv = len(verts)

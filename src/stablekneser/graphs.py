@@ -27,7 +27,7 @@ class CircularSet:
         return cls(m, mask)
 
     def members(self) -> tuple[int, ...]:
-        return tuple(_bits(self.mask))
+        return tuple(set_bits(self.mask))
 
     def __len__(self) -> int:
         return self.mask.bit_count()
@@ -173,8 +173,7 @@ class Graph:
         return self.adjacency[i].bit_count()
 
     def neighbours(self, i: int) -> tuple[int, ...]:
-        row = self.adjacency[i]
-        return tuple(j for j in range(self.n) if row >> j & 1)
+        return tuple(set_bits(self.adjacency[i]))
 
     def edges(self, include_loops: bool = True) -> list[tuple[int, int]]:
         out = []
@@ -398,11 +397,11 @@ def _k_colouring(g: Graph, kcol: int) -> Optional[list[int]]:
         if not mask:
             return []
         if k <= 1:
-            independent = k == 1 and all(adj[v] & mask == 0 for v in _bits(mask))
+            independent = k == 1 and all(adj[v] & mask == 0 for v in set_bits(mask))
             return [mask] if independent else None
         if k == 2:
             return _two_colouring(adj, mask)
-        v = max(_bits(mask), key=lambda u: ((adj[u] & mask).bit_count(), -u))
+        v = max(set_bits(mask), key=lambda u: ((adj[u] & mask).bit_count(), -u))
 
         def extend(chosen: int, cand: int, done: int) -> Optional[list[int]]:
             # cand: vertices that may still join `chosen`; done: vertices
@@ -415,7 +414,7 @@ def _k_colouring(g: Graph, kcol: int) -> Optional[list[int]]:
                 return None if rest is None else [chosen] + rest
             # pivot u: branch only on u and its neighbours in cand, since a
             # maximal set without them would take u
-            u = min(_bits(cand | done),
+            u = min(set_bits(cand | done),
                     key=lambda w: (cand & (adj[w] | 1 << w)).bit_count())
             branch = cand & (adj[u] | 1 << u)
             while branch:
@@ -437,12 +436,12 @@ def _k_colouring(g: Graph, kcol: int) -> Optional[list[int]]:
         return None
     colour = [-1] * g.n
     for c, cls in enumerate(classes):
-        for v in _bits(cls):
+        for v in set_bits(cls):
             colour[v] = c
     return colour
 
 
-def _bits(mask: int) -> list[int]:
+def set_bits(mask: int) -> list[int]:
     """The set bits of mask, lowest first."""
     out = []
     while mask:
@@ -462,7 +461,7 @@ def _two_colouring(adj: Sequence[int], mask: int) -> Optional[list[int]]:
         while frontier:
             same |= frontier
             reach = 0
-            for v in _bits(frontier):
+            for v in set_bits(frontier):
                 reach |= adj[v]
             reach &= mask
             if reach & same:

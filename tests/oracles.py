@@ -510,20 +510,42 @@ def euler_characteristic_consistent(f_vector, betti) -> bool:
 
 
 def boundary_squared_is_zero(complex_obj) -> bool:
-    """d(d(face)) accumulates every codim-2 face an even number of times."""
+    """Each face's codim-1 faces are listed, and d(d(face)) = 0 over GF(2).
+
+    Faces are vertex bitmasks, as SimplicialComplex.all_faces lists them;
+    d drops one vertex bit, so d(d(face)) meets every codim-2 face twice.
+    """
     byd = complex_obj.all_faces()
     for d, faces in byd.items():
-        if d < 2:
-            continue
+        below = set(byd.get(d - 1, ()))
         for f in faces:
+            verts = [1 << i for i in range(f.bit_length()) if f >> i & 1]
+            if d and any(f & ~v not in below for v in verts):
+                return False
             acc = set()
-            for v in f:
-                for w in f - {v}:
-                    sub = f - {v} - {w}
-                    acc ^= {sub}
-            if acc:
+            for v in verts:
+                for w in verts:
+                    if w != v:
+                        acc ^= {f & ~v & ~w}
+            if d >= 2 and acc:
                 return False
     return True
+
+
+def poset_covers_and_minima(n: int, leq) -> tuple[list[list[int]], list[int]]:
+    """Covers and minimal elements of the order leq on 0..n-1, one leq call per pair.
+
+    covers[i] lists the j > i with no l strictly between, in increasing j;
+    the minimal elements are the i with no j < i.
+    """
+    covers: list[list[int]] = [[] for _ in range(n)]
+    for i in range(n):
+        ups = [j for j in range(n) if j != i and leq(i, j)]
+        for j in ups:
+            if not any(leq(i, l) and leq(l, j) for l in ups if l != j):
+                covers[i].append(j)
+    minima = [i for i in range(n) if not any(j != i and leq(j, i) for j in range(n))]
+    return covers, minima
 
 
 def z2_betti_by_frozensets(faces) -> tuple:

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -24,7 +25,8 @@ from oracles import (boundary_squared_is_zero, cycle_graph,
                      dihedral_sign_reference, equivariance_reference,
                      euler_characteristic_consistent,
                      hom_cells_by_product_filter, homomorphisms, negate,
-                     one_vertex_looped, z2_betti_by_frozensets)
+                     one_vertex_looped, poset_covers_and_minima,
+                     z2_betti_by_frozensets)
 
 P = parse_sign_vector
 
@@ -150,6 +152,7 @@ def test_hom_betti_matches_order_complex(g, h):
     assume(sum(len(cs) for cs in cells.values()) <= 150 and max(cells, default=0) <= 4)
     p = hom_poset(g, h)
     assert p.above == FinitePoset(p.elements, contained).above
+    assert (p.covers(), p.atoms()) == poset_covers_and_minima(p.n, p.leq)
     assert hom_betti(g, h) == z2_betti(order_complex(p))
 
 
@@ -162,47 +165,92 @@ def test_neighbourhood_complexes():
     assert z2_betti(neighbourhood_complex(stable_kneser_graph(2, 2))) == (1, 0, 1)
 
 
+def test_neighbourhood_complex_facets_are_the_maximal_adjacency_rows():
+    graphs = [cycle_graph(6), k2(), stable_kneser_graph(2, 2), stable_kneser_graph(3, 1),
+              graph_from_edges(4, [(0, 0), (0, 1), (1, 2), (0, 3), (3, 3)]),
+              graph_from_edges(3, [])]
+    rng = random.Random(5)
+    for _ in range(30):
+        n = rng.randint(1, 7)
+        graphs.append(graph_from_edges(n, [(i, j) for i in range(n) for j in range(i, n)
+                                           if rng.random() < 0.4]))
+    for g in graphs:
+        rows = {r for r in g.adjacency if r}
+        maximal = sorted((r for r in rows if not any(r != s and r & ~s == 0 for s in rows)),
+                         key=lambda r: (r.bit_count(), r))
+        assert neighbourhood_complex(g).facets == tuple(maximal)
+
+
 def test_order_complex_examples():
     antichain = FinitePoset(["p", "q"], lambda a, b: a == b)
+    assert (antichain.covers(), antichain.atoms()) == \
+        poset_covers_and_minima(2, lambda i, j: i == j)
     oc = order_complex(antichain)
+    assert oc.facets == (0b01, 0b10)
     assert z2_betti(oc) == (2,)
     # face poset of the triangle boundary: barycentric circle
     elements = [frozenset({i}) for i in range(3)] + \
         [frozenset({i, (i + 1) % 3}) for i in range(3)]
     fp = FinitePoset(elements, lambda a, b: a <= b)
+    assert (fp.covers(), fp.atoms()) == \
+        poset_covers_and_minima(6, lambda i, j: elements[i] <= elements[j])
     oc = order_complex(fp)
+    assert oc.facets == (0b001001, 0b001010, 0b010010, 0b010100, 0b100001, 0b100100)
     assert oc.f_vector() == (6, 6)
     assert z2_betti(oc) == (1, 1)
+    # divisibility: the covers skip the composite steps
+    divisors = [1, 2, 3, 4, 6, 12]
+    div = FinitePoset(divisors, lambda a, b: b % a == 0)
+    assert (div.covers(), div.atoms()) == \
+        poset_covers_and_minima(6, lambda i, j: divisors[j] % divisors[i] == 0)
+    assert div.covers() == [[1, 2], [3, 4], [4], [5], [5], []]
+    assert z2_betti(order_complex(div)) == (1,)
     assert z2_betti(order_complex(hom_poset(k2(), complete_graph(3)))) == (1, 1)
 
 
+def mask(vertices):
+    return sum(1 << v for v in set(vertices))
+
+
 def test_from_faces_keeps_distinct_maximal_faces_in_order():
-    faces = [frozenset({2, 3}), frozenset(), frozenset({1, 2, 3}), frozenset({3}),
-             frozenset({4, 5}), [5, 4], frozenset({1, 2}), frozenset({6}),
-             frozenset({0, 4}), frozenset({1, 2, 3})]
+    faces = [0b1100, 0, 0b1110, 0b1000, 0b110000, 0b110000, 0b110, 0b1000000,
+             0b10001, 0b1110]
     x = SimplicialComplex.from_faces(faces)
-    assert x.facets == (frozenset({6}), frozenset({0, 4}), frozenset({4, 5}),
-                        frozenset({1, 2, 3}))
-    assert x.vertices == (0, 1, 2, 3, 4, 5, 6)
-    assert SimplicialComplex.from_faces([frozenset()]).facets == ()
+    assert x.facets == (0b1000000, 0b10001, 0b110000, 0b1110)
+    assert SimplicialComplex.from_faces([0]).facets == ()
+    assert SimplicialComplex.from_faces([]).facets == ()
     rng = random.Random(3)
     for _ in range(50):
-        faces = [frozenset(rng.sample(range(6), rng.randint(0, 4)))
+        faces = [mask(rng.sample(range(6), rng.randint(0, 4)))
                  for _ in range(rng.randint(0, 12))]
-        nonempty = {f for f in faces if f}
-        maximal = {f for f in nonempty if not any(f < g for g in nonempty)}
+        nonzero = {f for f in faces if f}
+        maximal = {f for f in nonzero if not any(f != g and f & ~g == 0 for g in nonzero)}
         facets = SimplicialComplex.from_faces(faces).facets
         assert len(facets) == len(maximal) and set(facets) == maximal
-        keys = [(len(f), sorted(map(repr, f))) for f in facets]
+        keys = [(f.bit_count(), f) for f in facets]
         assert keys == sorted(keys)
 
 
+def test_all_faces_lists_sorted_submasks_and_refuses_past_max_faces():
+    x = SimplicialComplex.from_faces([0b0111, 0b1100])
+    assert x.all_faces() == {0: [0b0001, 0b0010, 0b0100, 0b1000],
+                             1: [0b0011, 0b0101, 0b0110, 0b1100],
+                             2: [0b0111]}
+    assert x.f_vector() == (4, 4, 1)
+    assert SimplicialComplex(()).all_faces() == {}
+    assert x.all_faces(max_faces=9) == x.all_faces()
+    with pytest.raises(ValueError, match="exceeds 8 faces"):
+        x.all_faces(max_faces=8)
+
+
 def test_z2_betti_basics():
-    hexagon = SimplicialComplex.from_faces(
-        [frozenset({i, (i + 1) % 6}) for i in range(6)])
+    hexagon = SimplicialComplex.from_faces([mask({i, (i + 1) % 6}) for i in range(6)])
+    assert hexagon.facets == (0b11, 0b110, 0b1100, 0b11000, 0b100001, 0b110000)
     assert z2_betti(hexagon) == (1, 1)
-    simplex = SimplicialComplex.from_faces([frozenset({0, 1, 2})])
+    simplex = SimplicialComplex.from_faces([0b111])
+    assert simplex.facets == (0b111,)
     assert z2_betti(simplex) == (1,)
+    assert z2_betti(SimplicialComplex(())) == ()
     assert z2_betti(order_complex(hom_poset(k2(), stable_kneser_graph(2, 2)))) \
         == (1, 0, 1)
 
@@ -211,30 +259,31 @@ def test_z2_betti_euler_and_boundary_consistency():
     complexes = [
         neighbourhood_complex(stable_kneser_graph(2, 2)),
         order_complex(hom_poset(k2(), complete_graph(4))),
-        SimplicialComplex.from_faces([frozenset({0, 1, 2}), frozenset({2, 3}),
-                                      frozenset({3, 4, 5, 6})]),
+        SimplicialComplex.from_faces([0b111, 0b1100, 0b1111000]),
     ]
+    assert complexes[-1].facets == (0b1100, 0b111, 0b1111000)
     for x in complexes:
+        keys = [(f.bit_count(), f) for f in x.facets]
+        assert keys == sorted(keys)
         assert boundary_squared_is_zero(x)
         assert euler_characteristic_consistent(x.f_vector(), z2_betti(x))
-
-
-# Vertex labels of several types: z2_betti must not rely on integer vertices.
-LABELS = ["a", "b", ("c", 0), ("c", 1), "d", 2.5, frozenset({"e"})]
+    # an edge listed without its vertex 0b10 is not a complex
+    assert not boundary_squared_is_zero(SimpleNamespace(all_faces=lambda: {0: [1], 1: [3]}))
 
 
 @settings(deadline=None, max_examples=60)
-@given(st.lists(st.sets(st.sampled_from(LABELS), min_size=1), max_size=8))
+@given(st.lists(st.integers(1, (1 << 7) - 1), max_size=8))
 def test_z2_betti_matches_frozenset_boundary_oracle(faces):
-    x = SimplicialComplex.from_faces([frozenset(f) for f in faces])
-    assert z2_betti(x) == z2_betti_by_frozensets(faces)
+    x = SimplicialComplex.from_faces(faces)
+    assert z2_betti(x) == z2_betti_by_frozensets(
+        [frozenset(i for i in range(7) if f >> i & 1) for f in faces])
 
 
 def test_z2_betti_of_a_sphere_past_8192_columns():
     # the boundary of the 15-simplex: 16 facets of 15 vertices each, and
     # C(16, 8) = 12,870 faces in dimension 7
-    x = SimplicialComplex.from_faces(
-        [frozenset(range(16)) - {v} for v in range(16)])
+    x = SimplicialComplex.from_faces([0xffff & ~(1 << v) for v in range(16)])
+    assert x.facets == tuple(sorted(0xffff & ~(1 << v) for v in range(16)))
     assert z2_betti(x) == (1,) + (0,) * 13 + (1,)
 
 
@@ -463,6 +512,10 @@ def test_verify_nerve():
     with pytest.raises(ValueError):
         verify_nerve(4, 2)  # 25 vertices; needs max_set_size
     assert verify_nerve(4, 2, max_set_size=1)
+    for size in (0, -1):
+        # an empty range of family sizes would check nothing and pass
+        with pytest.raises(ValueError, match=r"\(n, k\) = \(2, 1\)"):
+            verify_nerve(2, 1, max_set_size=size)
 
 
 def test_poset_rejects_bad_order():
