@@ -139,18 +139,13 @@ def cmd_classify(cfg: RunConfig) -> tuple[dict, int]:
     return report, 0
 
 
-GEOMETRY_CSV_HEADER = ("n,k,min_vertex_norm,max_edge_defect,"
-                       "eq3_sigma_dev,eq3_rho_dev,eq3_period_dev,group_relation_dev")
+GEOMETRY_COLUMNS = ("n", "k", "min_vertex_norm", "max_edge_defect",
+                    "eq3_sigma_dev", "eq3_rho_dev", "eq3_period_dev", "group_relation_dev")
 
 
 def geometry_csv(rows: Sequence[dict]) -> str:
-    lines = [GEOMETRY_CSV_HEADER]
-    for row in rows:
-        lines.append("%d,%d,%s,%s,%s,%s,%s,%s" % (
-            row["n"], row["k"],
-            repr(row["min_vertex_norm"]), repr(row["max_edge_defect"]),
-            repr(row["eq3_sigma_dev"]), repr(row["eq3_rho_dev"]),
-            repr(row["eq3_period_dev"]), repr(row["group_relation_dev"])))
+    lines = [",".join(GEOMETRY_COLUMNS)]
+    lines += [",".join(repr(row[c]) for c in GEOMETRY_COLUMNS) for row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -163,8 +158,7 @@ def cmd_geometry(cfg: RunConfig) -> tuple[str, int]:
     rows = [geometry.geometry_row(n, cfg.k) for n in ns]
     status = 0
     for row in rows:
-        worst = max(row["eq3_sigma_dev"], row["eq3_rho_dev"],
-                    row["eq3_period_dev"], row["group_relation_dev"])
+        worst = max(row[c] for c in GEOMETRY_COLUMNS if c.endswith("_dev"))
         if worst >= cfg.zero_tol:
             status = 1
     return geometry_csv(rows), status
@@ -268,10 +262,11 @@ def run(cfg: RunConfig) -> tuple[str, int]:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Console entry point: a refused input or an unwritable --out path is one
-    line on stderr, exit code 2.  The --out file is opened before the work,
-    so a path that cannot be opened is refused first, and is emptied and
-    written only once the report is ready: a refused input leaves an
-    existing file as it was and removes a file that this run created.
+    line on stderr, exit code 2; any other exception, an interrupt included,
+    propagates.  The --out file is opened before the work, so a path that
+    cannot be opened is refused first, and is emptied and written only once
+    the report is ready: a run that raises leaves an existing file as it was
+    and removes a file that this run created.
     """
     cfg = config_from_args(build_parser().parse_args(argv))
     created = False
@@ -285,9 +280,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         text, status = run(cfg)
         with open(cfg.out, "w") if cfg.out else contextlib.nullcontext(sys.stdout) as fh:
             fh.write(text)
-    except (ValueError, OSError) as exc:
+    except BaseException as exc:
         if created:
             os.remove(cfg.out)
+        if not isinstance(exc, (ValueError, OSError)):
+            raise
         sys.stderr.write("stablekneser: error: %s\n" % exc)
         return 2
     return status

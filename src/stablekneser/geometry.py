@@ -104,10 +104,6 @@ class MomentConfig:
     k: int
     vectors: np.ndarray
 
-    @property
-    def n(self) -> Optional[int]:
-        return (self.m - self.k) // 2 if (self.m - self.k) % 2 == 0 else None
-
     def vector(self, j: int) -> np.ndarray:
         """v_j for any integer j via the curve formula (not reduced mod m)."""
         return _curve_point(float(j), self.m, self.k)

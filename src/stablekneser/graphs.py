@@ -200,21 +200,6 @@ class Graph:
             raise ValueError("graph carries no labels")
         return {(l.m, l.mask): i for i, l in enumerate(self.labels)}
 
-    def delete_vertex(self, v: int) -> "Graph":
-        keep = [i for i in range(self.n) if i != v]
-        return self.induced_subgraph(keep)
-
-    def induced_subgraph(self, keep: Sequence[int]) -> "Graph":
-        pos = {v: i for i, v in enumerate(keep)}
-        adj = [0] * len(keep)
-        for v in keep:
-            row = self.adjacency[v]
-            for w in keep:
-                if row >> w & 1:
-                    adj[pos[v]] |= 1 << pos[w]
-        labels = tuple(self.labels[v] for v in keep) if self.labels else None
-        return Graph(tuple(adj), labels)
-
 
 def graph_from_edges(n: int, edges: Iterable[tuple[int, int]],
                      labels: Optional[Sequence[CircularSet]] = None) -> Graph:
@@ -305,13 +290,14 @@ def _disjointness_graph(labels: Sequence[CircularSet]) -> Graph:
 
 
 def chromatic_number(g: Graph, return_colouring: bool = False):
-    """Exact chromatic number by branch and bound.
+    """Exact chromatic number with a witness colouring.
 
-    Greedy colouring in decreasing degree order for the upper bound, a
-    greedy clique for the lower bound, then each colour count between them
-    decided by `_k_colouring`.  The witness is the greedy colouring unless
-    the search finds fewer colours.  A loop makes the graph uncolourable
-    and raises.
+    A greedy colouring in decreasing degree order (lowest index on ties)
+    bounds chi from above; each smaller colour count, from 1 up, is decided
+    by `_k_colouring`, and the first one that succeeds is chi.  The witness
+    is the greedy colouring unless the search finds fewer colours, in which
+    case vertex v gets colour c when it lies in the search's class c.  A
+    loop makes the graph uncolourable and raises.
     """
     if not g.is_loopless():
         raise ValueError("graph has a loop; chromatic number undefined")
@@ -319,35 +305,26 @@ def chromatic_number(g: Graph, return_colouring: bool = False):
     if n == 0:
         return (0, []) if return_colouring else 0
 
-    order = _degree_order(g)
-
-    # greedy upper bound along `order`
-    greedy = [-1] * n
-    for v in order:
-        used = {greedy[w] for w in g.neighbours(v) if greedy[w] >= 0}
+    best = [-1] * n
+    for v in sorted(range(n), key=lambda u: (-g.degree(u), u)):
+        used = {best[w] for w in g.neighbours(v) if best[w] >= 0}
         c = 0
         while c in used:
             c += 1
-        greedy[v] = c
-    ub = max(greedy) + 1 if n else 0
+        best[v] = c
+    chi = max(best) + 1
 
-    lb = _clique_lower_bound(g, order)
-
-    best = greedy[:]
-    chi = ub
-    for kcol in range(lb, ub):
-        col = _k_colouring(g, kcol)
-        if col is not None:
+    for kcol in range(1, chi):
+        classes = _k_colouring(g.adjacency, (1 << n) - 1, kcol)
+        if classes is not None:
             chi = kcol
-            best = col
+            for c, cls in enumerate(classes):
+                for v in set_bits(cls):
+                    best[v] = c
             break
     if return_colouring:
         return chi, best
     return chi
-
-
-def _degree_order(g: Graph) -> list[int]:
-    return sorted(range(g.n), key=lambda v: (-g.degree(v), v))
 
 
 def permute_mask(mask: int, perm: Sequence[int]) -> int:
@@ -360,85 +337,55 @@ def permute_mask(mask: int, perm: Sequence[int]) -> int:
     return out
 
 
-def _clique_lower_bound(g: Graph, order: Sequence[int]) -> int:
-    best = 0
-    for v0 in order[: min(len(order), 12)]:
-        clique = [v0]
-        cand = g.adjacency[v0]
-        while cand:
-            pick = -1
-            for v in order:
-                if cand >> v & 1:
-                    pick = v
-                    break
-            if pick < 0:
-                break
-            clique.append(pick)
-            cand &= g.adjacency[pick]
-        best = max(best, len(clique))
-    return max(best, 1)
+def _k_colouring(adj: Sequence[int], mask: int, kcol: int) -> Optional[list[int]]:
+    """At most kcol independent classes covering the vertices of mask, or None.
 
-
-def _k_colouring(g: Graph, kcol: int) -> Optional[list[int]]:
-    """Exact k-colourability by maximal independent colour classes (Lawler).
-
-    Some colouring gives the class of any chosen vertex v a maximal
-    independent set (move vertices into it until it is maximal), so the
-    search picks v of highest degree in what is left (lowest index on
-    ties), tries every maximal independent set containing v as one class,
-    listed by pivoted Bron-Kerbosch (Tomita et al. 2006) on the complement,
-    and colours the rest with one colour fewer.  Two colours are a
-    breadth-first 2-colouring.  Returns a proper colouring with colours
-    < kcol, or None.
+    Decides whether the subgraph on mask (adj holds the adjacency rows) is
+    kcol-colourable by maximal independent colour classes (Lawler).  Some
+    colouring gives the class of any chosen vertex v a maximal independent
+    set (move vertices into it until it is maximal), so the search picks v
+    of highest degree in mask (lowest index on ties), tries every maximal
+    independent set containing v as one class, listed by pivoted
+    Bron-Kerbosch (Tomita et al. 2006) on the complement, and colours the
+    rest with one colour fewer.  Two colours are a breadth-first
+    2-colouring.  The classes are disjoint bitmasks whose union is mask.
     """
-    adj = g.adjacency
+    if not mask:
+        return []
+    if kcol <= 1:
+        independent = kcol == 1 and all(adj[v] & mask == 0 for v in set_bits(mask))
+        return [mask] if independent else None
+    if kcol == 2:
+        return _two_colouring(adj, mask)
+    v = max(set_bits(mask), key=lambda u: ((adj[u] & mask).bit_count(), -u))
 
-    def rec(mask: int, k: int) -> Optional[list[int]]:
-        if not mask:
-            return []
-        if k <= 1:
-            independent = k == 1 and all(adj[v] & mask == 0 for v in set_bits(mask))
-            return [mask] if independent else None
-        if k == 2:
-            return _two_colouring(adj, mask)
-        v = max(set_bits(mask), key=lambda u: ((adj[u] & mask).bit_count(), -u))
-
-        def extend(chosen: int, cand: int, done: int) -> Optional[list[int]]:
-            # cand: vertices that may still join `chosen`; done: vertices
-            # already branched on, so a set that could take one of them is
-            # either not maximal or was tried before
-            if not cand:
-                if done:
-                    return None
-                rest = rec(mask & ~chosen, k - 1)
-                return None if rest is None else [chosen] + rest
-            # pivot u: branch only on u and its neighbours in cand, since a
-            # maximal set without them would take u
-            u = min(set_bits(cand | done),
-                    key=lambda w: (cand & (adj[w] | 1 << w)).bit_count())
-            branch = cand & (adj[u] | 1 << u)
-            while branch:
-                low = branch & -branch
-                outside = ~(adj[low.bit_length() - 1] | low)
-                found = extend(chosen | low, cand & outside, done & outside)
-                if found is not None:
-                    return found
-                cand ^= low
-                done |= low
-                branch ^= low
-            return None
-
-        bit = 1 << v
-        return extend(bit, mask & ~adj[v] & ~bit, 0)
-
-    classes = rec((1 << g.n) - 1, kcol)
-    if classes is None:
+    def extend(chosen: int, cand: int, done: int) -> Optional[list[int]]:
+        # cand: vertices that may still join `chosen`; done: vertices
+        # already branched on, so a set that could take one of them is
+        # either not maximal or was tried before
+        if not cand:
+            if done:
+                return None
+            rest = _k_colouring(adj, mask & ~chosen, kcol - 1)
+            return None if rest is None else [chosen] + rest
+        # pivot u: branch only on u and its neighbours in cand, since a
+        # maximal set without them would take u
+        u = min(set_bits(cand | done),
+                key=lambda w: (cand & (adj[w] | 1 << w)).bit_count())
+        branch = cand & (adj[u] | 1 << u)
+        while branch:
+            low = branch & -branch
+            outside = ~(adj[low.bit_length() - 1] | low)
+            found = extend(chosen | low, cand & outside, done & outside)
+            if found is not None:
+                return found
+            cand ^= low
+            done |= low
+            branch ^= low
         return None
-    colour = [-1] * g.n
-    for c, cls in enumerate(classes):
-        for v in set_bits(cls):
-            colour[v] = c
-    return colour
+
+    bit = 1 << v
+    return extend(bit, mask & ~adj[v] & ~bit, 0)
 
 
 def set_bits(mask: int) -> list[int]:
@@ -490,7 +437,10 @@ def vertex_criticality_check(g: Graph, chi: Optional[int] = None,
     rows onto adjacency rows; anything else raises ValueError before any
     colouring search.  Deleting v or its image under an automorphism gives
     isomorphic graphs, so one (chi - 1)-colouring search per orbit of the
-    generated group decides the answer exactly.
+    generated group, run by `_k_colouring` on the mask of every vertex but
+    the orbit's least one, decides the answer exactly.  Classes that are not
+    at most chi - 1 disjoint independent sets covering that mask raise
+    RuntimeError.
     """
     if g.n == 0:
         raise ValueError("empty graph")
@@ -520,11 +470,16 @@ def vertex_criticality_check(g: Graph, chi: Optional[int] = None,
     for v in range(n):
         if find(v) != v:
             continue
-        h = g.delete_vertex(v)
-        col = _k_colouring(h, chi - 1)
-        if col is None:
+        mask = (1 << n) - 1 ^ 1 << v
+        classes = _k_colouring(g.adjacency, mask, chi - 1)
+        if classes is None:
             return False
-        if not is_valid_colouring(h, col):
+        covered = 0
+        for cls in classes:
+            if cls & covered or any(g.adjacency[u] & cls for u in set_bits(cls)):
+                raise RuntimeError("colouring search returned an improper colouring")
+            covered |= cls
+        if covered != mask or len(classes) > chi - 1:
             raise RuntimeError("colouring search returned an improper colouring")
     return True
 

@@ -322,14 +322,19 @@ def _chromatic_by_reference(g) -> int:
 
 def critical_by_all_deletions(adjacency) -> bool:
     """Vertex criticality by deleting every vertex and recolouring from scratch."""
+    full = (1 << len(adjacency)) - 1
     chi = _chromatic_by_reference(_Rows(adjacency))
     for v in range(len(adjacency)):
-        low = (1 << v) - 1
-        rest = [row & low | row >> (v + 1) << v
-                for w, row in enumerate(adjacency) if w != v]
-        if _chromatic_by_reference(_Rows(rest)) >= chi:
+        if _chromatic_by_reference(induced_subgraph(adjacency, full ^ 1 << v)) >= chi:
             return False
     return True
+
+
+def induced_subgraph(adjacency, mask: int) -> _Rows:
+    """The subgraph on the vertices of mask, renumbered 0, 1, ... in increasing order."""
+    keep = [v for v in range(len(adjacency)) if mask >> v & 1]
+    return _Rows([sum(1 << i for i, w in enumerate(keep) if adjacency[v] >> w & 1)
+                  for v in keep])
 
 
 def brute_force_automorphisms(adjacency) -> int:

@@ -129,7 +129,7 @@ def test_cmd_geometry_sweep_csv():
                             "--n-range", "2..4"])
     assert status == 0
     lines = text.strip().split("\n")
-    assert lines[0] == cli.GEOMETRY_CSV_HEADER
+    assert lines[0] == ",".join(cli.GEOMETRY_COLUMNS)
     assert len(lines) == 4
     first = lines[1].split(",")
     assert first[0] == "2" and first[1] == "2"
@@ -183,6 +183,24 @@ def test_refused_input_removes_the_out_file_it_created(tmp_path, capsys, argv):
     assert cli.main(argv + ["--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("stablekneser: error: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("existed", [False, True])
+def test_interrupted_run_removes_only_the_out_file_it_created(tmp_path, monkeypatch,
+                                                               existed):
+    def interrupt(cfg):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "run", interrupt)
+    out = tmp_path / "x.json"
+    if existed:
+        out.write_bytes(b"keep me\n")
+    with pytest.raises(KeyboardInterrupt):
+        cli.main(["graph", "--n", "2", "--k", "1", "--out", str(out)])
+    if existed:
+        assert out.read_bytes() == b"keep me\n"
+    else:
+        assert not out.exists()
 
 
 def test_out_file_is_replaced_by_the_full_report(tmp_path, capsys):

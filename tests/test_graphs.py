@@ -10,13 +10,13 @@ from stablekneser.graphs import (CircularSet, DihedralElement, Graph,
                                  complete_graph, dihedral_act,
                                  enumerate_stable_sets, free_action_check,
                                  generate_subgroup, graph_from_edges,
-                                 is_valid_colouring, kneser_graph,
+                                 is_valid_colouring, kneser_graph, set_bits,
                                  stable_kneser_graph, vertex_criticality_check,
                                  vertex_permutation)
 from oracles import (brute_force_automorphisms, brute_force_chromatic,
                      critical_by_all_deletions, cycle_graph,
                      dihedral_set_reference, dsatur_reference,
-                     members_by_range_scan, one_vertex_looped,
+                     induced_subgraph, members_by_range_scan, one_vertex_looped,
                      stable_set_count, stable_set_masks_by_recursion)
 
 
@@ -167,13 +167,24 @@ def loopless_graphs(draw, max_n):
     return graph_from_edges(n, [p for p, b in zip(pairs, keep) if b])
 
 
-def assert_agrees_with_reference(g, order, kcol):
-    """Colourable exactly when `dsatur_reference` says so, and properly."""
-    got = graphs._k_colouring(g, kcol)
-    assert (got is None) == (dsatur_reference(g, order, kcol) is None), kcol
+def assert_agrees_with_reference(g, mask, order, kcol):
+    """On the vertices of mask: colourable exactly when `dsatur_reference` says
+    so on the induced subgraph, by at most kcol classes that partition mask
+    and colour that subgraph properly."""
+    got = graphs._k_colouring(g.adjacency, mask, kcol)
+    h = induced_subgraph(g.adjacency, mask)
+    assert (got is None) == (dsatur_reference(h, order, kcol) is None), kcol
     if got is not None:
-        assert is_valid_colouring(g, got)
-        assert all(c < kcol for c in got)
+        assert len(got) <= kcol
+        colour = {}
+        for c, cls in enumerate(got):
+            for v in set_bits(cls):
+                assert v not in colour, "classes overlap"
+                colour[v] = c
+        assert sorted(colour) == set_bits(mask)
+        colouring = [colour[v] for v in sorted(colour)]
+        assert is_valid_colouring(Graph(h.adjacency), colouring)
+        assert all(c < kcol for c in colouring)
     return got
 
 
@@ -182,7 +193,16 @@ def assert_agrees_with_reference(g, order, kcol):
 def test_k_colouring_agrees_with_reference_search(g, data):
     order = data.draw(st.permutations(range(g.n)))
     for kcol in range(6):
-        assert_agrees_with_reference(g, order, kcol)
+        assert_agrees_with_reference(g, (1 << g.n) - 1, order, kcol)
+
+
+@settings(deadline=None, max_examples=150)
+@given(loopless_graphs(12), st.data())
+def test_k_colouring_on_a_mask_agrees_with_reference_on_the_induced_subgraph(g, data):
+    mask = data.draw(st.integers(0, (1 << g.n) - 1))
+    order = data.draw(st.permutations(range(mask.bit_count())))
+    for kcol in range(6):
+        assert_agrees_with_reference(g, mask, order, kcol)
 
 
 def test_k_colouring_agrees_with_reference_on_stable_kneser():
@@ -190,7 +210,7 @@ def test_k_colouring_agrees_with_reference_on_stable_kneser():
         g = stable_kneser_graph(n, k)
         order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
         for kcol in (k + 1, k + 2):
-            got = assert_agrees_with_reference(g, order, kcol)
+            got = assert_agrees_with_reference(g, (1 << g.n) - 1, order, kcol)
             assert (got is not None) == (kcol == k + 2), (n, k, kcol)
 
 
@@ -242,6 +262,20 @@ def test_criticality_refuses_bad_automorphisms_before_searching(monkeypatch):
         vertex_criticality_check(g, 0)
     with pytest.raises(ValueError):
         vertex_criticality_check(one_vertex_looped())
+
+
+@pytest.mark.parametrize("classes", [[0b1010, 0b1100], [0b0010, 0b0100],
+                                     [0b0110, 0b1000], [0b0010, 0b0100, 0b1000]])
+def test_criticality_refuses_classes_that_do_not_colour_the_rest(monkeypatch, classes):
+    # K_3 beside an isolated vertex 3: chi = 3, so the search after deleting
+    # vertex 0 must return at most two disjoint independent classes covering
+    # 1, 2, 3; these overlap, miss 3, join 1 to 2, or number three.  Later
+    # searches find no colouring, so only vertex 0's classes can raise.
+    g = graph_from_edges(4, [(0, 1), (0, 2), (1, 2)])
+    monkeypatch.setattr(graphs, "_k_colouring",
+                        lambda adj, mask, kcol: classes if mask == 0b1110 else None)
+    with pytest.raises(RuntimeError, match="improper colouring"):
+        vertex_criticality_check(g, 3)
 
 
 def test_dihedral_act_examples():
