@@ -14,6 +14,7 @@ import functools
 import json
 import math
 import os
+import signal
 import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -260,15 +261,22 @@ def run(cfg: RunConfig) -> tuple[str, int]:
     return json.dumps(doc, sort_keys=True) + "\n", status
 
 
+def _exit_on_signal(signum, frame):
+    raise SystemExit(128 + signum)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Console entry point: a refused input or an unwritable --out path is one
     line on stderr, exit code 2; any other exception, an interrupt included,
     propagates.  The --out file is opened before the work, so a path that
     cannot be opened is refused first, and is emptied and written only once
     the report is ready: a run that raises leaves an existing file as it was
-    and removes a file that this run created.
+    and removes a file that this run created.  While main runs, SIGTERM
+    raises SystemExit(128 + SIGTERM), so a terminated run cleans up the same
+    way; the previous handler is restored on return.
     """
     cfg = config_from_args(build_parser().parse_args(argv))
+    previous = signal.signal(signal.SIGTERM, _exit_on_signal)
     created = False
     try:
         if cfg.out:
@@ -287,6 +295,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             raise
         sys.stderr.write("stablekneser: error: %s\n" % exc)
         return 2
+    finally:
+        signal.signal(signal.SIGTERM, previous)
     return status
 
 

@@ -1,11 +1,13 @@
 """Hom complexes, neighbourhood and order complexes, and GF(2) homology.
 
 A Hom cell assigns to each source vertex a nonempty set of target vertices
-with every cross pair an edge.  There is one cell model: the tuple of target
-bitmasks that hom_cells enumerates, one mask per source vertex, ordered by
-componentwise mask containment.  The covector map gives Hom(K_2, SG_{n,k})
-cells as the same vertex-bitmask pairs (A, B); negation is the swap (B, A),
-and a dihedral element acts on each mask by graphs.permute_mask under its
+with every cross pair an edge.  There is one cell model: one int that packs
+the target bitmask of source vertex u into the width-bit field starting at
+bit u * width, width = |V(H)|.  The face order is then a & ~b == 0, and a
+codimension-one face drops one bit and keeps that bit's field nonempty.  The
+covector map gives Hom(K_2, SG_{n,k}) cells as A | B << |V(SG_{n,k})| for the
+vertex bitmasks A, B of its two sides; negation swaps the two fields, and a
+dihedral element acts on each field by graphs.permute_mask under its
 graphs.vertex_permutation.  A covector is its side-mask pair (S_0, S_1)
 from matroid.covector_sides, keyed by the int S_0 | S_1 << m in the
 equivariance check; sign-vector tuples appear only where covectors are
@@ -14,17 +16,16 @@ themselves; the order complex of the cell poset, built from the same cells,
 gives a second homology route.  A simplicial complex keeps its facets as
 vertex bitmasks, bit i for vertex i: the neighbourhood complex takes the
 maximal adjacency rows, the order complex the maximal chains as masks of
-element indices, and faces are listed as submasks.  A simplex mask is then
-the one-coordinate cell (mask,), so one cellular boundary routine serves
-Hom and simplicial complexes alike, its rows bit-packed into ints and
-ranked over GF(2).
+element indices, and faces are listed as submasks.  A simplex is then the
+one-field cell, so one cellular boundary routine serves Hom and simplicial
+complexes alike, its rows bit-packed into ints and ranked over GF(2).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import graphs
 from .graphs import (CircularSet, DihedralElement, Graph, set_bits,
@@ -35,37 +36,15 @@ from .matroid import (SignVector, covector_extension_feasible, covector_sides,
 
 
 class FinitePoset:
-    """Finite poset over arbitrary elements with bitmask up-sets."""
+    """Finite poset over arbitrary elements, given by its bitmask up-sets.
 
-    def __init__(self, elements: Sequence, leq: Callable):
+    above[i] bit j iff elements[i] <= elements[j]; the caller vouches that
+    the bitmasks form a partial order, and nothing is re-checked.
+    """
+
+    def __init__(self, elements: Sequence, above: Sequence[int]):
         self.elements = list(elements)
-        n = len(self.elements)
-        self.above = [0] * n   # above[i] bit j: elements[i] <= elements[j]
-        for i in range(n):
-            for j in range(n):
-                if leq(self.elements[i], self.elements[j]):
-                    self.above[i] |= 1 << j
-        for i in range(n):
-            if not (self.above[i] >> i & 1):
-                raise ValueError("order not reflexive")
-            for j in range(n):
-                if self.above[i] >> j & 1:
-                    if i != j and self.above[j] >> i & 1:
-                        raise ValueError("order not antisymmetric")
-                    if self.above[j] & ~self.above[i]:
-                        raise ValueError("order not transitive")
-
-    @classmethod
-    def from_up_sets(cls, elements: Sequence, above: Sequence[int]) -> "FinitePoset":
-        """A poset whose up-sets are known: above[i] bit j iff elements[i] <= elements[j].
-
-        The caller vouches that the bitmasks form a partial order; nothing
-        is re-checked.
-        """
-        p = cls.__new__(cls)
-        p.elements = list(elements)
-        p.above = list(above)
-        return p
+        self.above = list(above)
 
     @property
     def n(self) -> int:
@@ -190,35 +169,35 @@ def gf2_rank_sparse(rows: Sequence[set]) -> int:
     return rank
 
 
-def _cell_faces(cell: tuple[int, ...]):
-    """The codimension-one faces: one bit dropped from one mask of >= 2 bits."""
-    for u, a in enumerate(cell):
-        if a & (a - 1):
-            head, tail = cell[:u], cell[u + 1:]
-            rest = a
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                yield head + (a ^ low,) + tail
+def _cell_faces(cell: int, width: int):
+    """The codimension-one faces of a packed cell: one bit dropped, its field kept nonempty."""
+    field = (1 << width) - 1
+    rest = cell
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        face = cell ^ low
+        if face >> (low.bit_length() - 1) // width * width & field:
+            yield face
 
 
-def boundary_rank(cells: Sequence[tuple[int, ...]], below_index: dict) -> int:
+def boundary_rank(cells: Sequence[int], below_index: dict[int, int], width: int) -> int:
     """Rank over GF(2) of the boundary from `cells` to the cells indexed by below_index.
 
-    A cell is a tuple of bitmasks, a product of simplices; over GF(2) its
-    boundary is the sum of its codimension-one faces.
+    A cell is packed in width-bit fields, a product of simplices; over GF(2)
+    its boundary is the sum of its codimension-one faces.
     """
     rows = []
     for c in cells:
         row = 0
-        for f in _cell_faces(c):
+        for f in _cell_faces(c, width):
             row ^= 1 << below_index[f]
         rows.append(row)
     return gf2_rank_dense(rows)
 
 
-def _cellular_betti(cells: dict[int, list[tuple[int, ...]]]) -> tuple[int, ...]:
-    """Betti numbers over GF(2) of cells keyed by dimension, trailing zeros trimmed.
+def _cellular_betti(cells: dict[int, list[int]], width: int) -> tuple[int, ...]:
+    """Betti numbers over GF(2) of packed cells keyed by dimension, trailing zeros trimmed.
 
     Every dimension from 0 to the top holds cells, and every face of a cell
     is a cell.
@@ -226,7 +205,7 @@ def _cellular_betti(cells: dict[int, list[tuple[int, ...]]]) -> tuple[int, ...]:
     top = max(cells, default=-1)
     ranks = [0] * (top + 2)   # ranks[d]: the boundary from dimension d to d - 1
     for d in range(1, top + 1):
-        ranks[d] = boundary_rank(cells[d], {c: i for i, c in enumerate(cells[d - 1])})
+        ranks[d] = boundary_rank(cells[d], {c: i for i, c in enumerate(cells[d - 1])}, width)
     betti = [len(cells[d]) - ranks[d] - ranks[d + 1] for d in range(top + 1)]
     while len(betti) > 1 and betti[-1] == 0:
         betti.pop()
@@ -236,22 +215,23 @@ def _cellular_betti(cells: dict[int, list[tuple[int, ...]]]) -> tuple[int, ...]:
 def z2_betti(x: SimplicialComplex) -> tuple[int, ...]:
     """Betti numbers over GF(2), trailing zeros trimmed.
 
-    A face mask is the one-coordinate cell (mask,) of _cellular_betti.
+    A face mask is a one-field cell of _cellular_betti, the field as wide
+    as the highest vertex bit.
     """
-    return _cellular_betti({d: [(f,) for f in fs] for d, fs in x.all_faces().items()})
+    return _cellular_betti(x.all_faces(), max(map(int.bit_length, x.facets), default=1))
 
 
 # ---------------------------------------------------------------------------
 # Hom poset
 
 
-def hom_cells(g: Graph, h: Graph,
-              max_cells: int = 10 ** 6) -> dict[int, list[tuple[int, ...]]]:
-    """The cells of Hom(G, H) as tuples of target bitmasks, keyed by dimension.
+def hom_cells(g: Graph, h: Graph, max_cells: int = 10 ** 6) -> dict[int, list[int]]:
+    """The cells of Hom(G, H) as packed ints, keyed by dimension.
 
-    A cell gives each source vertex u a nonempty target set, bit t of
-    cell[u] for target t, with every cross pair over an edge of G an edge
-    of H.  It is a product of simplices of dimension sum(|cell[u]| - 1).
+    A cell gives each source vertex u a nonempty target set, bit t of its
+    field for target t, the field of u starting at bit u * h.n, with every
+    cross pair over an edge of G an edge of H.  It is a product of simplices
+    of dimension sum(|field| - 1).
     Backtracks over the source vertices and grows each set one target at a
     time, keeping only sets that leave every unassigned neighbour a nonempty
     common-neighbour set; for K_2 the first set A runs over the sets with a
@@ -267,8 +247,7 @@ def hom_cells(g: Graph, h: Graph,
     # allowed[v]: the targets v may take, given the sets assigned so far
     allowed = [looped_targets if loop[v] else (1 << h.n) - 1
                for v in range(g.n)]
-    cell = [0] * g.n
-    cells: dict[int, list[tuple[int, ...]]] = {}
+    cells: dict[int, list[int]] = {}
     found = 0
 
     def grow(u: int, rem: int, s: int, common: int):
@@ -282,24 +261,23 @@ def hom_cells(g: Graph, h: Graph,
             yield s | low, c
             yield from grow(u, rem & c if loop[u] else rem, s | low, c)
 
-    def rec(u: int, dim: int) -> None:
+    def rec(u: int, cell: int, dim: int) -> None:
         nonlocal found
         if u == g.n:
-            cells.setdefault(dim, []).append(tuple(cell))
+            cells.setdefault(dim, []).append(cell)
             found += 1
             if found > max_cells:
                 raise ValueError("refusing: more than %d cells" % max_cells)
             return
         for s, c in grow(u, allowed[u], 0, (1 << h.n) - 1):
-            cell[u] = s
             saved = [allowed[v] for v in later[u]]
             for v in later[u]:
                 allowed[v] &= c
-            rec(u + 1, dim + s.bit_count() - 1)
+            rec(u + 1, cell | s << u * h.n, dim + s.bit_count() - 1)
             for v, a in zip(later[u], saved):
                 allowed[v] = a
 
-    rec(0, 0)
+    rec(0, 0, 0)
     return cells
 
 
@@ -309,13 +287,13 @@ def hom_betti(g: Graph, h: Graph) -> tuple[int, ...]:
     The cells are products of simplices, so no order complex is built.
     Trailing zeros are trimmed as in z2_betti.
     """
-    return _cellular_betti(hom_cells(g, h))
+    return _cellular_betti(hom_cells(g, h), h.n)
 
 
 def hom_poset(g: Graph, h: Graph, max_cells: int = 10 ** 6) -> FinitePoset:
-    """The face poset of hom_cells, ordered by componentwise mask containment.
+    """The face poset of hom_cells, ordered by a & ~b == 0 on the packed cells.
 
-    Elements are the hom_cells tuples themselves, dimension by dimension
+    Elements are the hom_cells ints themselves, dimension by dimension
     from 0 up and in enumeration order within a dimension; the up-sets are
     pushed down from each cell to its faces, highest dimension first.
     """
@@ -324,9 +302,9 @@ def hom_poset(g: Graph, h: Graph, max_cells: int = 10 ** 6) -> FinitePoset:
     index = {c: i for i, c in enumerate(cells)}
     above = [1 << i for i in range(len(cells))]
     for i in reversed(range(len(cells))):
-        for f in _cell_faces(cells[i]):
+        for f in _cell_faces(cells[i], h.n):
             above[index[f]] |= above[i]
-    return FinitePoset.from_up_sets(cells, above)
+    return FinitePoset(cells, above)
 
 
 def neighbourhood_complex(g: Graph) -> SimplicialComplex:
@@ -368,13 +346,13 @@ def _side_vertices(side: int, m: int, n: int, target: Graph,
 
 
 def covector_to_hom(s: SignVector, n: int, k: int,
-                    target: Optional[Graph] = None) -> tuple[int, int]:
-    """The cell (A, B) of Hom(K_2, SG_{n,k}) attached to a covector.
+                    target: Optional[Graph] = None) -> int:
+    """The packed cell A | B << |V(SG_{n,k})| of Hom(K_2, SG_{n,k}) attached to a covector.
 
     A and B are vertex bitmasks of SG_{n,k}, as in hom_cells: each K_2
     vertex l is sent to all stable n-sets inside S_l(s).  Order preserving
-    in s for componentwise mask containment; negation is the swap (B, A),
-    and cocircuits land on atoms with interleaved sides.
+    in s for a & ~b == 0; negation swaps the two fields, and cocircuits
+    land on atoms with interleaved sides.
     """
     m = 2 * n + k
     if len(s) != m:
@@ -385,22 +363,23 @@ def covector_to_hom(s: SignVector, n: int, k: int,
     if target is None:
         target = stable_kneser_graph(n, k)
     inside: dict[int, int] = {}
-    s0, s1 = side_masks(s)
-    return _side_vertices(s0, m, n, target, inside), _side_vertices(s1, m, n, target, inside)
+    return sum(_side_vertices(side, m, n, target, inside) << l * target.n
+               for l, side in enumerate(side_masks(s)))
 
 
 def covector_cells(n: int, k: int,
-                   target: Optional[Graph] = None) -> dict[SignVector, tuple[int, int]]:
-    """Every covector of C^{m,k+1}, m = 2n + k, with its cell (A, B).
+                   target: Optional[Graph] = None) -> dict[SignVector, int]:
+    """Every covector of C^{m,k+1}, m = 2n + k, with its packed cell as in covector_to_hom.
 
-    Keys follow enumerate_covectors; cells are pairs of vertex bitmasks of
-    SG_{n,k} as in hom_cells(K_2, SG_{n,k}), one per side.
+    Keys follow enumerate_covectors; cells are packed as in
+    hom_cells(K_2, SG_{n,k}), one vertex-bitmask field per side.
     """
     m = 2 * n + k
     if target is None:
         target = stable_kneser_graph(n, k)
     inside: dict[int, int] = {}
-    return {s: tuple(_side_vertices(side, m, n, target, inside) for side in side_masks(s))
+    return {s: sum(_side_vertices(side, m, n, target, inside) << l * target.n
+                   for l, side in enumerate(side_masks(s)))
             for s in enumerate_covectors(m, k)}
 
 
@@ -424,9 +403,9 @@ def check_equivariance_combinatorial(n: int, k: int) -> dict:
     """Check the covector map intertwines both group actions, on every covector.
 
     sigma and rho act on sign vectors by the twisted shift/flip rules and on
-    Hom(K_2, SG_{n,k}) through vertex labels, a cell (A, B) going to
-    (pi(A), pi(B)) for the vertex permutation pi; negation must match the
-    K_2 swap (A, B) -> (B, A).  A covector is its side masks (S_0, S_1),
+    Hom(K_2, SG_{n,k}) through vertex labels, each field A of a cell going
+    to pi(A) for the vertex permutation pi; negation must match the K_2
+    swap of the two fields.  A covector is its side masks (S_0, S_1),
     keyed S_0 | S_1 << m.  The sign action moves sides as sets, by the
     position move of each generator; one table per generator sends each
     covector side S to gS when the vertices inside gS are pi of those inside

@@ -368,6 +368,43 @@ def hom_cells_by_product_filter(g_adjacency, h_adjacency) -> dict:
     return out
 
 
+def tuple_cell_faces(cell: tuple[int, ...]):
+    """The codimension-one faces of a cell given as one target mask per source
+    vertex: one bit dropped from one mask of >= 2 bits."""
+    for u, a in enumerate(cell):
+        if a & (a - 1):
+            head, tail = cell[:u], cell[u + 1:]
+            rest = a
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                yield head + (a ^ low,) + tail
+
+
+def up_sets_by_predicate(elements: Sequence, leq) -> list[int]:
+    """The bitmask up-sets of the order leq, one leq call per pair of elements.
+
+    above[i] bit j iff leq(elements[i], elements[j]); refuses a predicate
+    that is not reflexive, antisymmetric and transitive.
+    """
+    n = len(elements)
+    above = [0] * n
+    for i in range(n):
+        for j in range(n):
+            if leq(elements[i], elements[j]):
+                above[i] |= 1 << j
+    for i in range(n):
+        if not (above[i] >> i & 1):
+            raise ValueError("order not reflexive")
+        for j in range(n):
+            if above[i] >> j & 1:
+                if i != j and above[j] >> i & 1:
+                    raise ValueError("order not antisymmetric")
+                if above[j] & ~above[i]:
+                    raise ValueError("order not transitive")
+    return above
+
+
 def cycle_graph(length: int) -> Graph:
     return graph_from_edges(length, [(i, (i + 1) % length) for i in range(length)])
 

@@ -1,8 +1,10 @@
 import functools
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 
 import jsonschema
 import pytest
@@ -203,6 +205,45 @@ def test_interrupted_run_removes_only_the_out_file_it_created(tmp_path, monkeypa
         assert not out.exists()
 
 
+def _child_env():
+    """The environment a child needs to import the package this process imported."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def test_terminated_run_removes_only_the_out_file_it_created(tmp_path):
+    # SG_{3,5} refutes chi - 1 colours for far longer than this test waits
+    argv = [sys.executable, "-m", "stablekneser", "graph", "--n", "3", "--k", "5",
+            "--chromatic", "--out"]
+    new = tmp_path / "new.json"
+    launched = time.monotonic()
+    proc = subprocess.Popen(argv + [str(new)], env=_child_env())
+    try:
+        while not new.exists() and proc.poll() is None and time.monotonic() < launched + 60:
+            time.sleep(0.02)
+        assert new.exists(), "the run never opened its --out file"
+        ready = time.monotonic() - launched
+        proc.terminate()
+        assert proc.wait(timeout=60) == 128 + signal.SIGTERM
+    finally:
+        proc.kill()
+    assert not new.exists()
+
+    # an existing file gives no sign that the run is under way: wait twice
+    # as long as the first run took to open its file
+    old = tmp_path / "old.json"
+    old.write_bytes(b"keep me\n")
+    proc = subprocess.Popen(argv + [str(old)], env=_child_env())
+    try:
+        time.sleep(2 * ready)
+        proc.terminate()
+        proc.wait(timeout=60)
+    finally:
+        proc.kill()
+    assert old.read_bytes() == b"keep me\n"
+
+
 def test_out_file_is_replaced_by_the_full_report(tmp_path, capsys):
     out = tmp_path / "x.csv"
     out.write_bytes(b"an older and longer report than the new one\n" * 100)
@@ -219,12 +260,10 @@ def test_pretty_classify():
 
 def test_console_entrypoint():
     # the child finds the package where this process found it, installed or not
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "stablekneser", "matroid", "--m", "3", "--k", "1",
          "--samples", "500"],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
+        capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["covectors"] == 12
 

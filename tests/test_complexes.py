@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from stablekneser.complexes import (FinitePoset, SimplicialComplex,
+from stablekneser.complexes import (FinitePoset, SimplicialComplex, _cell_faces,
                                     check_equivariance_combinatorial,
                                     covector_cells, covector_to_hom,
                                     gf2_rank_dense,
@@ -26,18 +26,45 @@ from oracles import (boundary_squared_is_zero, cycle_graph,
                      euler_characteristic_consistent,
                      hom_cells_by_product_filter, homomorphisms, negate,
                      one_vertex_looped, poset_covers_and_minima,
+                     tuple_cell_faces, up_sets_by_predicate,
                      z2_betti_by_frozensets)
 
 P = parse_sign_vector
 
 
 def contained(a, b):
-    """Componentwise mask containment, the order on Hom cells."""
-    return all(x & ~y == 0 for x, y in zip(a, b))
+    """The order on packed Hom cells."""
+    return a & ~b == 0
 
 
-def member_tuples(cell):
-    return tuple(tuple(t for t in range(a.bit_length()) if a >> t & 1) for a in cell)
+def pack(masks, width):
+    """The packed cell with masks[u] in the width-bit field of source vertex u."""
+    return sum(a << u * width for u, a in enumerate(masks))
+
+
+def unpack(cell, width, fields):
+    """The target masks of a packed cell, one per source vertex."""
+    return tuple(cell >> u * width & (1 << width) - 1 for u in range(fields))
+
+
+def member_tuples(cell, width, fields):
+    return tuple(tuple(t for t in range(width) if a >> t & 1)
+                 for a in unpack(cell, width, fields))
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.data())
+def test_packed_faces_and_order_match_the_tuple_cells(data):
+    fields = data.draw(st.integers(1, 4), label="fields")
+    width = data.draw(st.integers(1, 8), label="width")
+    masks = st.lists(st.integers(0, (1 << width) - 1), min_size=fields, max_size=fields)
+    a = [x or 1 for x in data.draw(masks, label="a")]
+    add, drop = data.draw(masks, label="add"), data.draw(masks, label="drop")
+    b = [(x | y) & ~z or x for x, y, z in zip(a, add, drop)]
+    assert sorted(_cell_faces(pack(a, width), width)) == \
+        sorted(pack(f, width) for f in tuple_cell_faces(tuple(a)))
+    assert contained(pack(a, width), pack(b, width)) == \
+        all(x & ~y == 0 for x, y in zip(a, b))
 
 
 def test_hom_poset_k2_k3():
@@ -54,7 +81,7 @@ def test_hom_poset_k2_k2():
 
 def test_hom_atoms_are_homomorphisms():
     for h in (complete_graph(3), cycle_graph(5), stable_kneser_graph(2, 1)):
-        atoms = hom_cells(k2(), h)[0]
+        atoms = [unpack(c, h.n, 2) for c in hom_cells(k2(), h)[0]]
         homs = homomorphisms(k2(), h)
         assert len(atoms) == len(homs)
         assert all(a.bit_count() == 1 for cell in atoms for a in cell)
@@ -88,6 +115,9 @@ def test_hom_poset_size_refusal():
 
 
 def test_hom_poset_against_brute_force():
+    # the empty map is the one cell of Hom from and to the empty graph
+    empty = graph_from_edges(0, [])
+    assert hom_poset(empty, empty).elements == [0]
     import random
     rng = random.Random(23)
     for _ in range(12):
@@ -107,21 +137,26 @@ def test_hom_poset_against_brute_force():
                      for a in cell[u] for b in cell[v])
             if ok:
                 brute.add(tuple(tuple(sorted(c)) for c in cell))
-        got = {member_tuples(c) for c in hom_poset(g, h).elements}
+        got = {member_tuples(c, hn, gn) for c in hom_poset(g, h).elements}
         assert got == brute
 
 
 def test_hom_cell_counts_and_dimensions():
-    for n, k, count in [(1, 4, 602), (2, 3, 4984), (3, 3, 60888)]:
-        cells = hom_cells(k2(), stable_kneser_graph(n, k))
+    for n, k, count in [(1, 4, 602), (2, 3, 4984), (3, 3, 60888), (2, 4, 129666)]:
+        h = stable_kneser_graph(n, k)
+        cells = hom_cells(k2(), h)
         assert sum(len(cs) for cs in cells.values()) == count, (n, k)
         for d, cs in cells.items():
-            assert all(a.bit_count() + b.bit_count() - 2 == d for a, b in cs)
+            for c in cs:
+                a, b = unpack(c, h.n, 2)
+                # two nonempty fields and no bit past them
+                assert a and b and c >> 2 * h.n == 0, (n, k, c)
+                assert a.bit_count() + b.bit_count() - 2 == d
     # Hom(1, H): nonempty looped cliques, one simplex per clique
     h = graph_from_edges(4, [(0, 0), (1, 1), (2, 2), (0, 1), (1, 2), (0, 2), (2, 3)])
     cells = hom_cells(one_vertex_looped(), h)
     assert {d: sorted(cs) for d, cs in cells.items()} == \
-        {0: [(1,), (2,), (4,)], 1: [(3,), (5,), (6,)], 2: [(7,)]}
+        {0: [1, 2, 4], 1: [3, 5, 6], 2: [7]}
 
 
 def test_hom_betti_spheres_beyond_the_order_complex():
@@ -146,12 +181,13 @@ def small_graphs(draw, max_n):
 @given(small_graphs(3), small_graphs(5))
 def test_hom_betti_matches_order_complex(g, h):
     cells = hom_cells(g, h)
-    got = {member_tuples(c): d for d, cs in cells.items() for c in cs}
+    got = {c: d for d, cs in cells.items() for c in cs}
     assert sum(map(len, cells.values())) == len(got)
-    assert got == hom_cells_by_product_filter(g.adjacency, h.adjacency)
+    assert got == {pack([sum(1 << t for t in s) for s in cell], h.n): d for cell, d
+                   in hom_cells_by_product_filter(g.adjacency, h.adjacency).items()}
     assume(sum(len(cs) for cs in cells.values()) <= 150 and max(cells, default=0) <= 4)
     p = hom_poset(g, h)
-    assert p.above == FinitePoset(p.elements, contained).above
+    assert p.above == up_sets_by_predicate(p.elements, contained)
     assert (p.covers(), p.atoms()) == poset_covers_and_minima(p.n, p.leq)
     assert hom_betti(g, h) == z2_betti(order_complex(p))
 
@@ -182,7 +218,7 @@ def test_neighbourhood_complex_facets_are_the_maximal_adjacency_rows():
 
 
 def test_order_complex_examples():
-    antichain = FinitePoset(["p", "q"], lambda a, b: a == b)
+    antichain = FinitePoset(["p", "q"], up_sets_by_predicate(["p", "q"], lambda a, b: a == b))
     assert (antichain.covers(), antichain.atoms()) == \
         poset_covers_and_minima(2, lambda i, j: i == j)
     oc = order_complex(antichain)
@@ -191,7 +227,7 @@ def test_order_complex_examples():
     # face poset of the triangle boundary: barycentric circle
     elements = [frozenset({i}) for i in range(3)] + \
         [frozenset({i, (i + 1) % 3}) for i in range(3)]
-    fp = FinitePoset(elements, lambda a, b: a <= b)
+    fp = FinitePoset(elements, up_sets_by_predicate(elements, lambda a, b: a <= b))
     assert (fp.covers(), fp.atoms()) == \
         poset_covers_and_minima(6, lambda i, j: elements[i] <= elements[j])
     oc = order_complex(fp)
@@ -200,7 +236,7 @@ def test_order_complex_examples():
     assert z2_betti(oc) == (1, 1)
     # divisibility: the covers skip the composite steps
     divisors = [1, 2, 3, 4, 6, 12]
-    div = FinitePoset(divisors, lambda a, b: b % a == 0)
+    div = FinitePoset(divisors, up_sets_by_predicate(divisors, lambda a, b: b % a == 0))
     assert (div.covers(), div.atoms()) == \
         poset_covers_and_minima(6, lambda i, j: divisors[j] % divisors[i] == 0)
     assert div.covers() == [[1, 2], [3, 4], [4], [5], [5], []]
@@ -328,9 +364,10 @@ def test_side_sets():
 def test_covector_to_hom_cocircuit_example():
     target = stable_kneser_graph(2, 1)
     cell = covector_to_hom(P("++++0"), 2, 1, target)
-    names = [{target.labels[i].members() for i in side} for side in member_tuples(cell)]
+    names = [{target.labels[i].members() for i in side}
+             for side in member_tuples(cell, target.n, 2)]
     assert names == [{(0, 2)}, {(1, 3)}]
-    assert all(a.bit_count() == 1 for a in cell)
+    assert all(a.bit_count() == 1 for a in unpack(cell, target.n, 2))
 
 
 def test_covector_to_hom_rejects_non_covector():
@@ -355,14 +392,14 @@ def test_covector_to_hom_cocircuits_are_interleaved_atoms():
         target = stable_kneser_graph(n, k)
         interleaved = set()
         for cell in hom_cells(k2(), target)[0]:
-            a = target.labels[cell[0].bit_length() - 1].members()
-            b = target.labels[cell[1].bit_length() - 1].members()
+            a, b = (target.labels[f.bit_length() - 1].members()
+                    for f in unpack(cell, target.n, 2))
             if sorted(a + b)[::2] in (list(a), list(b)):
                 interleaved.add(cell)
         image = set()
         for s in enumerate_cocircuits(m, k):
             cell = covector_to_hom(s, n, k, target)
-            assert all(a.bit_count() == 1 for a in cell)
+            assert all(a.bit_count() == 1 for a in unpack(cell, target.n, 2))
             image.add(cell)
         assert image == interleaved
         assert len(image) == len(enumerate_cocircuits(m, k))
@@ -464,14 +501,15 @@ def test_covector_cells_are_all_hom_cells_for_n_1():
 
 
 def test_negation_matches_swap():
+    width = stable_kneser_graph(2, 1).n
     for s in enumerate_covectors(5, 1):
-        a, b = covector_to_hom(s, 2, 1)
-        assert covector_to_hom(negate(s), 2, 1) == (b, a)
+        a, b = unpack(covector_to_hom(s, 2, 1), width, 2)
+        assert covector_to_hom(negate(s), 2, 1) == pack((b, a), width)
 
 
 def _act_on_cell(cell, target, elem):
     perm = vertex_permutation(target, elem)
-    return tuple(permute_mask(mask, perm) for mask in cell)
+    return pack([permute_mask(mask, perm) for mask in unpack(cell, target.n, 2)], target.n)
 
 
 def test_multihom_dihedral_act_is_action():
@@ -499,11 +537,12 @@ def test_covector_to_hom_is_equivariant_on_side_sets(data):
     k = m - 2 * n
     s = data.draw(st.sampled_from(_covectors(m, k)), label="s")
     g = DihedralElement(m, data.draw(st.integers(0, m - 1)), data.draw(st.booleans()))
-    perm = vertex_permutation(stable_kneser_graph(n, k), g)
-    a, b = covector_to_hom(s, n, k)
+    target = stable_kneser_graph(n, k)
+    perm = vertex_permutation(target, g)
+    a, b = unpack(covector_to_hom(s, n, k), target.n, 2)
     assert covector_to_hom(dihedral_act_sign(s, g), n, k) == \
-        (permute_mask(a, perm), permute_mask(b, perm))
-    assert covector_to_hom(negate(s), n, k) == (b, a)
+        pack((permute_mask(a, perm), permute_mask(b, perm)), target.n)
+    assert covector_to_hom(negate(s), n, k) == pack((b, a), target.n)
 
 
 def test_verify_nerve():
@@ -516,11 +555,3 @@ def test_verify_nerve():
         # an empty range of family sizes would check nothing and pass
         with pytest.raises(ValueError, match=r"\(n, k\) = \(2, 1\)"):
             verify_nerve(2, 1, max_set_size=size)
-
-
-def test_poset_rejects_bad_order():
-    with pytest.raises(ValueError, match="order not antisymmetric"):
-        FinitePoset([0, 1], lambda a, b: True)
-    # 0 <= 1 and 1 <= 2 without 0 <= 2 would give order_complex the chain (0, 1, 2)
-    with pytest.raises(ValueError, match="order not transitive"):
-        FinitePoset([0, 1, 2], lambda a, b: b - a in (0, 1))
