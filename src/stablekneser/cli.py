@@ -273,10 +273,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     the report is ready: a run that raises leaves an existing file as it was
     and removes a file that this run created.  While main runs, SIGTERM
     raises SystemExit(128 + SIGTERM), so a terminated run cleans up the same
-    way; the previous handler is restored on return.
+    way, and so does SIGHUP (exit code 129) where the platform has it; the
+    previous handlers are restored on return.
     """
     cfg = config_from_args(build_parser().parse_args(argv))
-    previous = signal.signal(signal.SIGTERM, _exit_on_signal)
+    stops = [signal.SIGTERM] + ([signal.SIGHUP] if hasattr(signal, "SIGHUP") else [])
+    previous = {sig: signal.signal(sig, _exit_on_signal) for sig in stops}
     created = False
     try:
         if cfg.out:
@@ -296,7 +298,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         sys.stderr.write("stablekneser: error: %s\n" % exc)
         return 2
     finally:
-        signal.signal(signal.SIGTERM, previous)
+        for sig, handler in previous.items():
+            signal.signal(sig, handler)
     return status
 
 

@@ -12,7 +12,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .graphs import CircularSet, DihedralElement, enumerate_stable_sets
+from .graphs import CircularSet, DihedralElement, enumerate_stable_sets, position_map
 from .matroid import (SignVector, check_instance, enumerate_cocircuits,
                       enumerate_covectors, is_covector, render_sign_vector,
                       side_masks)
@@ -106,30 +106,24 @@ class MomentConfig:
 
     def vector(self, j: int) -> np.ndarray:
         """v_j for any integer j via the curve formula (not reduced mod m)."""
-        return _curve_point(float(j), self.m, self.k)
+        return _curve([j], self.m, self.k)[0]
 
 
-def _curve_point(t: float, m: int, k: int) -> np.ndarray:
+def _curve(t: Sequence[float], m: int, k: int) -> np.ndarray:
+    """The moment curve at every t, one row each; the angles l*t*2pi/m (even k)
+    or (2l+1)*t*pi/m (odd k) are multiplied out left to right, as for one t."""
+    t = np.asarray(t, dtype=float)[:, None]
     if k % 2 == 0:
-        r = k // 2
-        out = [1.0]
-        for l in range(1, r + 1):
-            ang = 2.0 * np.pi * l * t / m
-            out += [np.cos(ang), np.sin(ang)]
+        ang, lead = 2.0 * np.pi * np.arange(1, k // 2 + 1) * t / m, [np.ones_like(t)]
     else:
-        r = (k - 1) // 2
-        out = []
-        for l in range(r + 1):
-            ang = (2 * l + 1) * np.pi * t / m
-            out += [np.cos(ang), np.sin(ang)]
-    return np.array(out)
+        ang, lead = np.arange(1, k + 1, 2) * np.pi * t / m, []
+    return np.hstack(lead + [np.stack([np.cos(ang), np.sin(ang)], axis=2).reshape(len(t), -1)])
 
 
 def config_for(m: int, k: int) -> MomentConfig:
     """Configuration keyed on (m, k); n need not be integral here."""
     check_instance(m, k)
-    vecs = np.array([_curve_point(float(j), m, k) for j in range(m)])
-    return MomentConfig(m, k, vecs)
+    return MomentConfig(m, k, _curve(np.arange(m), m, k))
 
 
 def moment_vectors(n: int, k: int) -> MomentConfig:
@@ -140,20 +134,16 @@ def moment_vectors(n: int, k: int) -> MomentConfig:
 
 
 def eq3_deviations(config: MomentConfig, rep: OrthogonalRep) -> dict[str, float]:
-    """Max deviations of the three shift identities over all j."""
-    m = config.m
-    v = config.vectors
-    dev_sigma = max(
-        float(np.linalg.norm(rep.sigma_matrix @ v[j] + config.vector(j + 1)))
-        for j in range(m))
-    dev_rho = max(
-        float(np.linalg.norm(rep.rho_matrix @ v[j] - config.vector(-j)))
-        for j in range(m))
+    """Max deviations of the three shift identities over all j, by stacked
+    products that give the floats of one matrix product and norm per j."""
+    m, k, v = config.m, config.k, config.vectors
+    j = np.arange(m)
     sign = -1.0 if m % 2 else 1.0
-    dev_period = max(
-        float(np.linalg.norm(config.vector(j + m) - sign * v[j]))
-        for j in range(m))
-    return {"sigma_shift": dev_sigma, "rho_flip": dev_rho, "periodicity": dev_period}
+    gaps = (np.matmul(rep.sigma_matrix, v[:, :, None])[:, :, 0] + _curve(j + 1, m, k),
+            np.matmul(rep.rho_matrix, v[:, :, None])[:, :, 0] - _curve(-j, m, k),
+            _curve(j + m, m, k) - sign * v)
+    dev = [float(np.sqrt(x[:, None, :] @ x[:, :, None]).max()) for x in gaps]
+    return {"sigma_shift": dev[0], "rho_flip": dev[1], "periodicity": dev[2]}
 
 
 def sign_vector_of_point(x: np.ndarray, config: MomentConfig,
@@ -292,7 +282,7 @@ def verify_realization(m: int, k: int, samples: int = 100000,
 def v_of_set(s: CircularSet, config: MomentConfig,
              min_norm: float = 1e-12) -> np.ndarray:
     """Normalized alternating sum over the set; never zero on stable sets."""
-    total = _signed_sums([s], config)[0]
+    total = _signed_sums(_incidence([s], config.m), config)[0]
     nrm = float(np.linalg.norm(total))
     if nrm < min_norm:
         raise ValueError("alternating sum vanished on %s; "
@@ -308,25 +298,31 @@ def _incidence(verts: Sequence[CircularSet], m: int) -> np.ndarray:
     return np.unpackbits(packed, axis=1, count=m, bitorder="little")
 
 
-def _signed_sums(verts: Sequence[CircularSet], config: MomentConfig) -> np.ndarray:
+def _signed_sums(incidence: np.ndarray, config: MomentConfig) -> np.ndarray:
     """The alternating sum of (-1)^i v_i over the members i of every set, as rows.
 
-    The sets must have equal size.  Adds the terms member by member in
-    increasing order, all sets at once, so every row equals that loop over
-    one set bit for bit.
+    The sets, given by their incidence rows, must have equal size.  Adds the
+    terms member by member in increasing order, all sets at once, so every
+    row equals that loop over one set bit for bit.
     """
-    members = np.nonzero(_incidence(verts, config.m))[1].reshape(len(verts), -1)
+    members = np.nonzero(incidence)[1].reshape(len(incidence), -1)
     terms = np.where(np.arange(config.m) % 2 == 0, 1.0, -1.0)[:, None] * config.vectors
-    total = np.zeros((len(verts), config.k + 1))
+    total = np.zeros((len(incidence), config.k + 1))
     for col in members.T:
         total += terms[col]
     return total
 
 
+def _vertex_rows(n: int, k: int) -> tuple[MomentConfig, np.ndarray, np.ndarray]:
+    """The configuration, and the incidence rows and sums of the stable n-sets."""
+    config = moment_vectors(n, k)
+    incidence = _incidence(enumerate_stable_sets(n, config.m), config.m)
+    return config, incidence, _signed_sums(incidence, config)
+
+
 def min_vertex_norm(n: int, k: int) -> float:
     """Exact minimum of the unnormalized sums over all stable n-sets."""
-    config = moment_vectors(n, k)
-    return _min_norm(_signed_sums(enumerate_stable_sets(n, config.m), config))
+    return _min_norm(_vertex_rows(n, k)[2])
 
 
 def _min_norm(sums: np.ndarray) -> float:
@@ -338,28 +334,65 @@ def max_edge_defect(n: int, k: int) -> float:
 
     ||v(S) + v(T)||^2 = 2 + 2<v(S), v(T)> is monotone in the Gram entry, so
     the largest entry over disjoint pairs S < T gives the maximum exactly.
-    Disjointness and the Gram entries are computed one row block at a time.
     """
-    config = moment_vectors(n, k)
-    verts = enumerate_stable_sets(n, config.m)
-    return _max_defect(verts, _signed_sums(verts, config), config.m)
+    _, incidence, sums = _vertex_rows(n, k)
+    return _max_defect(incidence, sums)
 
 
-def _max_defect(verts: Sequence[CircularSet], sums: np.ndarray, m: int) -> float:
-    norms = np.linalg.norm(sums, axis=1)
-    unit = sums / norms[:, None]
-    member = _incidence(verts, m).astype(np.float32)
-    nv = len(verts)
-    later = np.arange(nv)
-    step = max(1, (1 << 18) // nv)   # rows per block: about 2^18 overlap counts
-    worst = 0.0
-    for lo in range(0, nv, step):
-        hi = min(lo + step, nv)
-        edge = (member[lo:hi] @ member.T == 0) & (later > later[lo:hi, None])
-        if edge.any():
-            gram = unit[lo:hi] @ unit.T
-            worst = max(worst, 2.0 + 2.0 * float(gram[edge].max()))
+_ORBIT_MARGIN = 1e-9   # Gram entries this close to the best orbit's are rescanned
+
+
+def _max_defect(incidence: np.ndarray, sums: np.ndarray) -> float:
+    """The defect from the largest Gram entry over disjoint pairs S < T.
+
+    D_{2m} permutes the sets and acts orthogonally on their sums, so each
+    orbit's best entry shows on its least set's row against all sets.  Then
+    the orbits within _ORBIT_MARGIN of the top get every row scanned against
+    the later sets: the float of a scan of all pairs, bit for bit.
+    """
+    unit = sums / np.linalg.norm(sums, axis=1)[:, None]
+    least = _orbit_least(incidence)
+    reps = np.flatnonzero(least == np.arange(len(least)))
+    member = incidence.astype(np.float32)
+    best = _best_gram(reps, np.full(len(reps), -1), unit, member)
+    rows = np.flatnonzero(np.isin(least, reps[best >= best.max() - _ORBIT_MARGIN]))
+    worst = 2.0 + 2.0 * float(_best_gram(rows, rows, unit, member).max())
     return float(np.sqrt(max(worst, 0.0)))
+
+
+def _orbit_least(incidence: np.ndarray) -> np.ndarray:
+    """The least index in the <sigma, rho>-orbit of every row's set.
+
+    The rows must be distinct sets closed under D_{2m}, such as all stable
+    n-sets.  Finds each row's image under sigma and rho by its packed bytes,
+    then takes the least index over the sigma-cycle by doubling and over rho.
+    """
+    def keys(rows):
+        packed = np.packbits(rows, axis=1, bitorder="little")
+        return np.ascontiguousarray(packed).view("V%d" % packed.shape[1]).ravel()
+
+    m = incidence.shape[1]
+    own = keys(incidence)
+    order = np.argsort(own)
+    sigma, rho = (order[np.searchsorted(own, keys(incidence[:, np.argsort(position_map(m, *g))]),
+                                        sorter=order)] for g in ((1, False), (0, True)))
+    least = np.arange(len(own))
+    for _ in range(m.bit_length()):   # least over sigma^0 .. sigma^(2^t - 1) after t rounds
+        least, sigma = np.minimum(least, least[sigma]), sigma[sigma]
+    return np.minimum(least, least[rho])
+
+
+def _best_gram(rows: np.ndarray, after: np.ndarray, unit: np.ndarray,
+               member: np.ndarray) -> np.ndarray:
+    """Per row i, the largest Gram entry <u_i, u_j> over the sets j > after[i]
+    disjoint from set i, or -inf; about 2^18 entries per block of rows."""
+    step = max(1, (1 << 18) // len(unit))
+    best = np.empty(len(rows))
+    for lo in range(0, len(rows), step):
+        block = rows[lo:lo + step]
+        edge = (member[block] @ member.T == 0) & (np.arange(len(unit)) > after[lo:lo + step, None])
+        best[lo:lo + step] = np.where(edge, unit[block] @ unit.T, -np.inf).max(axis=1)
+    return best
 
 
 def borsuk_adjacent(x: np.ndarray, y: np.ndarray, eps: float) -> bool:
@@ -373,34 +406,42 @@ def point_to_vertex(x: np.ndarray, l: int, n: int, k: int,
     """A stable n-set inside S_l of the point's sign vector.
 
     Deterministically the lexicographically least one, the first of
-    enumerate_stable_sets inside the side.  Near-antipodal points with
-    l = 0 map to disjoint (hence adjacent) vertices.
+    enumerate_stable_sets inside the side: 0 with the earliest gapped picks
+    from [2, m - 2] if those give n members, else the earliest gapped picks
+    from [1, m - 1].  Near-antipodal points with l = 0 map to disjoint
+    (hence adjacent) vertices.
     """
     if l not in (0, 1):
         raise ValueError("l must be 0 or 1")
     if config is None:
         config = moment_vectors(n, k)
+    m = config.m
     side = side_masks(sign_vector_of_point(x, config, zero_tol))[l]
-    for v in enumerate_stable_sets(n, config.m):
-        if v.mask & ~side == 0:
-            return v
+    for mask, j, hi in ((1, 2, m - 2), (0, 1, m - 1)):   # the sets with 0 come first
+        if mask & ~side:
+            continue
+        while j <= hi and mask.bit_count() < n:
+            if side >> j & 1:
+                mask |= 1 << j
+                j += 1
+            j += 1
+        if mask.bit_count() == n:
+            return CircularSet(m, mask)
     raise ValueError("no stable %d-subset inside S_%d = %s"
-                     % (n, l, CircularSet(config.m, side)))
+                     % (n, l, CircularSet(m, side)))
 
 
 def geometry_row(n: int, k: int) -> dict:
     """One sweep row: norms, defects and equivariance deviations."""
     rep = representation(n, k)
-    config = moment_vectors(n, k)
-    verts = enumerate_stable_sets(n, config.m)
-    sums = _signed_sums(verts, config)
+    config, incidence, sums = _vertex_rows(n, k)
     eq3 = eq3_deviations(config, rep)
     rel = rep.relation_deviations()
     return {
         "n": n,
         "k": k,
         "min_vertex_norm": _min_norm(sums),
-        "max_edge_defect": _max_defect(verts, sums, config.m),
+        "max_edge_defect": _max_defect(incidence, sums),
         "eq3_sigma_dev": eq3["sigma_shift"],
         "eq3_rho_dev": eq3["rho_flip"],
         "eq3_period_dev": eq3["periodicity"],

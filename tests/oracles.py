@@ -491,20 +491,52 @@ def alternating_sums_by_set(member_tuples, vectors) -> np.ndarray:
     return np.array(rows)
 
 
-def max_edge_defect_by_pairs(masks, sums) -> float:
+def curve_point_by_terms(t: float, m: int, k: int) -> np.ndarray:
+    """The moment curve at one t, one angle and one cos/sin pair at a time."""
+    if k % 2 == 0:
+        out = [1.0]
+        for l in range(1, k // 2 + 1):
+            ang = 2.0 * np.pi * l * t / m
+            out += [np.cos(ang), np.sin(ang)]
+    else:
+        out = []
+        for l in range((k - 1) // 2 + 1):
+            ang = (2 * l + 1) * np.pi * t / m
+            out += [np.cos(ang), np.sin(ang)]
+    return np.array(out)
+
+
+def eq3_deviations_by_rows(vectors, sigma, rho) -> dict:
+    """The three shift-identity deviations, one matrix-vector product and one
+    norm per j, the curve read at each shifted index by curve_point_by_terms."""
+    m, k = vectors.shape[0], vectors.shape[1] - 1
+
+    def at(j):
+        return curve_point_by_terms(float(j), m, k)
+
+    sign = -1.0 if m % 2 else 1.0
+    return {
+        "sigma_shift": max(float(np.linalg.norm(sigma @ vectors[j] + at(j + 1))) for j in range(m)),
+        "rho_flip": max(float(np.linalg.norm(rho @ vectors[j] - at(-j))) for j in range(m)),
+        "periodicity": max(float(np.linalg.norm(at(j + m) - sign * vectors[j])) for j in range(m)),
+    }
+
+
+def max_edge_defect_by_row_blocks(masks, sums, rows: int = 64) -> float:
     """Max ||u_S + u_T|| over disjoint pairs S < T, u the normalized rows.
 
-    Reads each pair's Gram entry one at a time.
+    Scans every pair: the Gram entries of a block of rows against the rows
+    from the block on, disjointness read off the integer masks (m <= 63).
     """
     unit = sums / np.linalg.norm(sums, axis=1)[:, None]
-    gram = unit @ unit.T
+    masks = np.array(masks, dtype=np.int64)
+    index = np.arange(len(masks))
     worst = 0.0
-    for i in range(len(masks)):
-        for j in range(i + 1, len(masks)):
-            if masks[i] & masks[j] == 0:
-                val = 2.0 + 2.0 * gram[i][j]
-                if val > worst:
-                    worst = val
+    for lo in range(0, len(masks), rows):
+        hi = lo + rows
+        edge = ((masks[lo:hi, None] & masks[lo:]) == 0) & (index[lo:] > index[lo:hi, None])
+        if edge.any():
+            worst = max(worst, 2.0 + 2.0 * float((unit[lo:hi] @ unit[lo:].T)[edge].max()))
     return float(np.sqrt(max(worst, 0.0)))
 
 

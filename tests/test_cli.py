@@ -212,7 +212,7 @@ def _child_env():
     return dict(os.environ, PYTHONPATH=path)
 
 
-def test_terminated_run_removes_only_the_out_file_it_created(tmp_path):
+def _stop_runs_and_check_out_files(tmp_path, sig):
     # SG_{3,5} refutes chi - 1 colours for far longer than this test waits
     argv = [sys.executable, "-m", "stablekneser", "graph", "--n", "3", "--k", "5",
             "--chromatic", "--out"]
@@ -224,8 +224,8 @@ def test_terminated_run_removes_only_the_out_file_it_created(tmp_path):
             time.sleep(0.02)
         assert new.exists(), "the run never opened its --out file"
         ready = time.monotonic() - launched
-        proc.terminate()
-        assert proc.wait(timeout=60) == 128 + signal.SIGTERM
+        proc.send_signal(sig)
+        assert proc.wait(timeout=60) == 128 + sig
     finally:
         proc.kill()
     assert not new.exists()
@@ -237,11 +237,20 @@ def test_terminated_run_removes_only_the_out_file_it_created(tmp_path):
     proc = subprocess.Popen(argv + [str(old)], env=_child_env())
     try:
         time.sleep(2 * ready)
-        proc.terminate()
+        proc.send_signal(sig)
         proc.wait(timeout=60)
     finally:
         proc.kill()
     assert old.read_bytes() == b"keep me\n"
+
+
+def test_terminated_run_removes_only_the_out_file_it_created(tmp_path):
+    _stop_runs_and_check_out_files(tmp_path, signal.SIGTERM)
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGHUP"), reason="the platform has no SIGHUP")
+def test_hung_up_run_removes_only_the_out_file_it_created(tmp_path):
+    _stop_runs_and_check_out_files(tmp_path, signal.SIGHUP)
 
 
 def test_out_file_is_replaced_by_the_full_report(tmp_path, capsys):

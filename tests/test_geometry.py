@@ -16,10 +16,11 @@ from stablekneser.graphs import (CircularSet, DihedralElement, dihedral_act,
                                  stable_kneser_graph)
 from stablekneser.matroid import (dihedral_act_sign, enumerate_cocircuits,
                                   enumerate_covectors, is_covector,
-                                  parse_sign_vector, render_sign_vector)
+                                  parse_sign_vector, render_sign_vector, side_masks)
 import stablekneser.geometry as geometry_module
-from oracles import (alternating_sums_by_set, first_stable_subset_by_search,
-                     max_edge_defect_by_pairs, negate, sampled_sign_patterns)
+from oracles import (alternating_sums_by_set, curve_point_by_terms,
+                     eq3_deviations_by_rows, first_stable_subset_by_search,
+                     max_edge_defect_by_row_blocks, negate, sampled_sign_patterns)
 
 TOL = 1e-9
 
@@ -66,6 +67,20 @@ def test_eq3_identities_all_m_up_to_40():
             config = moment_vectors(n, k)
             devs = eq3_deviations(config, rep)
             assert max(devs.values()) < TOL, (n, k)
+
+
+def test_curve_and_eq3_match_the_per_row_loops_bit_for_bit():
+    for m in range(2, 41):
+        for n in range(1, m // 2 + 1):
+            k = m - 2 * n
+            rep = representation(n, k)
+            config = moment_vectors(n, k)
+            assert np.array_equal(config.vectors, np.array(
+                [curve_point_by_terms(float(j), m, k) for j in range(m)])), (n, k)
+            for j in (-m - 1, -1, m, 3 * m + 2):
+                assert np.array_equal(config.vector(j), curve_point_by_terms(float(j), m, k))
+            assert eq3_deviations(config, rep) == eq3_deviations_by_rows(
+                config.vectors, rep.sigma_matrix, rep.rho_matrix), (n, k)
 
 
 def test_sign_vector_of_point_basics():
@@ -337,16 +352,34 @@ def test_max_edge_defect_memory_stays_in_row_blocks():
 
 
 def test_signed_sums_and_edge_defect_match_the_loops_bit_for_bit():
-    for k in range(5):
-        for n in range(1, 9):
+    # the orbit scan's maximum lies off the orbits' least rows on (4, 1),
+    # (2, 2) and (4, 3), among others: only the rescan gets those exact
+    for k in range(7):
+        for n in range(1, (30 - k) // 2 + 1):
             config = moment_vectors(n, k)
             verts = enumerate_stable_sets(n, config.m)
-            sums = geometry_module._signed_sums(verts, config)
+            incidence = geometry_module._incidence(verts, config.m)
+            sums = geometry_module._signed_sums(incidence, config)
             loop = alternating_sums_by_set([s.members() for s in verts], config.vectors)
             assert np.array_equal(sums, loop), (n, k)
             assert min_vertex_norm(n, k) == float(np.linalg.norm(loop, axis=1).min())
-            assert max_edge_defect(n, k) == max_edge_defect_by_pairs(
+            assert max_edge_defect(n, k) == max_edge_defect_by_row_blocks(
                 [s.mask for s in verts], loop), (n, k)
+
+
+def test_signed_sums_are_dihedral_equivariant():
+    # the orbit scan of max_edge_defect rests on sums(gS) = matrix(g) sums(S)
+    for m in range(2, 21):
+        for n in range(1, m // 2 + 1):
+            k = m - 2 * n
+            rep = representation(n, k)
+            config = moment_vectors(n, k)
+            verts = enumerate_stable_sets(n, m)
+            sums = geometry_module._signed_sums(geometry_module._incidence(verts, m), config)
+            for g in (DihedralElement.sigma(m), DihedralElement.rho(m)):
+                images = [dihedral_act(s, g) for s in verts]
+                moved = geometry_module._signed_sums(geometry_module._incidence(images, m), config)
+                assert np.abs(moved - sums @ rep.matrix(g).T).max() < 1e-12, (n, k, g)
 
 
 def test_borsuk_adjacent():
@@ -398,6 +431,24 @@ def test_point_to_vertex_matches_search_reference(n, k, l, data):
             point_to_vertex(x, l, n, k, config)
     else:
         assert point_to_vertex(x, l, n, k, config).members() == tuple(want)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.integers(2, 22), st.data())
+def test_point_to_vertex_is_the_first_stable_set_inside_the_side(m, data):
+    n = data.draw(st.integers(1, m // 2))
+    k = m - 2 * n
+    l = data.draw(st.sampled_from((0, 1)))
+    config = moment_vectors(n, k)
+    x = np.array(data.draw(st.lists(st.sampled_from((-1.0, -0.5, 0.0, 0.5, 1.0)) | st.floats(-1, 1),
+                                    min_size=k + 1, max_size=k + 1)))
+    side = side_masks(sign_vector_of_point(x, config))[l]
+    want = next((s for s in enumerate_stable_sets(n, m) if s.mask & ~side == 0), None)
+    if want is None:
+        with pytest.raises(ValueError, match="no stable %d-subset" % n):
+            point_to_vertex(x, l, n, k, config)
+    else:
+        assert point_to_vertex(x, l, n, k, config) == want
 
 
 def test_geometry_row_keys():
