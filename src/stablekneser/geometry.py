@@ -155,20 +155,20 @@ def sign_vector_of_point(x: np.ndarray, config: MomentConfig,
 _REALIZE_BLOCK = 1 << 12   # sign vectors per stacked complete QR, points per sampled block
 
 
-def _realize_zero_sets(vectors: Sequence[SignVector], config: MomentConfig,
+def _realize_zero_sets(vectors: np.ndarray | Sequence[SignVector], config: MomentConfig,
                        zero_tol: float = 1e-9) -> np.ndarray:
-    """Unit points with the given sign vectors, one row each, via their zero sets.
+    """Unit points with the given sign rows, one row each, via their zero sets.
 
-    The vectors must share one zero count z <= k.  Each point is the last
-    column of the complete Householder QR of its z zero-set rows taken as
-    columns, a unit vector orthogonal to all of them, negated when that
-    gives the target sign vector; the QRs run stacked, a block of vectors at
-    a time.  With no zeros the complete QR is the identity and the point is
-    +-e_k, which realizes the two cocircuits at k = 0.  Raises
-    RealizationError naming the first vector, in the given order, that
-    neither the point nor its negative realizes.
+    The rows, an array or a sequence of sign vectors, must share one zero
+    count z <= k.  Each point is the last column of the complete Householder
+    QR of its z zero-set rows taken as columns, a unit vector orthogonal to
+    all of them, negated when that gives the target sign row; the QRs run
+    stacked, a block of rows at a time.  With no zeros the complete QR is
+    the identity and the point is +-e_k, which realizes the two cocircuits
+    at k = 0.  Raises RealizationError naming the first row, in the given
+    order, that neither the point nor its negative realizes.
     """
-    signs = np.array(vectors, dtype=int).reshape(len(vectors), config.m)
+    signs = np.asarray(vectors, dtype=np.int8).reshape(-1, config.m)
     zeros = np.nonzero(signs == 0)[1].reshape(len(signs), -1)
     points = np.empty((len(signs), config.k + 1))
     for lo in range(0, len(signs), _REALIZE_BLOCK):
@@ -176,32 +176,16 @@ def _realize_zero_sets(vectors: Sequence[SignVector], config: MomentConfig,
         rows = config.vectors[zeros[block]]
         x = np.linalg.qr(np.swapaxes(rows, 1, 2), mode="complete")[0][:, :, -1]
         vals = x @ config.vectors.T
-        got = np.where(np.abs(vals) < zero_tol, 0, np.sign(vals)).astype(int)
+        got = np.where(np.abs(vals) < zero_tol, 0, np.sign(vals)).astype(np.int8)
         direct = (got == signs[block]).all(axis=1)
         negated = (got == -signs[block]).all(axis=1)
         if not (direct | negated).all():
             i = int(np.argmin(direct | negated))
-            s = render_sign_vector(vectors[lo + i])
+            s = render_sign_vector(signs[lo + i].tolist())
             raise RealizationError("cocircuit %s not realized by its zero set" % s,
-                                   {"cocircuit": s, "got": render_sign_vector(tuple(got[i]))})
+                                   {"cocircuit": s, "got": render_sign_vector(got[i].tolist())})
         points[block] = np.where(direct[:, None], x, -x)
     return points
-
-
-def _merge_counts(codes: np.ndarray, counts: np.ndarray,
-                  block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct rows of codes and block, sorted, with their counts.
-
-    codes holds distinct rows with counts; each row of block counts once.
-    """
-    codes = np.concatenate([codes, block])
-    counts = np.concatenate([counts, np.ones(len(block), dtype=counts.dtype)])
-    order = np.lexsort(codes.T)
-    codes, counts = codes[order], counts[order]
-    first = np.ones(len(codes), dtype=bool)
-    first[1:] = (codes[1:] != codes[:-1]).any(axis=1)
-    starts = np.flatnonzero(first)
-    return codes[starts], np.add.reduceat(counts, starts)
 
 
 def verify_realization(m: int, k: int, samples: int = 100000,
@@ -209,7 +193,9 @@ def verify_realization(m: int, k: int, samples: int = 100000,
     """Cross-validate the covector rule against the geometric configuration.
 
     (a) every sampled generic sign vector satisfies the covector rule;
-    (c) every cocircuit is realized by solving its zero set;
+    (c) every cocircuit is realized by solving its zero set, once per +-
+        pair: the rows must end with the first half negated in reverse, and
+        their points are then the first half's points negated in reverse;
     (b) for m <= 8, k <= 4 the sampled full-support sign patterns are
         zero-free covectors, and every zero-free covector t is realized by
         the sum of the points of (c) of the cocircuits below it, those c
@@ -219,10 +205,10 @@ def verify_realization(m: int, k: int, samples: int = 100000,
         has sign vector t exactly.
     Any discrepancy raises RealizationError.  The points of (a) are drawn
     _REALIZE_BLOCK at a time, the same stream as one draw, and only the
-    distinct sign patterns are kept between blocks, so memory follows the
-    number of distinct patterns, not samples.  A negative samples or seed,
-    or a zero_tol that is not finite and positive, is refused before any
-    sampling.
+    distinct sign patterns are kept between blocks, merged by np.unique on
+    one integer key per row, so memory follows the number of distinct
+    patterns, not samples.  A negative samples or seed, or a zero_tol that
+    is not finite and positive, is refused before any sampling.
     """
     config = config_for(m, k)
     if samples < 0:
@@ -237,31 +223,47 @@ def verify_realization(m: int, k: int, samples: int = 100000,
     rng = np.random.default_rng(seed)
     report: dict = {"m": m, "k": k, "samples": samples, "seed": seed}
 
-    # each full-support row as little-endian uint64 words, bit j set when
-    # sign j is +; only the distinct words seen so far are kept between blocks
-    words = -(-m // 64)
-    codes = np.zeros((0, words), dtype="<u8")
-    counts = np.zeros(0, dtype=np.int64)
+    # each full-support row as int64 words, bit j % 63 of word j // 63 set
+    # when sign j is +; only the distinct rows seen so far are kept between
+    # blocks, merged on one 1-D key per row: the first word, ranked with each next
+    word, bit = np.divmod(np.arange(m), 63)
+    weights = np.zeros((m, word[-1] + 1), dtype=np.int64)
+    weights[np.arange(m), word] = 1 << bit
+    codes = np.zeros((0, weights.shape[1]), dtype=np.int64)
+    counts = np.zeros(0)
     for lo in range(0, samples, _REALIZE_BLOCK):
         size = min(_REALIZE_BLOCK, samples - lo)
         vals = rng.normal(size=(size, k + 1)) @ config.vectors.T
-        plus = vals[(np.abs(vals) >= zero_tol).all(axis=1)] > 0
-        block = np.packbits(np.pad(plus, ((0, 0), (0, 64 * words - m))), axis=1,
-                            bitorder="little").view("<u8")
-        codes, counts = _merge_counts(codes, counts, block)
-    plus = np.unpackbits(codes.view(np.uint8), axis=1, count=m, bitorder="little")
+        block = (vals[(np.abs(vals) >= zero_tol).all(axis=1)] > 0) @ weights
+        codes = np.concatenate([codes, block])
+        key = codes[:, 0]
+        for column in codes.T[1:]:
+            key = (np.unique(key, return_inverse=True)[1] * len(key)
+                   + np.unique(column, return_inverse=True)[1])
+        inverse = np.unique(key, return_inverse=True)[1]
+        counts = np.bincount(inverse, np.concatenate([counts, np.ones(len(block))]))
+        first = np.empty(len(counts), dtype=np.intp)
+        first[inverse] = np.arange(len(inverse))   # any row of each key will do
+        codes = codes[first]
+    plus = codes[:, word] >> bit & 1
     sampled = list(map(tuple, np.where(plus, 1, -1).tolist()))
-    non_covector = sum(c for s, c in zip(sampled, counts.tolist()) if not is_covector(s, k))
+    non_covector = sum(int(c) for s, c in zip(sampled, counts.tolist()) if not is_covector(s, k))
     report["sampled_full_support_patterns"] = len(sampled)
     report["non_covector_samples"] = non_covector
     if non_covector:
         raise RealizationError("sampled sign pattern violates the covector rule", report)
 
     cocircuits = enumerate_cocircuits(m, k)
-    points = _realize_zero_sets(cocircuits, config, zero_tol)
+    half = _realize_zero_sets(cocircuits[:len(cocircuits) // 2], config, zero_tol)
+    unpaired = np.flatnonzero((cocircuits[::-1] != -cocircuits).any(axis=1))
+    if len(unpaired):
+        s = render_sign_vector(cocircuits[unpaired[0]].tolist())
+        raise RealizationError("cocircuit %s is not the negation of its mirror row" % s,
+                               {"cocircuit": s})
+    points = np.concatenate([half, -half[::-1]])
     if m <= 8 and k <= 4:
         topes = np.array([s for s in enumerate_covectors(m, k) if 0 not in s])
-        vals = (topes @ np.array(cocircuits).T == m - k) @ points @ config.vectors.T
+        vals = (topes @ cocircuits.T == m - k) @ points @ config.vectors.T
         got = np.where(np.abs(vals) < zero_tol, 0, np.sign(vals))
         missed = sorted(map(tuple, topes[(got != topes).any(axis=1)].tolist()))
         extra = sorted(set(sampled).difference(map(tuple, topes.tolist())))

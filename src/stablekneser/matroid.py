@@ -5,9 +5,10 @@ real polynomial of degree <= k at m increasing points.  Entry j != 0 lies
 on side (s_j < 0) ^ (j & 1) (side_masks), and the degree rule, the
 cocircuits and the dihedral action are all stated in these sides
 (Bjorner et al., Oriented Matroids, 9.4).  Inside the package a covector
-is the pair of side bitmasks (S_0, S_1) that covector_sides enumerates;
-tuples over {-1, 0, +1} (sign_vector_from_sides) appear only where sign
-vectors are parsed, rendered or reported.  The membership test is validated
+is the pair of side bitmasks (S_0, S_1) that covector_sides enumerates,
+and the cocircuits are the int8 rows of enumerate_cocircuits; tuples over
+{-1, 0, +1} (sign_vector_from_sides) appear only where sign vectors are
+parsed, rendered or reported.  The membership test is validated
 elsewhere against an exhaustive polynomial oracle and against the geometric
 realization.
 """
@@ -156,21 +157,26 @@ def enumerate_covectors(m: int, k: int) -> list[SignVector]:
     return [sign_vector_from_sides(m, s0, s1) for s0, s1 in covector_sides(m, k)]
 
 
-def enumerate_cocircuits(m: int, k: int) -> list[SignVector]:
-    """Covectors with exactly k zeros; 2*C(m,k) of them.
+def enumerate_cocircuits(m: int, k: int) -> np.ndarray:
+    """Covectors with exactly k zeros: 2*C(m,k) sorted int8 rows, rows[::-1] == -rows.
 
     Built directly: the k zeros are all the roots, so the sides alternate
-    along the support, which fixes the signs up to a global flip.
+    along the support, which fixes the signs up to a global flip.  The
+    rows whose first nonzero entry is -1 sort before all the others, so
+    they are sorted alone and followed by their negations, reversed.
     """
     check_instance(m, k)
-    zeros = np.array(list(itertools.combinations(range(m), k)),
-                     dtype=np.intp).reshape(comb(m, k), k)
+    zeros = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(m), k)),
+                        dtype=np.intp, count=comb(m, k) * k).reshape(comb(m, k), k)
     zero = np.zeros((len(zeros), m), dtype=bool)
     np.put_along_axis(zero, zeros, True, axis=1)
-    t = np.cumsum(~zero, axis=1) - 1   # index of entry j within the support
-    signs = np.where(zero, 0, 1 - 2 * ((t ^ np.arange(m)) & 1)).astype(np.int8)
-    signs = np.concatenate([signs, -signs])
-    return list(map(tuple, signs[np.lexsort(signs.T[::-1])].tolist()))
+    # entry j is -1 when j, its 1-based rank in the support and the first
+    # support index have an odd sum; uint8 sums keep their parity
+    odd = (np.cumsum(~zero, axis=1, dtype=np.uint8) + (np.arange(m) & 1).astype(np.uint8)
+           + np.argmax(~zero, axis=1).astype(np.uint8)[:, None]) & 1
+    signs = np.where(zero, 0, 1 - 2 * odd.view(np.int8))
+    signs = signs[np.lexsort(signs.T[::-1])]
+    return np.concatenate([signs, -signs[::-1]])
 
 
 def cocircuit_count(m: int, k: int) -> int:

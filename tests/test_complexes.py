@@ -397,7 +397,7 @@ def test_covector_to_hom_cocircuits_are_interleaved_atoms():
             if sorted(a + b)[::2] in (list(a), list(b)):
                 interleaved.add(cell)
         image = set()
-        for s in enumerate_cocircuits(m, k):
+        for s in map(tuple, enumerate_cocircuits(m, k).tolist()):
             cell = covector_to_hom(s, n, k, target)
             assert all(a.bit_count() == 1 for a in unpack(cell, target.n, 2))
             image.add(cell)

@@ -112,7 +112,7 @@ def test_sign_action_matches_geometry():
 
 def test_realize_cocircuit():
     config = moment_vectors(2, 1)
-    for s in enumerate_cocircuits(5, 1):
+    for s in map(tuple, enumerate_cocircuits(5, 1).tolist()):
         x = geometry_module._realize_zero_sets([s], config)[0]
         assert sign_vector_of_point(x, config) == s
 
@@ -135,8 +135,10 @@ def test_verify_realization_full_sweep():
 
 
 def test_verify_realization_counts_match_unique_rows(monkeypatch):
+    # m = 63 fills one 63-bit key word; 64 and 65 take a second one
     cases = [(5, 2, 0, 3000), (8, 4, 1, 20000), (12, 4, 2, 20000),
-             (14, 6, 3, 5000), (9, 0, 4, 500)]
+             (14, 6, 3, 5000), (9, 0, 4, 500), (63, 2, 5, 3000), (64, 3, 6, 3000),
+             (65, 2, 7, 3000)]
     for m, k, seed, samples in cases:
         report = verify_realization(m, k, samples=samples, seed=seed)
         rows = sampled_sign_patterns(config_for(m, k).vectors, samples, seed, TOL)
@@ -159,7 +161,8 @@ def test_verify_realization_does_not_depend_on_the_block_size(monkeypatch, block
     # each block costs a merge, so the small blocks stop before 20000 samples
     sample_counts = {1: (0, 5, 500), 7: (0, 5, 4096, 4097),
                      4096: (0, 5, 4096, 4097, 20000)}[block]
-    cases = [(m, k, samples, seed) for m, k, seed in [(5, 2, 0), (12, 4, 2), (70, 2, 1)]
+    cases = [(m, k, samples, seed) for m, k, seed in [(5, 2, 0), (12, 4, 2), (70, 2, 1),
+                                                      (63, 2, 3), (64, 2, 4), (65, 2, 5)]
              for samples in sample_counts]
     expected = {case: (verify_realization(*case), sampled_sign_patterns(
         config_for(*case[:2]).vectors, case[2], case[3], TOL)) for case in cases}
@@ -201,6 +204,20 @@ def test_verify_realization_reports_missed_and_extra_topes(monkeypatch):
     assert err.value.report["extra"] == [render_sign_vector(dropped)]
 
 
+def test_verify_realization_cocircuit_memory_stays_in_arrays():
+    # 63,648 cocircuits of 18 entries; 41.8 MB traced when they went
+    # through tuples and one QR each, 16.6 MB as int8 rows and one QR per pair
+    verify_realization(6, 2, samples=0)   # warm-up: lazy imports
+    tracemalloc.start()
+    try:
+        report = verify_realization(18, 7, samples=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report["cocircuits_realized"] == 2 * comb(18, 7)
+    assert peak < 24 << 20, "traced peak %.1f MB" % (peak / 2**20)
+
+
 def test_verify_realization_memory_does_not_grow_with_samples():
     verify_realization(12, 4, samples=10**4, seed=0)   # warm-up: lazy imports
     tracemalloc.start()
@@ -218,7 +235,7 @@ def test_verify_realization_memory_does_not_grow_with_samples():
 
 
 def test_verify_realization_packs_rows_past_one_word():
-    # m = 70 takes two uint64 words per sampled row; the report is the one
+    # m = 70 takes two 63-bit words per sampled row; the report is the one
     # recorded from the byte-string np.unique sampler the word packing replaced
     assert verify_realization(70, 2, samples=1000) == {
         "m": 70, "k": 2, "samples": 1000, "seed": 0,
@@ -253,7 +270,7 @@ def test_stacked_realization_matches_one_svd_per_cocircuit(monkeypatch):
         config = config_for(m, k)
         cocircuits = enumerate_cocircuits(m, k)
         points = geometry_module._realize_zero_sets(cocircuits, config)
-        for s, x in zip(cocircuits, points):
+        for s, x in zip(map(tuple, cocircuits.tolist()), points):
             rows = config.vectors[[j for j, v in enumerate(s) if v == 0]]
             null = np.linalg.svd(rows)[2][-1]
             assert min(np.abs(x - null).max(), np.abs(x + null).max()) < 1e-12, s
@@ -267,22 +284,37 @@ def test_stacked_realization_matches_one_qr_per_cocircuit(monkeypatch):
         config = config_for(m, k)
         cocircuits = enumerate_cocircuits(m, k)
         points = geometry_module._realize_zero_sets(cocircuits, config)
-        for s, x in zip(cocircuits, points):
+        for s, x in zip(map(tuple, cocircuits.tolist()), points):
             rows = config.vectors[[j for j, v in enumerate(s) if v == 0]]
             q = np.linalg.qr(rows.T, mode="complete")[0][:, -1]
             assert np.array_equal(x, q) or np.array_equal(x, -q), s
 
 
 def test_verify_realization_names_the_first_unrealized_cocircuit(monkeypatch):
-    good = enumerate_cocircuits(5, 1)
+    good = enumerate_cocircuits(5, 1).tolist()
     bad = [parse_sign_vector("++-+0"), parse_sign_vector("+-+-0")]
     monkeypatch.setattr(geometry_module, "enumerate_cocircuits",
-                        lambda m, k: good[:3] + bad + good[3:])
+                        lambda m, k: np.array(good[:3] + bad + good[3:], dtype=np.int8))
     for block in (2, 4, 1 << 12):
         monkeypatch.setattr(geometry_module, "_REALIZE_BLOCK", block)
         with pytest.raises(RealizationError, match=r"\+\+-\+0") as err:
             verify_realization(5, 1, samples=100)
         assert err.value.report == {"cocircuit": "++-+0", "got": "++++0"}
+
+
+def test_verify_realization_refuses_cocircuits_that_do_not_mirror(monkeypatch):
+    # only the first half is solved, so an unpaired row must stop the run
+    # instead of taking the negation of some other row's point
+    good = enumerate_cocircuits(5, 1)
+    bad_tail = good.copy()
+    bad_tail[-1] = parse_sign_vector("+-+-0")   # never solved, not realizable
+    swapped = good[[0, 1, 3, 2, 4, 5, 6, 7, 8, 9]]
+    for rows, first in [(bad_tail, good[0]), (swapped, good[3]),
+                        (np.concatenate([good, good[4:5]]), good[0]), (good[:5], good[0])]:
+        monkeypatch.setattr(geometry_module, "enumerate_cocircuits", lambda m, k: rows)
+        with pytest.raises(RealizationError, match="negation of its mirror row") as err:
+            verify_realization(5, 1, samples=100)
+        assert err.value.report == {"cocircuit": render_sign_vector(first.tolist())}
 
 
 def test_v_of_set_example_and_equivariance():

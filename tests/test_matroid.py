@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
@@ -145,7 +146,7 @@ def test_enumerate_covectors_and_cocircuits_3_1():
     cocs = enumerate_cocircuits(3, 1)
     assert len(covs) == 12
     assert len(cocs) == 6
-    assert set(cocs) <= set(covs)
+    assert set(map(tuple, cocs.tolist())) <= set(covs)
     with pytest.raises(ValueError):
         enumerate_covectors(3, 3)
 
@@ -163,7 +164,7 @@ def test_enumeration_is_lexicographic_and_complete():
 def test_cocircuits_direct_vs_filter():
     for m in range(2, 8):
         for k in range(0, m):
-            direct = set(enumerate_cocircuits(m, k))
+            direct = set(map(tuple, enumerate_cocircuits(m, k).tolist()))
             filtered = {s for s in enumerate_covectors(m, k)
                         if sum(1 for v in s if v == 0) == k}
             assert direct == filtered
@@ -171,9 +172,13 @@ def test_cocircuits_direct_vs_filter():
 
 
 def test_cocircuits_equal_the_support_loop():
-    cases = [(m, k) for m in range(1, 11) for k in range(m)] + [(14, 6), (70, 2)]
+    cases = [(m, k) for m in range(1, 13) for k in range(m)] + [(14, 6), (70, 2)]
     for m, k in cases:
-        assert enumerate_cocircuits(m, k) == cocircuits_by_support_loop(m, k), (m, k)
+        cocs = enumerate_cocircuits(m, k)
+        assert cocs.dtype == np.int8, (m, k)
+        assert list(map(tuple, cocs.tolist())) == cocircuits_by_support_loop(m, k), (m, k)
+        # verify_realization solves the first half and mirrors its points
+        assert np.array_equal(cocs[::-1], -cocs), (m, k)
 
 
 def test_count_covectors_closed_form():
@@ -198,7 +203,7 @@ def test_cocircuit_count_closed_form():
 
 
 def test_cocircuits_of_5_1_include_example():
-    assert P("+++0-") in enumerate_cocircuits(5, 1)
+    assert P("+++0-") in map(tuple, enumerate_cocircuits(5, 1).tolist())
 
 
 def test_covectors_closed_under_negation():
