@@ -8,10 +8,10 @@ codimension-one face drops one bit and keeps that bit's field nonempty.  The
 covector map gives Hom(K_2, SG_{n,k}) cells as A | B << |V(SG_{n,k})| for the
 vertex bitmasks A, B of its two sides; negation swaps the two fields, and a
 dihedral element acts on each field by graphs.permute_mask under its
-graphs.vertex_permutation.  A covector is its side-mask pair (S_0, S_1)
-from matroid.covector_sides, keyed by the int S_0 | S_1 << m in the
-equivariance check; sign-vector tuples appear only where covectors are
-taken in or reported.  Hom homology is computed from the cells
+graphs.vertex_permutation.  A covector is its side-mask pair (S_0, S_1),
+a row of the matroid.covector_sides arrays, on which the equivariance check
+runs, keyed S_0 | S_1 << m; sign-vector tuples appear only where covectors
+are taken in or reported.  Hom homology is computed from the cells
 themselves; the order complex of the cell poset, built from the same cells,
 gives a second homology route.  A simplicial complex keeps its facets as
 vertex bitmasks, bit i for vertex i: the neighbourhood complex takes the
@@ -23,9 +23,12 @@ complexes alike, its rows bit-packed into ints and ranked over GF(2).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
+
+import numpy as np
 
 from . import graphs
 from .graphs import (CircularSet, DihedralElement, Graph, set_bits,
@@ -324,25 +327,21 @@ def order_complex(p: FinitePoset) -> SimplicialComplex:
 # the covector -> Hom map
 
 
-def _vertices_inside(side: int, target: Graph) -> int:
-    """Bitmask of the target vertices whose stable set lies inside the side mask."""
-    return sum(1 << i for i, lab in enumerate(target.labels) if lab.mask & ~side == 0)
+def _side_vertices(side: int, n: int, k: int, target: Graph) -> int:
+    """Bitmask of the target vertices whose stable set lies inside a covector side.
 
-
-def _side_vertices(side: int, m: int, n: int, target: Graph,
-                   inside: dict[int, int]) -> int:
-    """_vertices_inside for a covector side, memoised in `inside`; never empty.
-
-    Cross pairs of a covector's cell are edges automatically: the two sides
-    are disjoint.
+    Never empty; cross pairs of a covector's cell are edges automatically:
+    the two sides are disjoint.
     """
-    verts = inside.get(side)
-    if verts is None:
-        verts = _vertices_inside(side, target)
-        if not verts:
-            raise ValueError("side %s carries no stable %d-set" % (CircularSet(m, side), n))
-        inside[side] = verts
+    verts = sum(1 << i for i, lab in enumerate(target.labels) if lab.mask & ~side == 0)
+    if not verts:
+        raise _no_stable_set(side, n, k)
     return verts
+
+
+def _no_stable_set(side: int, n: int, k: int) -> ValueError:
+    return ValueError("(n, k) = (%d, %d): side %s carries no stable %d-set"
+                      % (n, k, CircularSet(2 * n + k, side), n))
 
 
 def covector_to_hom(s: SignVector, n: int, k: int,
@@ -362,8 +361,7 @@ def covector_to_hom(s: SignVector, n: int, k: int,
                          % (m, k + 1, render_sign_vector(s)))
     if target is None:
         target = stable_kneser_graph(n, k)
-    inside: dict[int, int] = {}
-    return sum(_side_vertices(side, m, n, target, inside) << l * target.n
+    return sum(_side_vertices(side, n, k, target) << l * target.n
                for l, side in enumerate(side_masks(s)))
 
 
@@ -372,14 +370,14 @@ def covector_cells(n: int, k: int,
     """Every covector of C^{m,k+1}, m = 2n + k, with its packed cell as in covector_to_hom.
 
     Keys follow enumerate_covectors; cells are packed as in
-    hom_cells(K_2, SG_{n,k}), one vertex-bitmask field per side.
+    hom_cells(K_2, SG_{n,k}), one vertex-bitmask field per side, each
+    distinct side resolved once.
     """
     m = 2 * n + k
     if target is None:
         target = stable_kneser_graph(n, k)
-    inside: dict[int, int] = {}
-    return {s: sum(_side_vertices(side, m, n, target, inside) << l * target.n
-                   for l, side in enumerate(side_masks(s)))
+    verts = functools.cache(lambda side: _side_vertices(side, n, k, target))
+    return {s: sum(verts(side) << l * target.n for l, side in enumerate(side_masks(s)))
             for s in enumerate_covectors(m, k)}
 
 
@@ -399,52 +397,76 @@ def _position_move(m: int, elem: DihedralElement) -> Optional[list[int]]:
     return pos if sorted(pos) == list(range(m)) else None
 
 
+def _in_sorted(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Which queries occur in the sorted array keys, searched as sorted queries.
+
+    Queries that permute the keys, as on a passing check, sort to keys;
+    otherwise only the values found missing are looked up query by query.
+    """
+    q = np.sort(queries)
+    if not np.array_equal(q, keys):
+        missing = q[keys[np.minimum(np.searchsorted(keys, q), len(keys) - 1)] != q]
+        if len(missing):
+            return missing[np.minimum(np.searchsorted(missing, queries),
+                                      len(missing) - 1)] != queries
+    return np.ones(len(q), bool)
+
+
 def check_equivariance_combinatorial(n: int, k: int) -> dict:
     """Check the covector map intertwines both group actions, on every covector.
 
     sigma and rho act on sign vectors by the twisted shift/flip rules and on
     Hom(K_2, SG_{n,k}) through vertex labels, each field A of a cell going
     to pi(A) for the vertex permutation pi; negation must match the K_2
-    swap of the two fields.  A covector is its side masks (S_0, S_1),
-    keyed S_0 | S_1 << m.  The sign action moves sides as sets, by the
-    position move of each generator; one table per generator sends each
-    covector side S to gS when the vertices inside gS are pi of those inside
-    S, and to None otherwise, so a covector passes when both its sides map
-    and the moved key is itself a covector.  Negation is the swapped key.
+    swap of the two fields.  A covector is its side masks (S_0, S_1) from
+    covector_sides, keyed S_0 | S_1 << m.  Each distinct side gets a row of
+    the (sides x vertices) boolean matrix of the vertices inside it.  The
+    sign action moves sides as sets, by the position move of each
+    generator; a side S passes when the row of gS is the row of S with its
+    columns moved by pi, and a covector when both its sides pass and the
+    moved key is itself a covector.  Negation is the swapped key.
     Returns a report whose violation list is expected empty, in covector
     order and sigma, rho, negation within a covector.
     """
     m = 2 * n + k
+    s0, s1 = covector_sides(m, k)
     target = stable_kneser_graph(n, k)
-    covs = covector_sides(m, k)
-    keys = {s0 | s1 << m for s0, s1 in covs}
-    inside: dict[int, int] = {}
-    for side in dict.fromkeys(itertools.chain.from_iterable(covs)):
-        _side_vertices(side, m, n, target, inside)
-    tables = []
+    keys = np.sort(s0 | s1 << m)
+    # np.sort, several times faster than the argsort inside np.unique
+    sides = np.sort(np.concatenate([s0, s1]))
+    sides = sides[np.concatenate([[True], sides[1:] != sides[:-1]])]
+    inv0, inv1 = np.searchsorted(sides, s0), np.searchsorted(sides, s1)
+    j = np.arange(m)
+    bits = sides[:, None] >> j & 1
+    outside = (1 - bits).astype(np.float32)
+    labels = np.array([lab.mask for lab in target.labels], sides.dtype)
+    members = (labels[:, None] >> j & 1).astype(np.float32)
+    # no member of the vertex outside the side; float32 counts up to m are exact
+    inside = outside @ members.T == 0
+    empty = ~inside.any(axis=1)
+    if empty.any():
+        raise _no_stable_set(int(sides[empty.argmax()]), n, k)
+    failed = []
     for name, elem in (("sigma", DihedralElement.sigma(m)), ("rho", DihedralElement.rho(m))):
         perm = graphs.vertex_permutation(target, elem)
         pos = _position_move(m, elem)
-        table = dict.fromkeys(inside)
-        if pos is not None:
-            for side, verts in inside.items():
-                moved = graphs.permute_mask(side, pos)
-                if _vertices_inside(moved, target) == graphs.permute_mask(verts, perm):
-                    table[side] = moved
-        tables.append((name, table))
+        if pos is None:
+            failed.append((name, np.ones(len(s0), bool)))
+            continue
+        moved = bits @ (1 << np.array(pos, sides.dtype))
+        passes = ((outside @ members[:, pos].T == 0)[:, perm] == inside).all(axis=1)
+        failed.append((name, ~(passes[inv0] & passes[inv1]
+                               & _in_sorted(keys, moved[inv0] | moved[inv1] << m))))
+    failed.append(("negation", ~_in_sorted(keys, s1 | s0 << m)))
     violations = []
-    for s0, s1 in covs:
-        for name, table in tables:
-            g0, g1 = table[s0], table[s1]
-            if g0 is None or g1 is None or g0 | g1 << m not in keys:
-                violations.append((render_sign_vector(sign_vector_from_sides(m, s0, s1)), name))
-        if s1 | s0 << m not in keys:
-            violations.append((render_sign_vector(sign_vector_from_sides(m, s0, s1)), "negation"))
+    for i in np.flatnonzero(np.logical_or.reduce([f for _, f in failed])).tolist():
+        s = render_sign_vector(sign_vector_from_sides(m, int(s0[i]), int(s1[i])))
+        violations += [(s, name) for name, f in failed if f[i]]
     return {
         "n": n,
         "k": k,
         "m": m,
-        "covectors_checked": len(covs),
+        "covectors_checked": len(s0),
         "violations": violations,
     }
 

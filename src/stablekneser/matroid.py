@@ -5,12 +5,12 @@ real polynomial of degree <= k at m increasing points.  Entry j != 0 lies
 on side (s_j < 0) ^ (j & 1) (side_masks), and the degree rule, the
 cocircuits and the dihedral action are all stated in these sides
 (Bjorner et al., Oriented Matroids, 9.4).  Inside the package a covector
-is the pair of side bitmasks (S_0, S_1) that covector_sides enumerates,
-and the cocircuits are the int8 rows of enumerate_cocircuits; tuples over
-{-1, 0, +1} (sign_vector_from_sides) appear only where sign vectors are
-parsed, rendered or reported.  The membership test is validated
-elsewhere against an exhaustive polynomial oracle and against the geometric
-realization.
+is its pair of side bitmasks (S_0, S_1), one row of the two numpy arrays
+that covector_sides builds entry by entry, and the cocircuits are the int8
+rows of enumerate_cocircuits; tuples over {-1, 0, +1}
+(sign_vector_from_sides) appear only where sign vectors are parsed,
+rendered or reported.  The membership test is validated elsewhere against
+an exhaustive polynomial oracle and against the geometric realization.
 """
 
 from __future__ import annotations
@@ -121,40 +121,52 @@ def count_covectors(m: int, k: int) -> int:
                for z in range(r))
 
 
-def covector_sides(m: int, k: int) -> list[tuple[int, int]]:
-    """The side masks (S_0, S_1) of every covector of C^{m,k+1}.
+# The most covectors covector_sides lists: about 2 GB, as the equivariance
+# check's peak resident memory grows by 57-64 bytes per covector (measured
+# at m = 13 and 14); the tuple view, enumerate_covectors, takes about 300
+MAX_COVECTORS = 35 * 10 ** 6
+
+
+def covector_sides(m: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The side masks of every covector of C^{m,k+1}, as two arrays (S_0, S_1).
 
     In enumerate_covectors order: lexicographic in the entries, each taken
-    in the order (-1, 0, +1).  Depth-first over entries; the state is the
-    side of the last nonzero entry, the degree so far, which only grows
-    along a prefix, so branches above k are cut early, and the two masks.
+    in the order (-1, 0, +1).  Built one entry at a time; a prefix's state
+    is the side of its last nonzero entry (2 before the first), its degree,
+    which only grows along a prefix, so children above k are dropped, and
+    its two masks.  Its -1, 0 and +1 children follow it in that order.  The
+    masks are int64 while the key S_0 | S_1 << m fits (2m <= 62), Python
+    ints in object arrays from m = 32 on.  Refuses more than MAX_COVECTORS,
+    which leaves k < 16 (count_covectors(k + 1, k) = 3^(k+1) - 1), so the
+    degrees fit int8.
     """
-    check_instance(m, k)
-    out: list[tuple[int, int]] = []
-
-    def rec(i: int, last: Optional[int], deg: int, s0: int, s1: int) -> None:
-        if i == m:
-            if last is not None:
-                out.append((s0, s1))
-            return
-        bit = 1 << i
-        for side in (1 - (i & 1), None, i & 1):   # the entry -1, 0, +1
-            if side is None:
-                if deg < k:
-                    rec(i + 1, last, deg + 1, s0, s1)
-            elif deg + (side == last) <= k:
-                if side:
-                    rec(i + 1, 1, deg + (last == 1), s0, s1 | bit)
-                else:
-                    rec(i + 1, 0, deg + (last == 0), s0 | bit, s1)
-
-    rec(0, None, 0, 0, 0)
-    return out
+    count = count_covectors(m, k)
+    if count > MAX_COVECTORS:
+        raise ValueError("refusing (m, k) = (%d, %d): %d covectors, more than %d"
+                         % (m, k, count, MAX_COVECTORS))
+    dtype = np.int64 if 2 * m <= 62 else object
+    last, deg = np.array([2], np.int8), np.zeros(1, np.int8)
+    s0, s1 = np.zeros(1, dtype), np.zeros(1, dtype)
+    for i in range(m):
+        side = np.array([1 - (i & 1), 2, i & 1], np.int8)   # the entry -1, 0, +1
+        child_deg = deg[:, None] + np.where(side == 2, np.int8(1), side == last[:, None])
+        keep = (child_deg <= k).ravel()
+        last = np.where(side == 2, last[:, None], side).ravel()[keep]
+        deg = child_deg.ravel()[keep]
+        bits = np.array([[0, 0, 1 << i], [1 << i, 0, 0]][i & 1], dtype)
+        s0, s1 = (s0[:, None] | bits).ravel()[keep], (s1[:, None] | bits[::-1]).ravel()[keep]
+    return s0, s1
 
 
 def enumerate_covectors(m: int, k: int) -> list[SignVector]:
-    """All covectors of C^{m,k+1} as sign vectors, lexicographic in the order (-1, 0, +1)."""
-    return [sign_vector_from_sides(m, s0, s1) for s0, s1 in covector_sides(m, k)]
+    """All covectors of C^{m,k+1} as sign vectors, lexicographic in the order (-1, 0, +1).
+
+    The tuple view of covector_sides: s_j = (-1)^j ([j in S_0] - [j in S_1]).
+    """
+    s0, s1 = covector_sides(m, k)
+    j = np.arange(m)[:, None]
+    signs = (((s0 >> j & 1) - (s1 >> j & 1)) * (1 - 2 * (j & 1))).astype(np.int8)
+    return list(zip(*signs.tolist()))   # signs holds one row per entry
 
 
 def enumerate_cocircuits(m: int, k: int) -> np.ndarray:

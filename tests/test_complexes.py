@@ -3,10 +3,11 @@ import itertools
 import random
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from stablekneser.complexes import (FinitePoset, SimplicialComplex, _cell_faces,
+from stablekneser.complexes import (FinitePoset, SimplicialComplex, _cell_faces, _in_sorted,
                                     check_equivariance_combinatorial,
                                     covector_cells, covector_to_hom,
                                     gf2_rank_dense,
@@ -14,7 +15,7 @@ from stablekneser.complexes import (FinitePoset, SimplicialComplex, _cell_faces,
                                     hom_cells, hom_poset,
                                     neighbourhood_complex, order_complex,
                                     verify_nerve, z2_betti)
-from stablekneser.graphs import (CircularSet, DihedralElement, complete_graph,
+from stablekneser.graphs import (CircularSet, DihedralElement, Graph, complete_graph,
                                  graph_from_edges, k2, permute_mask,
                                  stable_kneser_graph, vertex_permutation)
 from stablekneser.matroid import (count_covectors, covector_leq,
@@ -427,6 +428,81 @@ def test_check_equivariance_combinatorial():
             report = check_equivariance_combinatorial(n, k)
             assert report["violations"] == [], (n, k)
             assert report == equivariance_reference(n, k, enumerate_covectors(m, k)), (n, k)
+
+
+def test_check_equivariance_on_object_masks():
+    # m = 33: the covector keys need 66 bits, so the masks are Python ints
+    report = check_equivariance_combinatorial(16, 1)
+    assert report["violations"] == []
+    assert report["covectors_checked"] == count_covectors(33, 1)
+
+
+def test_check_equivariance_top_rung():
+    # C^{13,10}, the largest equivariance instance with m = 13 and n = 2
+    report = check_equivariance_combinatorial(2, 9)
+    assert report["covectors_checked"] == 1258452 == count_covectors(13, 9)
+    assert report["violations"] == []
+
+
+def test_check_equivariance_refuses_before_the_work(monkeypatch):
+    # C^{22,21} has about 3e10 covectors; the closed-form count refuses it
+    # before the target graph is built or anything is listed
+    import stablekneser.complexes as complexes_module
+
+    def unreachable(n, k):
+        raise AssertionError("built SG_{%d,%d} before refusing" % (n, k))
+
+    monkeypatch.setattr(complexes_module, "stable_kneser_graph", unreachable)
+    with pytest.raises(ValueError, match=r"\(m, k\) = \(22, 20\): %d covectors"
+                       % count_covectors(22, 20)):
+        check_equivariance_combinatorial(1, 20)
+
+
+def test_a_side_without_a_stable_set_names_the_instance(monkeypatch):
+    # a target whose one vertex is the 3-set {0,1,2} of Z_5 fits inside no
+    # side of a covector of C^{5,2}
+    import stablekneser.complexes as complexes_module
+    target = Graph((0,), (CircularSet.from_members(5, (0, 1, 2)),))
+    with pytest.raises(ValueError, match=r"\(n, k\) = \(2, 1\): side .* no stable 2-set"):
+        covector_to_hom(P("++++0"), 2, 1, target)
+    monkeypatch.setattr(complexes_module, "stable_kneser_graph", lambda n, k: target)
+    with pytest.raises(ValueError, match=r"\(n, k\) = \(2, 1\): side .* no stable 2-set"):
+        check_equivariance_combinatorial(2, 1)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sets(st.integers(-40, 40), min_size=1), st.lists(st.integers(-45, 45)),
+       st.booleans(), st.booleans())
+def test_in_sorted_is_membership(keys, queries, permuted, wide):
+    # the key lookup of the equivariance check: its fast path (the queries
+    # permute the keys), the missing values looked up again, and Python ints
+    keys = sorted(keys)
+    if permuted:
+        queries = random.Random(len(queries)).sample(keys, len(keys))
+    dtype = object if wide else np.int64
+    shift = 1 << 70 if wide else 0
+    got = _in_sorted(np.array([x + shift for x in keys], dtype),
+                     np.array([x + shift for x in queries], dtype))
+    assert got.tolist() == [x in set(keys) for x in queries]
+
+
+def test_check_equivariance_on_covectors_missing_from_the_list(monkeypatch):
+    # with every fifth covector dropped, some images and negations fall
+    # outside the list: the check lists what the reference lists
+    import stablekneser.complexes as complexes_module
+    real = complexes_module.covector_sides
+
+    def every_fifth_dropped(m, k):
+        s0, s1 = real(m, k)
+        kept = np.arange(len(s0)) % 5 != 0
+        return s0[kept], s1[kept]
+
+    monkeypatch.setattr(complexes_module, "covector_sides", every_fifth_dropped)
+    for n, k in [(2, 1), (1, 3), (2, 2)]:
+        kept = [s for i, s in enumerate(enumerate_covectors(2 * n + k, k)) if i % 5]
+        report = check_equivariance_combinatorial(n, k)
+        assert {name for _, name in report["violations"]} == {"sigma", "rho", "negation"}
+        assert report == equivariance_reference(n, k, kept), (n, k)
 
 
 def test_check_equivariance_builds_each_permutation_once(monkeypatch):

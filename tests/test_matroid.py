@@ -108,7 +108,34 @@ def instances(draw, max_m):
 @given(instances(12))
 def test_covector_sides_follow_the_prefix_dfs(case):
     m, k = case
-    assert covector_sides(m, k) == [side_masks(s) for s in covectors_by_prefix_dfs(m, k)]
+    s0, s1 = covector_sides(m, k)
+    assert s0.dtype == s1.dtype == np.int64
+    assert list(zip(s0.tolist(), s1.tolist())) == \
+        [side_masks(s) for s in covectors_by_prefix_dfs(m, k)]
+
+
+@pytest.mark.parametrize("m, k", [(33, 1), (33, 2), (34, 1), (34, 2)])
+def test_covector_sides_hold_python_ints_once_the_key_overflows_int64(m, k):
+    # the key S_0 | S_1 << m needs 2m bits, so from m = 32 on the masks are
+    # Python ints in object arrays, built by the same code
+    s0, s1 = covector_sides(m, k)
+    assert s0.dtype == s1.dtype == object
+    assert list(zip(s0.tolist(), s1.tolist())) == \
+        [side_masks(s) for s in covectors_by_prefix_dfs(m, k)]
+    assert enumerate_covectors(m, k) == covectors_by_prefix_dfs(m, k)
+
+
+def test_covector_sides_refuse_before_enumerating(monkeypatch):
+    import stablekneser.matroid as matroid_module
+    count = count_covectors(22, 20)
+    assert count > matroid_module.MAX_COVECTORS
+    with pytest.raises(ValueError, match=r"\(m, k\) = \(22, 20\): %d covectors" % count):
+        covector_sides(22, 20)
+    # the refusal compares the closed-form count, so it lists nothing first
+    monkeypatch.setattr(matroid_module, "MAX_COVECTORS", count_covectors(5, 2) - 1)
+    with pytest.raises(ValueError, match=r"\(m, k\) = \(5, 2\)"):
+        enumerate_covectors(5, 2)
+    assert len(covector_sides(5, 1)[0]) == count_covectors(5, 1)
 
 
 @settings(deadline=None, max_examples=25)
@@ -117,7 +144,7 @@ def test_covectors_closed_under_negation_and_the_sign_action(data):
     # m = 2n + k, so that the twisted action preserves C^{m,k+1}
     m = data.draw(st.integers(2, 12), label="m")
     k = data.draw(st.sampled_from(range(m % 2, m, 2)), label="k")
-    sides = covector_sides(m, k)
+    sides = list(zip(*(side.tolist() for side in covector_sides(m, k))))
     covs = set(sides)
     assert all((s1, s0) in covs for s0, s1 in sides)
     s = sign_vector_from_sides(m, *data.draw(st.sampled_from(sides), label="s"))
@@ -184,7 +211,7 @@ def test_cocircuits_equal_the_support_loop():
 def test_count_covectors_closed_form():
     for m in range(1, 13):
         for k in range(m):
-            assert count_covectors(m, k) == len(covector_sides(m, k)), (m, k)
+            assert count_covectors(m, k) == len(covector_sides(m, k)[0]), (m, k)
     assert count_covectors(14, 6) == 417146
     assert count_covectors(7, 6) == 3 ** 7 - 1
 
