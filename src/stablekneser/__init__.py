@@ -19,10 +19,10 @@ from .geometry import (MomentConfig, OrthogonalRep, RealizationError,
                        min_vertex_norm, moment_vectors, point_to_vertex,
                        representation, sign_vector_of_point, v_of_set,
                        verify_realization)
-from .graphs import (CircularSet, DihedralElement, Graph,
-                     automorphism_group_order, chromatic_number, dihedral_act,
-                     enumerate_stable_sets, free_action_check, kneser_graph,
-                     stable_kneser_graph, vertex_criticality_check)
+from .graphs import (DihedralElement, Graph, automorphism_group_order,
+                     chromatic_number, dihedral_act, enumerate_stable_sets,
+                     free_action_check, kneser_graph, stable_kneser_graph,
+                     vertex_criticality_check)
 from .matroid import (SignVector, count_covectors, covector_extension_feasible,
                       covector_leq, dihedral_act_sign, enumerate_cocircuits,
                       enumerate_covectors, is_covector, is_vector,

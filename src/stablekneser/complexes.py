@@ -6,8 +6,9 @@ the target bitmask of source vertex u into the width-bit field starting at
 bit u * width, width = |V(H)|.  The face order is then a & ~b == 0, and a
 codimension-one face drops one bit and keeps that bit's field nonempty.  The
 covector map gives Hom(K_2, SG_{n,k}) cells as A | B << |V(SG_{n,k})| for the
-vertex bitmasks A, B of its two sides; negation swaps the two fields, and a
-dihedral element acts on each field by graphs.permute_mask under its
+vertex bitmasks A, B of its two sides, a vertex lying in a side when its
+label, the bitmask of its stable set, does.  Negation swaps the two fields,
+and a dihedral element acts on each field by graphs.permute_mask under its
 graphs.vertex_permutation.  A covector is its side-mask pair (S_0, S_1),
 a row of the matroid.covector_sides arrays, on which the equivariance check
 runs, keyed S_0 | S_1 << m; sign-vector tuples appear only where covectors
@@ -31,7 +32,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from . import graphs
-from .graphs import (CircularSet, DihedralElement, Graph, set_bits,
+from .graphs import (DihedralElement, Graph, render_set, set_bits,
                      stable_kneser_graph)
 from .matroid import (SignVector, covector_extension_feasible, covector_sides,
                       dihedral_act_sign, enumerate_covectors, is_covector,
@@ -328,12 +329,12 @@ def order_complex(p: FinitePoset) -> SimplicialComplex:
 
 
 def _side_vertices(side: int, n: int, k: int, target: Graph) -> int:
-    """Bitmask of the target vertices whose stable set lies inside a covector side.
+    """Bitmask of the target vertices whose label mask lies inside a covector side.
 
     Never empty; cross pairs of a covector's cell are edges automatically:
     the two sides are disjoint.
     """
-    verts = sum(1 << i for i, lab in enumerate(target.labels) if lab.mask & ~side == 0)
+    verts = sum(1 << i for i, lab in enumerate(target.labels) if lab & ~side == 0)
     if not verts:
         raise _no_stable_set(side, n, k)
     return verts
@@ -341,7 +342,7 @@ def _side_vertices(side: int, n: int, k: int, target: Graph) -> int:
 
 def _no_stable_set(side: int, n: int, k: int) -> ValueError:
     return ValueError("(n, k) = (%d, %d): side %s carries no stable %d-set"
-                      % (n, k, CircularSet(2 * n + k, side), n))
+                      % (n, k, render_set(side), n))
 
 
 def covector_to_hom(s: SignVector, n: int, k: int,
@@ -439,7 +440,7 @@ def check_equivariance_combinatorial(n: int, k: int) -> dict:
     j = np.arange(m)
     bits = sides[:, None] >> j & 1
     outside = (1 - bits).astype(np.float32)
-    labels = np.array([lab.mask for lab in target.labels], sides.dtype)
+    labels = np.array(target.labels, sides.dtype)
     members = (labels[:, None] >> j & 1).astype(np.float32)
     # no member of the vertex outside the side; float32 counts up to m are exact
     inside = outside @ members.T == 0
@@ -484,7 +485,7 @@ def verify_nerve(n: int, k: int, max_set_size: Optional[int] = None,
         raise ValueError("nerve check of (n, k) = (%d, %d): max_set_size %d checks no family"
                          % (n, k, max_set_size))
     m = 2 * n + k
-    verts = [lab for lab in stable_kneser_graph(n, k).labels]
+    verts = stable_kneser_graph(n, k).labels
     nv = len(verts)
     if nv > max_vertices and max_set_size is None:
         raise ValueError("refusing 2^%d subsets; pass max_set_size" % nv)
@@ -493,7 +494,7 @@ def verify_nerve(n: int, k: int, max_set_size: Optional[int] = None,
         for family in itertools.combinations(range(nv), size):
             union = 0
             for i in family:
-                union |= verts[i].mask
+                union |= verts[i]
             partial: list[Optional[int]] = []
             for j in range(m):
                 if union >> j & 1:
@@ -501,7 +502,7 @@ def verify_nerve(n: int, k: int, max_set_size: Optional[int] = None,
                 else:
                     partial.append(None)
             feasible = covector_extension_feasible(partial, k)
-            has_common = any(v.mask & union == 0 for v in verts)
+            has_common = any(v & union == 0 for v in verts)
             if feasible != has_common:
                 return False
     return True

@@ -2,7 +2,9 @@
 
 The m configuration vectors in R^{k+1} realize the alternating oriented
 matroid and intertwine the dihedral matrices with index shifts; every
-floating-point check reports its maximum deviation.
+floating-point check reports its maximum deviation.  A stable set is its
+bitmask, as in graphs: v_of_set takes one, point_to_vertex returns one, and
+the sweeps unpack all of enumerate_stable_sets into membership rows at once.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .graphs import CircularSet, DihedralElement, enumerate_stable_sets, position_map
+from .graphs import DihedralElement, enumerate_stable_sets, position_map, render_set
 from .matroid import (SignVector, check_instance, enumerate_cocircuits,
                       enumerate_covectors, is_covector, render_sign_vector,
                       side_masks)
@@ -281,22 +283,22 @@ def verify_realization(m: int, k: int, samples: int = 100000,
 # the vertex map v(S) and Borsuk-graph experiments
 
 
-def v_of_set(s: CircularSet, config: MomentConfig,
+def v_of_set(mask: int, config: MomentConfig,
              min_norm: float = 1e-12) -> np.ndarray:
-    """Normalized alternating sum over the set; never zero on stable sets."""
-    total = _signed_sums(_incidence([s], config.m), config)[0]
+    """Normalized alternating sum over the set with bitmask mask; never zero on stable sets."""
+    total = _signed_sums(_incidence([mask], config.m), config)[0]
     nrm = float(np.linalg.norm(total))
     if nrm < min_norm:
         raise ValueError("alternating sum vanished on %s; "
-                         "this contradicts stability" % s)
+                         "this contradicts stability" % render_set(mask))
     return total / nrm
 
 
-def _incidence(verts: Sequence[CircularSet], m: int) -> np.ndarray:
-    """Rows of 0/1 membership flags, one row per set, one column per j < m."""
+def _incidence(masks: Sequence[int], m: int) -> np.ndarray:
+    """Rows of 0/1 membership flags, one row per set mask, one column per j < m."""
     width = (m + 7) // 8
-    packed = np.frombuffer(b"".join(s.mask.to_bytes(width, "little") for s in verts),
-                           dtype=np.uint8).reshape(len(verts), width)
+    packed = np.frombuffer(b"".join(s.to_bytes(width, "little") for s in masks),
+                           dtype=np.uint8).reshape(len(masks), width)
     return np.unpackbits(packed, axis=1, count=m, bitorder="little")
 
 
@@ -404,8 +406,8 @@ def borsuk_adjacent(x: np.ndarray, y: np.ndarray, eps: float) -> bool:
 
 def point_to_vertex(x: np.ndarray, l: int, n: int, k: int,
                     config: Optional[MomentConfig] = None,
-                    zero_tol: float = 1e-9) -> CircularSet:
-    """A stable n-set inside S_l of the point's sign vector.
+                    zero_tol: float = 1e-9) -> int:
+    """The bitmask of a stable n-set inside S_l of the point's sign vector.
 
     Deterministically the lexicographically least one, the first of
     enumerate_stable_sets inside the side: 0 with the earliest gapped picks
@@ -428,9 +430,8 @@ def point_to_vertex(x: np.ndarray, l: int, n: int, k: int,
                 j += 1
             j += 1
         if mask.bit_count() == n:
-            return CircularSet(m, mask)
-    raise ValueError("no stable %d-subset inside S_%d = %s"
-                     % (n, l, CircularSet(m, side)))
+            return mask
+    raise ValueError("no stable %d-subset inside S_%d = %s" % (n, l, render_set(side)))
 
 
 def geometry_row(n: int, k: int) -> dict:

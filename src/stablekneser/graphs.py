@@ -1,8 +1,10 @@
-"""Finite graphs, circular stable sets, and dihedral group actions.
+"""Finite graphs, stable subsets of Z_m, and dihedral group actions.
 
-Vertex subsets of Z_m are kept as bitmasks, so disjointness and cyclic
-stability are single AND operations.  Graphs store one adjacency bitmask
-per vertex; loops are permitted unless an operation says otherwise.
+A subset of Z_m is a plain int bitmask, bit j set iff j is a member, so
+disjointness is a single AND and a dihedral element acts by permuting bits.
+The vertex labels of SG_{n,k} and KG_{n,k} are such masks.  Graphs store one
+adjacency bitmask per vertex; loops are permitted unless an operation says
+otherwise.
 """
 
 from __future__ import annotations
@@ -10,41 +12,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
-
-
-@dataclass(frozen=True)
-class CircularSet:
-    """A subset of Z_m stored as a bitmask (bit j set iff j is a member)."""
-
-    m: int
-    mask: int
-
-    @classmethod
-    def from_members(cls, m: int, members: Iterable[int]) -> "CircularSet":
-        mask = 0
-        for j in members:
-            mask |= 1 << (j % m)
-        return cls(m, mask)
-
-    def members(self) -> tuple[int, ...]:
-        return tuple(set_bits(self.mask))
-
-    def __len__(self) -> int:
-        return self.mask.bit_count()
-
-    def __contains__(self, j: int) -> bool:
-        return bool(self.mask >> (j % self.m) & 1)
-
-    def is_stable(self) -> bool:
-        """No two cyclically consecutive members (wraparound pair included)."""
-        rotated = (self.mask << 1 | self.mask >> (self.m - 1)) & ((1 << self.m) - 1)
-        return self.mask & rotated == 0
-
-    def disjoint(self, other: "CircularSet") -> bool:
-        return self.mask & other.mask == 0
-
-    def __str__(self) -> str:
-        return "{" + ",".join(str(j) for j in self.members()) + "}"
 
 
 @dataclass(frozen=True)
@@ -104,11 +71,20 @@ def position_map(m: int, shift: int, flip: bool) -> list[int]:
     return [sign * (j + shift) % m for j in range(m)]
 
 
-def dihedral_act(s: CircularSet, g: DihedralElement) -> CircularSet:
-    """Right action on subsets of Z_m: S.sigma = {j+1}, S.rho = {-j}."""
-    if s.m != g.m:
-        raise ValueError("modulus mismatch: set lives in Z_%d, element in D_%d" % (s.m, 2 * g.m))
-    return CircularSet(s.m, permute_mask(s.mask, position_map(s.m, g.shift, g.flip)))
+def dihedral_act(mask: int, g: DihedralElement) -> int:
+    """Right action on subsets of Z_m as bitmasks: S.sigma = {j+1}, S.rho = {-j}."""
+    _check_in_z(mask, g.m)
+    return permute_mask(mask, position_map(g.m, g.shift, g.flip))
+
+
+def _check_in_z(mask: int, m: int) -> None:
+    if mask >> m:
+        raise ValueError("modulus mismatch: set %s does not lie in Z_%d" % (render_set(mask), m))
+
+
+def render_set(mask: int) -> str:
+    """The members of a subset of Z_m, as in {0,2,5}."""
+    return "{" + ",".join(map(str, set_bits(mask))) + "}"
 
 
 def generate_subgroup(generators: Sequence[DihedralElement]) -> list[DihedralElement]:
@@ -144,11 +120,11 @@ class Graph:
 
     adjacency[i] has bit j set iff (i, j) is an edge.  The relation is
     kept symmetric by construction.  labels, when present, attach a
-    CircularSet to each vertex and are injective.
+    subset of Z_m, as a bitmask, to each vertex and are injective.
     """
 
     adjacency: tuple[int, ...]
-    labels: Optional[tuple[CircularSet, ...]] = None
+    labels: Optional[tuple[int, ...]] = None
 
     def __post_init__(self):
         n = len(self.adjacency)
@@ -159,7 +135,7 @@ class Graph:
         if self.labels is not None:
             if len(self.labels) != n:
                 raise ValueError("labels length != vertex count")
-            if len({(l.m, l.mask) for l in self.labels}) != n:
+            if len(set(self.labels)) != n:
                 raise ValueError("labels not injective")
 
     @property
@@ -195,14 +171,14 @@ class Graph:
     def looped_vertices(self) -> list[int]:
         return [i for i in range(self.n) if self.has_loop(i)]
 
-    def label_index(self) -> dict[tuple[int, int], int]:
+    def label_index(self) -> dict[int, int]:
         if self.labels is None:
             raise ValueError("graph carries no labels")
-        return {(l.m, l.mask): i for i, l in enumerate(self.labels)}
+        return {lab: i for i, lab in enumerate(self.labels)}
 
 
 def graph_from_edges(n: int, edges: Iterable[tuple[int, int]],
-                     labels: Optional[Sequence[CircularSet]] = None) -> Graph:
+                     labels: Optional[Sequence[int]] = None) -> Graph:
     adj = [0] * n
     for i, j in edges:
         adj[i] |= 1 << j
@@ -222,8 +198,8 @@ def k2() -> Graph:
 # stable sets and Kneser graphs
 
 
-def enumerate_stable_sets(n: int, m: int) -> list[CircularSet]:
-    """All stable n-subsets of Z_m, in lexicographic member order.
+def enumerate_stable_sets(n: int, m: int) -> list[int]:
+    """The bitmasks of all stable n-subsets of Z_m, in lexicographic member order.
 
     Stable means no two cyclically consecutive elements.  The sets with 0
     are 0 plus a gapped (n-1)-subset of [2, m-2], the others a gapped
@@ -236,8 +212,8 @@ def enumerate_stable_sets(n: int, m: int) -> list[CircularSet]:
     if m < 2 * n:
         return []
     # every set containing 0 precedes every set avoiding it
-    return ([CircularSet(m, 1 | rest) for rest in _gapped_masks(2, m - 2, n - 1, {})]
-            + [CircularSet(m, mask) for mask in _gapped_masks(1, m - 1, n, {})])
+    return ([1 | rest for rest in _gapped_masks(2, m - 2, n - 1, {})]
+            + _gapped_masks(1, m - 1, n, {}))
 
 
 def _gapped_masks(start: int, limit: int, need: int, memo: dict) -> list[int]:
@@ -260,9 +236,8 @@ def kneser_graph(n: int, k: int) -> Graph:
         raise ValueError("KG_{n,k} needs n >= 1 and k >= 0, got (n, k) = (%d, %d)"
                          % (n, k))
     m = 2 * n + k
-    labels = [CircularSet.from_members(m, c)
-              for c in itertools.combinations(range(m), n)]
-    return _disjointness_graph(labels)
+    return _disjointness_graph([sum(1 << j for j in c)
+                                for c in itertools.combinations(range(m), n)])
 
 
 def stable_kneser_graph(n: int, k: int) -> Graph:
@@ -274,12 +249,12 @@ def stable_kneser_graph(n: int, k: int) -> Graph:
     return _disjointness_graph(enumerate_stable_sets(n, m))
 
 
-def _disjointness_graph(labels: Sequence[CircularSet]) -> Graph:
+def _disjointness_graph(labels: Sequence[int]) -> Graph:
     nv = len(labels)
     adj = [0] * nv
     for i in range(nv):
         for j in range(i + 1, nv):
-            if labels[i].mask & labels[j].mask == 0:
+            if labels[i] & labels[j] == 0:
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
     return Graph(tuple(adj), tuple(labels))
@@ -456,11 +431,7 @@ def vertex_criticality_check(g: Graph, chi: Optional[int] = None,
         return v
 
     for perm in automorphisms:
-        if sorted(perm) != list(range(n)):
-            raise ValueError("automorphism is not a permutation of the %d vertices" % n)
-        for i, row in enumerate(g.adjacency):
-            if permute_mask(row, perm) != g.adjacency[perm[i]]:
-                raise ValueError("permutation does not preserve the edges at vertex %d" % i)
+        _check_automorphism(g, perm)
         for i in range(n):
             parent[find(i)] = find(perm[i])
     if chi is None:
@@ -484,29 +455,36 @@ def vertex_criticality_check(g: Graph, chi: Optional[int] = None,
     return True
 
 
+def _check_automorphism(g: Graph, perm: Sequence[int]) -> None:
+    """Raise ValueError unless perm (perm[i] the image of vertex i) is a
+    bijection of the vertices that maps adjacency rows onto adjacency rows."""
+    if sorted(perm) != list(range(g.n)):
+        raise ValueError("automorphism is not a permutation of the %d vertices" % g.n)
+    for i, row in enumerate(g.adjacency):
+        if permute_mask(row, perm) != g.adjacency[perm[i]]:
+            raise ValueError("permutation does not preserve the edges at vertex %d" % i)
+
+
 # ---------------------------------------------------------------------------
 # group actions on labelled graphs
 
 
 def vertex_permutation(g: Graph, elem: DihedralElement) -> list[int]:
-    """The vertex permutation induced by a dihedral element on labels.
+    """The vertex permutation induced by a dihedral element on the label masks.
 
-    Raises if some image label is not a vertex or adjacency is broken.
+    Raises if a label is not a subset of Z_m, if some image label is not a
+    vertex, or if the permutation is not an automorphism (_check_automorphism).
     """
     index = g.label_index()
+    _check_in_z(max(g.labels, default=0), elem.m)   # the largest mask has the top bit
     pos = position_map(elem.m, elem.shift, elem.flip)
     perm = []
     for lab in g.labels:
-        if lab.m != elem.m:
-            raise ValueError("modulus mismatch: label %s lives in Z_%d, element in D_%d"
-                             % (lab, lab.m, 2 * elem.m))
-        key = (lab.m, permute_mask(lab.mask, pos))
-        if key not in index:
-            raise ValueError("action does not preserve the vertex set at %s" % lab)
-        perm.append(index[key])
-    for i, j in g.edges():
-        if not g.has_edge(perm[i], perm[j]):
-            raise ValueError("action does not preserve the edge set")
+        image = permute_mask(lab, pos)
+        if image not in index:
+            raise ValueError("action does not preserve the vertex set at %s" % render_set(lab))
+        perm.append(index[image])
+    _check_automorphism(g, perm)
     return perm
 
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 from math import comb
-from operator import sub
 from typing import Optional, Sequence
 
 import numpy as np
@@ -56,25 +55,12 @@ def side_masks(s: SignVector) -> tuple[int, int]:
 def sign_vector_from_sides(m: int, s0: int, s1: int) -> SignVector:
     """The sign vector of length m with sides S_0 = s0 and S_1 = s1; inverts side_masks.
 
-    An entry j in S_l is (-1)^(j+l), so s_j = (-1)^j ([j in S_0] - [j in S_1]),
-    read four entries at a time from _NIBBLE_SIGNS.
+    An entry j in S_l is (-1)^(j+l), so s_j = (-1)^j ([j in S_0] - [j in S_1]).
     """
     if s0 & s1 or (s0 | s1) >> m:
         raise ValueError("side masks %#x and %#x are not disjoint subsets of Z_%d"
                          % (s0, s1, m))
-    out = _NIBBLE_SIGNS[s0 & 15 | (s1 & 15) << 4]
-    while len(out) < m:
-        s0 >>= 4
-        s1 >>= 4
-        out += _NIBBLE_SIGNS[s0 & 15 | (s1 & 15) << 4]
-    return out[:m]
-
-
-# entries j..j+3, j even, of the sign vector whose sides hold the nibbles a
-# (S_0) and b (S_1) there, at index a | b << 4: (-1)^j ([j in a] - [j in b])
-_SIDE0_NIBBLE = [tuple((a >> j & 1) * (1 - 2 * (j & 1)) for j in range(4)) for a in range(16)]
-_NIBBLE_SIGNS = tuple(tuple(map(sub, a, b))
-                      for b, a in itertools.product(_SIDE0_NIBBLE, repeat=2))
+    return tuple((1 - 2 * (j & 1)) * ((s0 >> j & 1) - (s1 >> j & 1)) for j in range(m))
 
 
 def minimal_degree(s: SignVector) -> int:

@@ -480,6 +480,22 @@ def members_by_range_scan(m: int, mask: int) -> tuple:
     return tuple(j for j in range(m) if mask >> j & 1)
 
 
+def members(mask: int) -> tuple:
+    """The members of the set with bitmask mask, lowest first."""
+    return members_by_range_scan(mask.bit_length(), mask)
+
+
+def mask_of(members) -> int:
+    """The bitmask of a set of members."""
+    return sum(1 << j for j in set(members))
+
+
+def is_stable(m: int, mask: int) -> bool:
+    """No two cyclically consecutive members of Z_m (wraparound pair included)."""
+    rotated = (mask << 1 | mask >> (m - 1)) & ((1 << m) - 1)
+    return mask & rotated == 0
+
+
 def alternating_sums_by_set(member_tuples, vectors) -> np.ndarray:
     """Row per set: sum of (-1)^i v_i over its members, added one at a time."""
     rows = []

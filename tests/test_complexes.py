@@ -15,7 +15,7 @@ from stablekneser.complexes import (FinitePoset, SimplicialComplex, _cell_faces,
                                     hom_cells, hom_poset,
                                     neighbourhood_complex, order_complex,
                                     verify_nerve, z2_betti)
-from stablekneser.graphs import (CircularSet, DihedralElement, Graph, complete_graph,
+from stablekneser.graphs import (DihedralElement, Graph, complete_graph,
                                  graph_from_edges, k2, permute_mask,
                                  stable_kneser_graph, vertex_permutation)
 from stablekneser.matroid import (count_covectors, covector_leq,
@@ -25,7 +25,8 @@ from stablekneser.matroid import (count_covectors, covector_leq,
 from oracles import (boundary_squared_is_zero, cycle_graph,
                      dihedral_sign_reference, equivariance_reference,
                      euler_characteristic_consistent,
-                     hom_cells_by_product_filter, homomorphisms, negate,
+                     hom_cells_by_product_filter, homomorphisms, mask_of,
+                     members, negate,
                      one_vertex_looped, poset_covers_and_minima,
                      tuple_cell_faces, up_sets_by_predicate,
                      z2_betti_by_frozensets)
@@ -357,15 +358,15 @@ def test_sphere_homology_instances():
 
 
 def test_side_sets():
-    s0, s1 = (CircularSet(5, side) for side in side_masks(P("++++0")))
-    assert s0.members() == (0, 2)
-    assert s1.members() == (1, 3)
+    s0, s1 = side_masks(P("++++0"))
+    assert members(s0) == (0, 2)
+    assert members(s1) == (1, 3)
 
 
 def test_covector_to_hom_cocircuit_example():
     target = stable_kneser_graph(2, 1)
     cell = covector_to_hom(P("++++0"), 2, 1, target)
-    names = [{target.labels[i].members() for i in side}
+    names = [{members(target.labels[i]) for i in side}
              for side in member_tuples(cell, target.n, 2)]
     assert names == [{(0, 2)}, {(1, 3)}]
     assert all(a.bit_count() == 1 for a in unpack(cell, target.n, 2))
@@ -393,7 +394,7 @@ def test_covector_to_hom_cocircuits_are_interleaved_atoms():
         target = stable_kneser_graph(n, k)
         interleaved = set()
         for cell in hom_cells(k2(), target)[0]:
-            a, b = (target.labels[f.bit_length() - 1].members()
+            a, b = (members(target.labels[f.bit_length() - 1])
                     for f in unpack(cell, target.n, 2))
             if sorted(a + b)[::2] in (list(a), list(b)):
                 interleaved.add(cell)
@@ -462,8 +463,9 @@ def test_a_side_without_a_stable_set_names_the_instance(monkeypatch):
     # a target whose one vertex is the 3-set {0,1,2} of Z_5 fits inside no
     # side of a covector of C^{5,2}
     import stablekneser.complexes as complexes_module
-    target = Graph((0,), (CircularSet.from_members(5, (0, 1, 2)),))
-    with pytest.raises(ValueError, match=r"\(n, k\) = \(2, 1\): side .* no stable 2-set"):
+    target = Graph((0,), (mask_of((0, 1, 2)),))
+    with pytest.raises(ValueError,
+                       match=r"\(n, k\) = \(2, 1\): side \{0,2\} carries no stable 2-set"):
         covector_to_hom(P("++++0"), 2, 1, target)
     monkeypatch.setattr(complexes_module, "stable_kneser_graph", lambda n, k: target)
     with pytest.raises(ValueError, match=r"\(n, k\) = \(2, 1\): side .* no stable 2-set"):

@@ -11,7 +11,7 @@ from stablekneser.geometry import (RealizationError, borsuk_adjacent,
                                    moment_vectors, point_to_vertex,
                                    representation, sign_vector_of_point,
                                    v_of_set, verify_realization)
-from stablekneser.graphs import (CircularSet, DihedralElement, dihedral_act,
+from stablekneser.graphs import (DihedralElement, dihedral_act,
                                  enumerate_stable_sets, generate_subgroup,
                                  stable_kneser_graph)
 from stablekneser.matroid import (dihedral_act_sign, enumerate_cocircuits,
@@ -20,7 +20,8 @@ from stablekneser.matroid import (dihedral_act_sign, enumerate_cocircuits,
 import stablekneser.geometry as geometry_module
 from oracles import (alternating_sums_by_set, curve_point_by_terms,
                      eq3_deviations_by_rows, first_stable_subset_by_search,
-                     max_edge_defect_by_row_blocks, negate, sampled_sign_patterns)
+                     mask_of, max_edge_defect_by_row_blocks, members, negate,
+                     sampled_sign_patterns)
 
 TOL = 1e-9
 
@@ -319,8 +320,8 @@ def test_verify_realization_refuses_cocircuits_that_do_not_mirror(monkeypatch):
 
 def test_v_of_set_example_and_equivariance():
     config = moment_vectors(2, 1)
-    s = CircularSet.from_members(5, [0, 2])
-    raw = alternating_sums_by_set([s.members()], config.vectors)[0]
+    s = mask_of([0, 2])
+    raw = alternating_sums_by_set([members(s)], config.vectors)[0]
     assert abs(np.linalg.norm(raw) - 2 * np.cos(np.pi / 5)) < TOL
     assert abs(np.linalg.norm(v_of_set(s, config)) - 1.0) < TOL
     for n, k in [(2, 1), (2, 2), (4, 2)]:
@@ -339,7 +340,7 @@ def test_v_of_set_example_and_equivariance():
 def test_v_of_set_single_term():
     config = moment_vectors(1, 2)
     for j in range(4):
-        s = CircularSet.from_members(4, [j])
+        s = mask_of([j])
         expect = (-1) ** j * config.vectors[j]
         expect = expect / np.linalg.norm(expect)
         assert np.linalg.norm(v_of_set(s, config) - expect) < TOL
@@ -360,7 +361,7 @@ def test_max_edge_defect():
     expected = 0.0
     for i, s in enumerate(verts):
         for t in verts[i + 1:]:
-            if s.disjoint(t):
+            if s & t == 0:
                 d = np.linalg.norm(v_of_set(s, config) + v_of_set(t, config))
                 expected = max(expected, float(d))
     assert abs(max_edge_defect(2, 1) - expected) < TOL
@@ -392,11 +393,11 @@ def test_signed_sums_and_edge_defect_match_the_loops_bit_for_bit():
             verts = enumerate_stable_sets(n, config.m)
             incidence = geometry_module._incidence(verts, config.m)
             sums = geometry_module._signed_sums(incidence, config)
-            loop = alternating_sums_by_set([s.members() for s in verts], config.vectors)
+            loop = alternating_sums_by_set([members(s) for s in verts], config.vectors)
             assert np.array_equal(sums, loop), (n, k)
             assert min_vertex_norm(n, k) == float(np.linalg.norm(loop, axis=1).min())
             assert max_edge_defect(n, k) == max_edge_defect_by_row_blocks(
-                [s.mask for s in verts], loop), (n, k)
+                verts, loop), (n, k)
 
 
 def test_signed_sums_are_dihedral_equivariant():
@@ -425,18 +426,18 @@ def test_borsuk_edges_cover_sg_edges_at_large_n():
     n, k = 20, 2
     config = moment_vectors(n, k)
     verts = enumerate_stable_sets(n, 2 * n + k)
-    images = {v.mask: v_of_set(v, config) for v in verts}
+    images = {v: v_of_set(v, config) for v in verts}
     for i, s in enumerate(verts):
         for t in verts[i + 1:]:
-            if s.disjoint(t):
-                assert borsuk_adjacent(images[s.mask], images[t.mask], 0.5)
+            if s & t == 0:
+                assert borsuk_adjacent(images[s], images[t], 0.5)
 
 
 def test_point_to_vertex():
     config = moment_vectors(2, 1)
     x = geometry_module._realize_zero_sets([parse_sign_vector("++++0")], config)[0]
-    assert point_to_vertex(x, 0, 2, 1, config).members() == (0, 2)
-    assert point_to_vertex(x, 1, 2, 1, config).members() == (1, 3)
+    assert members(point_to_vertex(x, 0, 2, 1, config)) == (0, 2)
+    assert members(point_to_vertex(x, 1, 2, 1, config)) == (1, 3)
     g = stable_kneser_graph(2, 1)
     idx = g.label_index()
     for x in unit_samples(2, 60, seed=4):
@@ -446,7 +447,7 @@ def test_point_to_vertex():
         a = point_to_vertex(x, 0, 2, 1, config)
         b = point_to_vertex(-x, 0, 2, 1, config)
         assert point_to_vertex(x, 1, 2, 1, config) == b
-        assert g.has_edge(idx[(5, a.mask)], idx[(5, b.mask)])
+        assert g.has_edge(idx[a], idx[b])
 
 
 @settings(deadline=None)
@@ -462,7 +463,7 @@ def test_point_to_vertex_matches_search_reference(n, k, l, data):
         with pytest.raises(ValueError, match="no stable %d-subset" % n):
             point_to_vertex(x, l, n, k, config)
     else:
-        assert point_to_vertex(x, l, n, k, config).members() == tuple(want)
+        assert members(point_to_vertex(x, l, n, k, config)) == tuple(want)
 
 
 @settings(deadline=None, max_examples=300)
@@ -475,7 +476,7 @@ def test_point_to_vertex_is_the_first_stable_set_inside_the_side(m, data):
     x = np.array(data.draw(st.lists(st.sampled_from((-1.0, -0.5, 0.0, 0.5, 1.0)) | st.floats(-1, 1),
                                     min_size=k + 1, max_size=k + 1)))
     side = side_masks(sign_vector_of_point(x, config))[l]
-    want = next((s for s in enumerate_stable_sets(n, m) if s.mask & ~side == 0), None)
+    want = next((s for s in enumerate_stable_sets(n, m) if s & ~side == 0), None)
     if want is None:
         with pytest.raises(ValueError, match="no stable %d-subset" % n):
             point_to_vertex(x, l, n, k, config)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stablekneser import graphs
-from stablekneser.graphs import (CircularSet, DihedralElement, Graph,
+from stablekneser.graphs import (DihedralElement, Graph,
                                  automorphism_group_order, chromatic_number,
                                  complete_graph, dihedral_act,
                                  enumerate_stable_sets, free_action_check,
@@ -16,7 +16,8 @@ from stablekneser.graphs import (CircularSet, DihedralElement, Graph,
 from oracles import (brute_force_automorphisms, brute_force_chromatic,
                      critical_by_all_deletions, cycle_graph,
                      dihedral_set_reference, dsatur_reference,
-                     induced_subgraph, members_by_range_scan, one_vertex_looped,
+                     induced_subgraph, is_stable, mask_of, members,
+                     members_by_range_scan, one_vertex_looped,
                      stable_set_count, stable_set_masks_by_recursion)
 
 
@@ -33,22 +34,21 @@ def is_cycle(g):
 
 
 def test_stable_sets_small():
-    assert [s.members() for s in enumerate_stable_sets(1, 5)] == \
+    assert [members(s) for s in enumerate_stable_sets(1, 5)] == \
         [(0,), (1,), (2,), (3,), (4,)]
-    assert [s.members() for s in enumerate_stable_sets(2, 4)] == [(0, 2), (1, 3)]
+    assert [members(s) for s in enumerate_stable_sets(2, 4)] == [(0, 2), (1, 3)]
     nine = enumerate_stable_sets(2, 6)
     assert len(nine) == 9 == stable_set_count(2, 6)
-    assert all(s.is_stable() for s in nine)
+    assert all(is_stable(6, s) for s in nine)
 
 
 def test_stable_sets_against_exhaustive():
     for n, m in [(1, 3), (2, 5), (2, 6), (2, 7), (3, 7), (3, 8), (4, 9)]:
         naive = set()
         for comb in itertools.combinations(range(m), n):
-            cs = CircularSet.from_members(m, comb)
-            if cs.is_stable():
+            if is_stable(m, mask_of(comb)):
                 naive.add(comb)
-        got = {s.members() for s in enumerate_stable_sets(n, m)}
+        got = {members(s) for s in enumerate_stable_sets(n, m)}
         assert got == naive
         assert len(got) == stable_set_count(n, m)
 
@@ -57,26 +57,26 @@ def test_stable_sets_come_out_in_member_order():
     for m in range(2, 21):
         for n in range(1, m // 2 + 1):
             sets = enumerate_stable_sets(n, m)
-            scans = [members_by_range_scan(m, s.mask) for s in sets]
+            scans = [members_by_range_scan(m, s) for s in sets]
             assert scans == sorted(scans), (n, m)
-            assert [s.members() for s in sets] == scans, (n, m)
+            assert [tuple(set_bits(s)) for s in sets] == scans, (n, m)
     for m in range(1, 11):
         for mask in range(1 << m):
-            assert CircularSet(m, mask).members() == members_by_range_scan(m, mask)
+            assert tuple(set_bits(mask)) == members_by_range_scan(m, mask)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 10), st.integers(1, 26))
 def test_memoised_stable_sets_follow_the_recursive_search(n, m):
     sets = enumerate_stable_sets(n, m)
-    assert [s.mask for s in sets] == stable_set_masks_by_recursion(n, m)
-    assert all(s.m == m for s in sets)
+    assert sets == stable_set_masks_by_recursion(n, m)
+    assert all(type(s) is int and s >> m == 0 for s in sets)
     assert len(sets) == stable_set_count(n, m)
 
 
 def test_stable_sets_edge_cases():
     assert enumerate_stable_sets(3, 5) == []
-    assert [s.members() for s in enumerate_stable_sets(2, 4)] == [(0, 2), (1, 3)]
+    assert [members(s) for s in enumerate_stable_sets(2, 4)] == [(0, 2), (1, 3)]
     with pytest.raises(ValueError, match=r"\(n, m\) = \(0, 4\)"):
         enumerate_stable_sets(0, 4)
 
@@ -279,31 +279,48 @@ def test_criticality_refuses_classes_that_do_not_colour_the_rest(monkeypatch, cl
 
 
 def test_dihedral_act_examples():
-    s = CircularSet.from_members(5, [0, 2])
-    assert dihedral_act(s, DihedralElement.sigma(5)).members() == (1, 3)
-    assert dihedral_act(s, DihedralElement.rho(5)).members() == (0, 3)
-    with pytest.raises(ValueError):
-        dihedral_act(s, DihedralElement.sigma(6))
-    with pytest.raises(ValueError, match="modulus mismatch"):
+    s = mask_of([0, 2])
+    assert members(dihedral_act(s, DihedralElement.sigma(5))) == (1, 3)
+    assert members(dihedral_act(s, DihedralElement.rho(5))) == (0, 3)
+    # a mask carries no modulus: SG_{2,1} lives in Z_5, and rho of D_12
+    # sends {0,2} to {0,4}, which is no vertex
+    with pytest.raises(ValueError, match=r"does not preserve the vertex set at \{0,2\}"):
         vertex_permutation(stable_kneser_graph(2, 1), DihedralElement.rho(6))
+    # SG_{2,2} lives in Z_6; its label {1,5} has bit 5, outside Z_5
+    with pytest.raises(ValueError, match="modulus mismatch"):
+        vertex_permutation(stable_kneser_graph(2, 2), DihedralElement.rho(5))
+
+
+def test_dihedral_act_refuses_a_set_outside_z_m():
+    with pytest.raises(ValueError, match=r"modulus mismatch: set \{7\} does not lie in Z_5"):
+        dihedral_act(1 << 7, DihedralElement.sigma(5))
+    with pytest.raises(ValueError, match=r"set \{0,5\} does not lie in Z_5"):
+        dihedral_act(mask_of([0, 5]), DihedralElement.rho(5))
+    assert dihedral_act(mask_of([0, 4]), DihedralElement.sigma(5)) == mask_of([0, 1])
+
+
+def test_vertex_permutation_refuses_a_label_outside_z_m():
+    labels = [1 << 0, 1 << 7]
+    g = graph_from_edges(2, [(0, 1)], labels)
+    with pytest.raises(ValueError, match=r"modulus mismatch: set \{7\} does not lie in Z_5"):
+        vertex_permutation(g, DihedralElement.sigma(5))
 
 
 @settings(deadline=None)
 @given(st.data())
 def test_dihedral_act_matches_member_wise_reference(data):
     m = data.draw(st.integers(1, 12))
-    s = CircularSet(m, data.draw(st.integers(0, (1 << m) - 1)))
+    s = data.draw(st.integers(0, (1 << m) - 1))
     g = DihedralElement(m, data.draw(st.integers(-2 * m, 2 * m)), data.draw(st.booleans()))
-    assert set(dihedral_act(s, g).members()) == \
-        dihedral_set_reference(s.members(), m, g.shift, g.flip)
+    assert set(members(dihedral_act(s, g))) == \
+        dihedral_set_reference(members(s), m, g.shift, g.flip)
 
 
 def test_dihedral_right_action_and_relation():
     rng = random.Random(3)
     for m in (5, 6, 8):
         elems = [DihedralElement(m, a, f) for a in range(m) for f in (False, True)]
-        sets = [CircularSet.from_members(m, c)
-                for c in itertools.combinations(range(m), 2)]
+        sets = [mask_of(c) for c in itertools.combinations(range(m), 2)]
         for _ in range(50):
             s = rng.choice(sets)
             g, h = rng.choice(elems), rng.choice(elems)
@@ -339,13 +356,13 @@ def test_free_action_check_half_turn_on_sg2s4():
         n = 2 * s
         m = 4 * (s + 1)
         g = stable_kneser_graph(n, 4)
-        members = [2 * j for j in range(s)] + [2 * j + 2 * s + 3 for j in range(s)]
-        vertex = CircularSet.from_members(m, members)
-        assert vertex.is_stable()
+        witness = [2 * j for j in range(s)] + [2 * j + 2 * s + 3 for j in range(s)]
+        vertex = mask_of(witness)
+        assert is_stable(m, vertex)
         half = DihedralElement.sigma(m, m // 2)
         image = dihedral_act(vertex, half)
         idx = g.label_index()
-        assert g.has_edge(idx[(m, vertex.mask)], idx[(m, image.mask)])
+        assert g.has_edge(idx[vertex], idx[image])
         result = free_action_check(g, [DihedralElement.sigma(m)])
         assert all(w is not None for w in result.values())
 
@@ -360,7 +377,7 @@ def test_free_action_check_identity_excluded():
 def test_free_action_check_reports_not_free():
     # C_4 with rotation labels: the half turn sends every vertex to its
     # antipode, which is never adjacent, and its square is the identity
-    labels = [CircularSet.from_members(4, [j]) for j in range(4)]
+    labels = [1 << j for j in range(4)]
     square = graph_from_edges(4, [(i, (i + 1) % 4) for i in range(4)], labels)
     result = free_action_check(square, [DihedralElement.sigma(4, 2)])
     assert result == {(2, False): None}
@@ -393,19 +410,35 @@ def test_subgroup_generation():
 
 
 def test_labels_must_be_injective():
-    lab = CircularSet.from_members(4, [0])
+    lab = mask_of([0])
     with pytest.raises(ValueError):
         Graph((0, 0), (lab, lab))
 
 
 def test_vertex_permutation_rejects_broken_action():
     # path labelled so that sigma maps a vertex label off the vertex set
-    labels = [CircularSet.from_members(4, [j]) for j in (0, 1)]
+    labels = [1 << j for j in (0, 1)]
     g = graph_from_edges(2, [(0, 1)], labels)
     with pytest.raises(ValueError):
         vertex_permutation(g, DihedralElement.sigma(4))
     # full label set, but adjacency is not preserved by rho
-    labels = [CircularSet.from_members(3, [j]) for j in (0, 1, 2)]
+    labels = [1 << j for j in (0, 1, 2)]
     path = graph_from_edges(3, [(0, 1), (1, 2)], labels)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="does not preserve the edges"):
         vertex_permutation(path, DihedralElement.rho(3))
+
+
+@pytest.mark.parametrize("n, k", [(n, k) for n in range(1, 7) for k in range(0, 13 - 2 * n)])
+def test_vertex_permutation_matches_label_reference_and_preserves_edges(n, k):
+    # every element of D_{2m} on SG_{n,k}, m <= 12: the permutation is the
+    # member-wise image of each label, and every edge goes to an edge
+    m = 2 * n + k
+    g = stable_kneser_graph(n, k)
+    index = {frozenset(members(lab)): i for i, lab in enumerate(g.labels)}
+    group = generate_subgroup([DihedralElement.sigma(m), DihedralElement.rho(m)])
+    assert len(group) == 2 * m
+    for elem in group:
+        perm = vertex_permutation(g, elem)
+        assert perm == [index[dihedral_set_reference(members(lab), m, elem.shift, elem.flip)]
+                        for lab in g.labels]
+        assert all(g.has_edge(perm[i], perm[j]) for i, j in g.edges())
