@@ -35,7 +35,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .geometry import representation
+from .geometry import ZERO_TOL, representation
 from .graphs import set_bits
 
 ODD = "ODD"
@@ -191,11 +191,9 @@ class GradedPoly:
             masks[degree] = self.masks[degree]
         return GradedPoly._packed(self.ring, self.max_degree, masks)
 
-    def vanishing_degrees(self, up_to: Optional[int] = None) -> list[int]:
-        """Degrees 1..up_to with zero homogeneous component."""
-        hi = self.max_degree if up_to is None else up_to
-        return [d for d in range(1, hi + 1)
-                if d > self.max_degree or not self.masks[d]]
+    def vanishing_degrees(self) -> list[int]:
+        """Degrees 1..max_degree with zero homogeneous component."""
+        return [d for d in range(1, self.max_degree + 1) if not self.masks[d]]
 
     def __add__(self, other: "GradedPoly") -> "GradedPoly":
         self._check_compatible(other)
@@ -334,16 +332,16 @@ def total_sw_class(n: int, k: int, max_degree: int = 64) -> GradedPoly:
     return w * one_plus(ring, max_degree, "x", "y") ** (r // 2)
 
 
-def _diag_sign_pattern(mat: np.ndarray, tol: float = 1e-9) -> list[int]:
+def _diag_sign_pattern(mat: np.ndarray) -> list[int]:
     dim = mat.shape[0]
     off = mat - np.diag(np.diag(mat))
-    if np.abs(off).max() > tol:
+    if np.abs(off).max() > ZERO_TOL:
         raise ValueError("matrix is not diagonal")
     pattern = []
     for v in np.diag(mat):
-        if abs(v - 1) < tol:
+        if abs(v - 1) < ZERO_TOL:
             pattern.append(1)
-        elif abs(v + 1) < tol:
+        elif abs(v + 1) < ZERO_TOL:
             pattern.append(-1)
         else:
             raise ValueError("diagonal entry %r is not +-1" % v)
@@ -387,9 +385,9 @@ def total_sw_class_from_blocks(n: int, k: int, max_degree: int = 64) -> GradedPo
         w1 = one_plus(ring, max_degree, *names)
         if hi - lo == 2:
             blk = half_turn[lo:hi, lo:hi]
-            if np.abs(blk + np.eye(2)).max() < 1e-9:
+            if np.abs(blk + np.eye(2)).max() < ZERO_TOL:
                 w1 = w1 + generator(ring, "u", max_degree)
-            elif np.abs(blk - np.eye(2)).max() >= 1e-9:
+            elif np.abs(blk - np.eye(2)).max() >= ZERO_TOL:
                 raise ValueError("half turn is not +-identity on a block")
         w = w * w1
     return w

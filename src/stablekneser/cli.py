@@ -12,7 +12,6 @@ import argparse
 import contextlib
 import functools
 import json
-import math
 import os
 import signal
 import sys
@@ -30,7 +29,6 @@ class RunConfig:
     m: Optional[int] = None
     n_range: Optional[tuple[int, int]] = None
     max_degree: int = 64
-    zero_tol: float = 1e-9
     samples: int = 100000
     seed: int = 0
     out: Optional[str] = None
@@ -63,7 +61,7 @@ def cmd_graph(cfg: RunConfig) -> tuple[dict, int]:
         "k": cfg.k,
         "m": 2 * cfg.n + cfg.k,
         "vertex_count": g.n,
-        "edge_count": len(g.edges(include_loops=False)),
+        "edge_count": len(g.edges()),
     }
     status = 0
     chi = None
@@ -113,10 +111,8 @@ def cmd_matroid(cfg: RunConfig) -> tuple[dict, int]:
     }
     status = 0
     try:
-        realization = geometry.verify_realization(
-            cfg.m, cfg.k, samples=cfg.samples, seed=cfg.seed,
-            zero_tol=cfg.zero_tol)
-        report["realization"] = realization
+        report["realization"] = geometry.verify_realization(
+            cfg.m, cfg.k, samples=cfg.samples, seed=cfg.seed)
     except geometry.RealizationError as exc:
         report["realization"] = exc.report
         report["realization"]["status"] = "fail"
@@ -160,7 +156,7 @@ def cmd_geometry(cfg: RunConfig) -> tuple[str, int]:
     status = 0
     for row in rows:
         worst = max(row[c] for c in GEOMETRY_COLUMNS if c.endswith("_dev"))
-        if worst >= cfg.zero_tol:
+        if worst >= geometry.ZERO_TOL:
             status = 1
     return geometry_csv(rows), status
 
@@ -209,7 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--samples", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--zero-tol", type=float)
 
     p = add("classify", help="test-graph classification sweep")
     p.add_argument("--k", type=int, required=True)
@@ -222,7 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--sweep", action="store_true")
     p.add_argument("--n-range", type=_parse_range)
-    p.add_argument("--zero-tol", type=float)
     return parser
 
 
@@ -248,10 +242,6 @@ def run(cfg: RunConfig) -> tuple[str, int]:
             raise ValueError("geometry prints CSV; --pretty applies to the JSON subcommands")
         if cfg.n is None and not (cfg.sweep and cfg.n_range is not None):
             raise ValueError("geometry needs --n, or --sweep with --n-range")
-        if not 0 < cfg.zero_tol < math.inf:
-            n = cfg.n if cfg.n is not None else "%d..%d" % cfg.n_range
-            raise ValueError("geometry of (n, k) = (%s, %d) needs a finite --zero-tol > 0, "
-                             "got %r" % (n, cfg.k, cfg.zero_tol))
         text, status = cmd_geometry(cfg)
         return text, status
     else:  # pragma: no cover - argparse guards this

@@ -157,20 +157,8 @@ def gf2_rank_dense(rows: Sequence[int]) -> int:
 
 
 def gf2_rank_sparse(rows: Sequence[set]) -> int:
-    """Rank over GF(2); rows as sets of column indices."""
-    pivots: dict[int, set] = {}
-    rank = 0
-    for row in rows:
-        r = set(row)
-        while r:
-            p = max(r)
-            if p in pivots:
-                r ^= pivots[p]
-            else:
-                pivots[p] = r
-                rank += 1
-                break
-    return rank
+    """Rank over GF(2); rows as sets of column indices, packed for gf2_rank_dense."""
+    return gf2_rank_dense([sum(1 << j for j in set(row)) for row in rows])
 
 
 def _cell_faces(cell: int, width: int):
@@ -294,14 +282,14 @@ def hom_betti(g: Graph, h: Graph) -> tuple[int, ...]:
     return _cellular_betti(hom_cells(g, h), h.n)
 
 
-def hom_poset(g: Graph, h: Graph, max_cells: int = 10 ** 6) -> FinitePoset:
+def hom_poset(g: Graph, h: Graph) -> FinitePoset:
     """The face poset of hom_cells, ordered by a & ~b == 0 on the packed cells.
 
     Elements are the hom_cells ints themselves, dimension by dimension
     from 0 up and in enumeration order within a dimension; the up-sets are
     pushed down from each cell to its faces, highest dimension first.
     """
-    byd = hom_cells(g, h, max_cells=max_cells)
+    byd = hom_cells(g, h)
     cells = [c for d in sorted(byd) for c in byd[d]]
     index = {c: i for i, c in enumerate(cells)}
     above = [1 << i for i in range(len(cells))]
@@ -366,8 +354,7 @@ def covector_to_hom(s: SignVector, n: int, k: int,
                for l, side in enumerate(side_masks(s)))
 
 
-def covector_cells(n: int, k: int,
-                   target: Optional[Graph] = None) -> dict[SignVector, int]:
+def covector_cells(n: int, k: int) -> dict[SignVector, int]:
     """Every covector of C^{m,k+1}, m = 2n + k, with its packed cell as in covector_to_hom.
 
     Keys follow enumerate_covectors; cells are packed as in
@@ -375,8 +362,7 @@ def covector_cells(n: int, k: int,
     distinct side resolved once.
     """
     m = 2 * n + k
-    if target is None:
-        target = stable_kneser_graph(n, k)
+    target = stable_kneser_graph(n, k)
     verts = functools.cache(lambda side: _side_vertices(side, n, k, target))
     return {s: sum(verts(side) << l * target.n for l, side in enumerate(side_masks(s)))
             for s in enumerate_covectors(m, k)}
@@ -472,14 +458,14 @@ def check_equivariance_combinatorial(n: int, k: int) -> dict:
     }
 
 
-def verify_nerve(n: int, k: int, max_set_size: Optional[int] = None,
-                 max_vertices: int = 20) -> bool:
+def verify_nerve(n: int, k: int, max_set_size: Optional[int] = None) -> bool:
     """Nerve criterion: sign-pattern feasibility == common-neighbour existence.
 
     For every nonempty vertex family of SG_{n,k} (up to max_set_size), fixing
     s_j = (-1)^j on the union must be covector-extendable exactly when some
     stable set avoids the union.  A max_set_size below 1 would check no
-    family, so it is refused.
+    family, so it is refused, and so is a graph of more than 20 vertices
+    without one: it has too many families.
     """
     if max_set_size is not None and max_set_size < 1:
         raise ValueError("nerve check of (n, k) = (%d, %d): max_set_size %d checks no family"
@@ -487,7 +473,7 @@ def verify_nerve(n: int, k: int, max_set_size: Optional[int] = None,
     m = 2 * n + k
     verts = stable_kneser_graph(n, k).labels
     nv = len(verts)
-    if nv > max_vertices and max_set_size is None:
+    if nv > 20 and max_set_size is None:
         raise ValueError("refusing 2^%d subsets; pass max_set_size" % nv)
     sizes = range(1, nv + 1) if max_set_size is None else range(1, max_set_size + 1)
     for size in sizes:

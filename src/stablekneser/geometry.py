@@ -2,22 +2,30 @@
 
 The m configuration vectors in R^{k+1} realize the alternating oriented
 matroid and intertwine the dihedral matrices with index shifts; every
-floating-point check reports its maximum deviation.  A stable set is its
-bitmask, as in graphs: v_of_set takes one, point_to_vertex returns one, and
-the sweeps unpack all of enumerate_stable_sets into membership rows at once.
+floating-point check reports its maximum deviation, and ZERO_TOL is both the
+one zero test of a sign and the sweep's pass bound on those deviations.  A
+stable set is its bitmask, as in graphs: v_of_set takes one, point_to_vertex
+returns one, and the sweeps unpack all of enumerate_stable_sets into
+membership rows at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .graphs import DihedralElement, enumerate_stable_sets, position_map, render_set
+from .graphs import (DihedralElement, _check_in_z, enumerate_stable_sets, position_map,
+                     render_set)
 from .matroid import (SignVector, check_instance, enumerate_cocircuits,
                       enumerate_covectors, is_covector, render_sign_vector,
                       side_masks)
+
+
+# a sign-vector entry below this in absolute value is 0, and the geometry sweep
+# passes only with every deviation below it
+ZERO_TOL = 1e-9
 
 
 class RealizationError(RuntimeError):
@@ -148,17 +156,16 @@ def eq3_deviations(config: MomentConfig, rep: OrthogonalRep) -> dict[str, float]
     return {"sigma_shift": dev[0], "rho_flip": dev[1], "periodicity": dev[2]}
 
 
-def sign_vector_of_point(x: np.ndarray, config: MomentConfig,
-                         zero_tol: float = 1e-9) -> SignVector:
+def sign_vector_of_point(x: np.ndarray, config: MomentConfig) -> SignVector:
     vals = config.vectors @ np.asarray(x, dtype=float)
-    return tuple(0 if abs(t) < zero_tol else (1 if t > 0 else -1) for t in vals)
+    return tuple(0 if abs(t) < ZERO_TOL else (1 if t > 0 else -1) for t in vals)
 
 
 _REALIZE_BLOCK = 1 << 12   # sign vectors per stacked complete QR, points per sampled block
 
 
-def _realize_zero_sets(vectors: np.ndarray | Sequence[SignVector], config: MomentConfig,
-                       zero_tol: float = 1e-9) -> np.ndarray:
+def _realize_zero_sets(vectors: np.ndarray | Sequence[SignVector],
+                       config: MomentConfig) -> np.ndarray:
     """Unit points with the given sign rows, one row each, via their zero sets.
 
     The rows, an array or a sequence of sign vectors, must share one zero
@@ -178,7 +185,7 @@ def _realize_zero_sets(vectors: np.ndarray | Sequence[SignVector], config: Momen
         rows = config.vectors[zeros[block]]
         x = np.linalg.qr(np.swapaxes(rows, 1, 2), mode="complete")[0][:, :, -1]
         vals = x @ config.vectors.T
-        got = np.where(np.abs(vals) < zero_tol, 0, np.sign(vals)).astype(np.int8)
+        got = np.where(np.abs(vals) < ZERO_TOL, 0, np.sign(vals)).astype(np.int8)
         direct = (got == signs[block]).all(axis=1)
         negated = (got == -signs[block]).all(axis=1)
         if not (direct | negated).all():
@@ -190,8 +197,7 @@ def _realize_zero_sets(vectors: np.ndarray | Sequence[SignVector], config: Momen
     return points
 
 
-def verify_realization(m: int, k: int, samples: int = 100000,
-                       seed: int = 0, zero_tol: float = 1e-9) -> dict:
+def verify_realization(m: int, k: int, samples: int = 100000, seed: int = 0) -> dict:
     """Cross-validate the covector rule against the geometric configuration.
 
     (a) every sampled generic sign vector satisfies the covector rule;
@@ -209,16 +215,13 @@ def verify_realization(m: int, k: int, samples: int = 100000,
     _REALIZE_BLOCK at a time, the same stream as one draw, and only the
     distinct sign patterns are kept between blocks, merged by np.unique on
     one integer key per row, so memory follows the number of distinct
-    patterns, not samples.  A negative samples or seed, or a zero_tol that
-    is not finite and positive, is refused before any sampling.
+    patterns, not samples.  Every sign is read with ZERO_TOL.  A negative
+    samples or seed is refused before any sampling.
     """
     config = config_for(m, k)
     if samples < 0:
         raise ValueError("realization of (m, k) = (%d, %d) needs samples >= 0, got %d"
                          % (m, k, samples))
-    if not 0 < zero_tol < np.inf:
-        raise ValueError("realization of (m, k) = (%d, %d) needs a finite zero_tol > 0, "
-                         "got %r" % (m, k, zero_tol))
     if seed < 0:
         raise ValueError("realization of (m, k) = (%d, %d) needs seed >= 0, got %d"
                          % (m, k, seed))
@@ -236,7 +239,7 @@ def verify_realization(m: int, k: int, samples: int = 100000,
     for lo in range(0, samples, _REALIZE_BLOCK):
         size = min(_REALIZE_BLOCK, samples - lo)
         vals = rng.normal(size=(size, k + 1)) @ config.vectors.T
-        block = (vals[(np.abs(vals) >= zero_tol).all(axis=1)] > 0) @ weights
+        block = (vals[(np.abs(vals) >= ZERO_TOL).all(axis=1)] > 0) @ weights
         codes = np.concatenate([codes, block])
         key = codes[:, 0]
         for column in codes.T[1:]:
@@ -256,7 +259,7 @@ def verify_realization(m: int, k: int, samples: int = 100000,
         raise RealizationError("sampled sign pattern violates the covector rule", report)
 
     cocircuits = enumerate_cocircuits(m, k)
-    half = _realize_zero_sets(cocircuits[:len(cocircuits) // 2], config, zero_tol)
+    half = _realize_zero_sets(cocircuits[:len(cocircuits) // 2], config)
     unpaired = np.flatnonzero((cocircuits[::-1] != -cocircuits).any(axis=1))
     if len(unpaired):
         s = render_sign_vector(cocircuits[unpaired[0]].tolist())
@@ -266,7 +269,7 @@ def verify_realization(m: int, k: int, samples: int = 100000,
     if m <= 8 and k <= 4:
         topes = np.array([s for s in enumerate_covectors(m, k) if 0 not in s])
         vals = (topes @ cocircuits.T == m - k) @ points @ config.vectors.T
-        got = np.where(np.abs(vals) < zero_tol, 0, np.sign(vals))
+        got = np.where(np.abs(vals) < ZERO_TOL, 0, np.sign(vals))
         missed = sorted(map(tuple, topes[(got != topes).any(axis=1)].tolist()))
         extra = sorted(set(sampled).difference(map(tuple, topes.tolist())))
         report["zero_free_covectors"] = len(topes)
@@ -283,12 +286,12 @@ def verify_realization(m: int, k: int, samples: int = 100000,
 # the vertex map v(S) and Borsuk-graph experiments
 
 
-def v_of_set(mask: int, config: MomentConfig,
-             min_norm: float = 1e-12) -> np.ndarray:
+def v_of_set(mask: int, config: MomentConfig) -> np.ndarray:
     """Normalized alternating sum over the set with bitmask mask; never zero on stable sets."""
+    _check_in_z(mask, config.m)
     total = _signed_sums(_incidence([mask], config.m), config)[0]
     nrm = float(np.linalg.norm(total))
-    if nrm < min_norm:
+    if nrm < 1e-12:
         raise ValueError("alternating sum vanished on %s; "
                          "this contradicts stability" % render_set(mask))
     return total / nrm
@@ -404,10 +407,9 @@ def borsuk_adjacent(x: np.ndarray, y: np.ndarray, eps: float) -> bool:
     return float(np.linalg.norm(np.asarray(x) + np.asarray(y))) < eps
 
 
-def point_to_vertex(x: np.ndarray, l: int, n: int, k: int,
-                    config: Optional[MomentConfig] = None,
-                    zero_tol: float = 1e-9) -> int:
-    """The bitmask of a stable n-set inside S_l of the point's sign vector.
+def point_to_vertex(x: np.ndarray, l: int, n: int, k: int) -> int:
+    """The bitmask of a stable n-set inside S_l of the point's sign vector
+    against moment_vectors(n, k), which it builds itself.
 
     Deterministically the lexicographically least one, the first of
     enumerate_stable_sets inside the side: 0 with the earliest gapped picks
@@ -417,10 +419,9 @@ def point_to_vertex(x: np.ndarray, l: int, n: int, k: int,
     """
     if l not in (0, 1):
         raise ValueError("l must be 0 or 1")
-    if config is None:
-        config = moment_vectors(n, k)
+    config = moment_vectors(n, k)
     m = config.m
-    side = side_masks(sign_vector_of_point(x, config, zero_tol))[l]
+    side = side_masks(sign_vector_of_point(x, config))[l]
     for mask, j, hi in ((1, 2, m - 2), (0, 1, m - 1)):   # the sets with 0 come first
         if mask & ~side:
             continue

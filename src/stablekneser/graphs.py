@@ -151,14 +151,13 @@ class Graph:
     def neighbours(self, i: int) -> tuple[int, ...]:
         return tuple(set_bits(self.adjacency[i]))
 
-    def edges(self, include_loops: bool = True) -> list[tuple[int, int]]:
+    def edges(self) -> list[tuple[int, int]]:
+        """Every edge (i, j) with i <= j, loops (i, i) included."""
         out = []
         for i in range(self.n):
             row = self.adjacency[i]
             for j in range(i, self.n):
                 if row >> j & 1:
-                    if i == j and not include_loops:
-                        continue
                     out.append((i, j))
         return out
 
@@ -397,8 +396,8 @@ def _two_colouring(adj: Sequence[int], mask: int) -> Optional[list[int]]:
 
 
 def is_valid_colouring(g: Graph, colouring: Sequence[int]) -> bool:
-    return all(colouring[i] != colouring[j]
-               for i, j in g.edges(include_loops=False)) and \
+    """True iff every colour is >= 0 and every edge has two colours; a loop never does."""
+    return all(colouring[i] != colouring[j] for i, j in g.edges()) and \
         all(colouring[v] >= 0 for v in range(g.n))
 
 
@@ -518,15 +517,15 @@ def free_action_check(g: Graph, generators: Sequence[DihedralElement]):
     return result
 
 
-def automorphism_group_order(g: Graph, max_vertices: int = 16) -> int:
+def automorphism_group_order(g: Graph) -> int:
     """|Aut(G)| by backtracking over degree-compatible bijections.
 
-    Refuses graphs with more than `max_vertices` vertices rather than
-    fall back to heuristics.
+    Refuses graphs with more than 16 vertices rather than fall back to
+    heuristics.
     """
     n = g.n
-    if n > max_vertices:
-        raise ValueError("too large: %d vertices (limit %d)" % (n, max_vertices))
+    if n > 16:
+        raise ValueError("too large: %d vertices (limit 16)" % n)
     if n == 0:
         return 1
     sig = [(g.degree(v), g.has_loop(v)) for v in range(n)]

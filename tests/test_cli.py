@@ -10,7 +10,7 @@ import jsonschema
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stablekneser import charclasses, cli, complexes
+from stablekneser import charclasses, cli, complexes, geometry
 
 SCHEMA_DIR = os.path.join(os.path.dirname(cli.__file__), "schemas")
 
@@ -301,15 +301,8 @@ def test_classify_requires_range():
     (["classify", "--k", "2", "--n", "5", "--n-range", "1..2"], "--n or --n-range"),
     (["classify", "--n", "1", "--k", "2", "--max-degree", "1"],
      "(n, k) = (1, 2): the total class in ring ZERO_MOD_4 needs max_degree >= 2, got 1"),
-    (["matroid", "--m", "5", "--k", "2", "--zero-tol", "-1", "--samples", "10"],
-     "(m, k) = (5, 2) needs a finite zero_tol > 0, got -1.0"),
-    (["matroid", "--m", "5", "--k", "2", "--zero-tol", "nan"], "(m, k) = (5, 2)"),
     (["matroid", "--m", "5", "--k", "2", "--seed", "-1"],
      "(m, k) = (5, 2) needs seed >= 0, got -1"),
-    (["geometry", "--n", "2", "--k", "2", "--zero-tol", "0"],
-     "(n, k) = (2, 2) needs a finite --zero-tol > 0, got 0.0"),
-    (["geometry", "--k", "2", "--sweep", "--n-range", "2..4", "--zero-tol", "inf"],
-     "(n, k) = (2..4, 2)"),
     (["geometry", "--n", "2", "--k", "2", "--pretty"], "geometry prints CSV"),
 ])
 def test_main_refuses_bad_input_with_one_line(capsys, argv, names):
@@ -330,9 +323,24 @@ def test_homology_refusal_names_the_instance(capsys, monkeypatch):
                    "refusing: more than 50 cells\n")
 
 
-def test_geometry_has_no_seed_option(capsys):
+@pytest.mark.parametrize("argv, extra", [
     # the sweep is deterministic; only matroid samples
+    (["geometry", "--n", "2", "--k", "2", "--seed", "5"], "--seed 5"),
+    # the zero tolerance is the constant geometry.ZERO_TOL
+    (["geometry", "--n", "2", "--k", "2", "--zero-tol", "0"], "--zero-tol 0"),
+    (["matroid", "--m", "5", "--k", "2", "--zero-tol", "1e-9"], "--zero-tol 1e-9"),
+])
+def test_cli_has_no_such_option(capsys, argv, extra):
     with pytest.raises(SystemExit) as exc:
-        cli.main(["geometry", "--n", "2", "--k", "2", "--seed", "5"])
+        cli.main(argv)
     assert exc.value.code == 2
-    assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
+    assert "unrecognized arguments: %s" % extra in capsys.readouterr().err
+
+
+def test_zero_tol_is_one_constant(capsys, monkeypatch):
+    # the sweep's pass bound and the sign test both read geometry.ZERO_TOL
+    monkeypatch.setattr(geometry, "ZERO_TOL", 1e-300)
+    assert cli.main(["geometry", "--n", "2", "--k", "2"]) == 1
+    assert capsys.readouterr().out.startswith("n,k,")
+    config = geometry.moment_vectors(1, 0)   # m = 2 copies of the vector (1,)
+    assert geometry.sign_vector_of_point([1e-200], config) == (1, 1)

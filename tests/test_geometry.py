@@ -250,9 +250,6 @@ def test_verify_realization_refuses_bad_input_up_front():
         verify_realization(3, 5)
     with pytest.raises(ValueError, match=r"\(m, k\) = \(6, 2\)"):
         verify_realization(6, 2, samples=-1)
-    for tol in (-1.0, 0.0, float("nan"), float("inf")):
-        with pytest.raises(ValueError, match=r"\(m, k\) = \(5, 2\) needs a finite zero_tol"):
-            verify_realization(5, 2, samples=10, zero_tol=tol)
     with pytest.raises(ValueError, match=r"\(m, k\) = \(5, 2\) needs seed >= 0, got -1"):
         verify_realization(5, 2, seed=-1)
     assert verify_realization(4, 1, samples=0)["sampled_full_support_patterns"] == 0
@@ -346,6 +343,14 @@ def test_v_of_set_single_term():
         assert np.linalg.norm(v_of_set(s, config) - expect) < TOL
 
 
+def test_v_of_set_refuses_bits_outside_z_m():
+    config = moment_vectors(2, 1)   # m = 5
+    for bits in ([0, 7], [7], [9]):
+        with pytest.raises(ValueError, match=r"set \{%s\} does not lie in Z_5"
+                           % ",".join(map(str, bits))):
+            v_of_set(mask_of(bits), config)
+
+
 def test_min_vertex_norm():
     assert abs(min_vertex_norm(2, 1) - 2 * np.cos(np.pi / 5)) < TOL
     for n, k in [(2, 1), (3, 2), (2, 4), (5, 3)]:
@@ -436,17 +441,17 @@ def test_borsuk_edges_cover_sg_edges_at_large_n():
 def test_point_to_vertex():
     config = moment_vectors(2, 1)
     x = geometry_module._realize_zero_sets([parse_sign_vector("++++0")], config)[0]
-    assert members(point_to_vertex(x, 0, 2, 1, config)) == (0, 2)
-    assert members(point_to_vertex(x, 1, 2, 1, config)) == (1, 3)
+    assert members(point_to_vertex(x, 0, 2, 1)) == (0, 2)
+    assert members(point_to_vertex(x, 1, 2, 1)) == (1, 3)
     g = stable_kneser_graph(2, 1)
     idx = g.label_index()
     for x in unit_samples(2, 60, seed=4):
         s = sign_vector_of_point(x, config)
         if 0 in s:
             continue
-        a = point_to_vertex(x, 0, 2, 1, config)
-        b = point_to_vertex(-x, 0, 2, 1, config)
-        assert point_to_vertex(x, 1, 2, 1, config) == b
+        a = point_to_vertex(x, 0, 2, 1)
+        b = point_to_vertex(-x, 0, 2, 1)
+        assert point_to_vertex(x, 1, 2, 1) == b
         assert g.has_edge(idx[a], idx[b])
 
 
@@ -461,9 +466,9 @@ def test_point_to_vertex_matches_search_reference(n, k, l, data):
     want = first_stable_subset_by_search(allowed, n, config.m)
     if want is None:
         with pytest.raises(ValueError, match="no stable %d-subset" % n):
-            point_to_vertex(x, l, n, k, config)
+            point_to_vertex(x, l, n, k)
     else:
-        assert members(point_to_vertex(x, l, n, k, config)) == tuple(want)
+        assert members(point_to_vertex(x, l, n, k)) == tuple(want)
 
 
 @settings(deadline=None, max_examples=300)
@@ -479,9 +484,9 @@ def test_point_to_vertex_is_the_first_stable_set_inside_the_side(m, data):
     want = next((s for s in enumerate_stable_sets(n, m) if s & ~side == 0), None)
     if want is None:
         with pytest.raises(ValueError, match="no stable %d-subset" % n):
-            point_to_vertex(x, l, n, k, config)
+            point_to_vertex(x, l, n, k)
     else:
-        assert point_to_vertex(x, l, n, k, config) == want
+        assert point_to_vertex(x, l, n, k) == want
 
 
 def test_geometry_row_keys():

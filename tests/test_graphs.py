@@ -124,6 +124,9 @@ def test_chromatic_number_basics():
     assert is_valid_colouring(stable_kneser_graph(2, 2), witness)
     with pytest.raises(ValueError):
         chromatic_number(one_vertex_looped())
+    # no colouring of a loop is proper
+    assert not is_valid_colouring(one_vertex_looped(), [0])
+    assert not is_valid_colouring(graph_from_edges(2, [(0, 1), (1, 1)]), [0, 1])
 
 
 def test_chromatic_number_against_brute_force():

@@ -15,7 +15,6 @@ PACKAGE = "stablekneser"
 # unread set exactly, so an entry goes stale once something reads the name.
 ALLOWED_UNREAD = {
     "geometry.v_of_set": "the sphere map S -> v(S) on the vertices of SG_{n,k}",
-    "geometry.point_to_vertex": "the map back from the sphere to the vertices",
     "geometry.borsuk_adjacent": "the edges of the Borsuk graph",
     "graphs.free_action_check": "the dihedral action is free, e.g. on SG_{2s,4}",
     "graphs.dihedral_act": "the canonical action of D_{2m} on vertex labels",
