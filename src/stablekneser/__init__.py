@@ -8,7 +8,7 @@ classifies each graph as a certified test graph or a non-test graph.
 
 from .charclasses import (ClassificationReport, GradedPoly, classify,
                           poly_invert, restrict, ring_for, total_sw_class,
-                          total_sw_class_from_blocks, vanishing_windows, wbar)
+                          vanishing_windows, wbar)
 from .complexes import (FinitePoset, SimplicialComplex,
                         check_equivariance_combinatorial, covector_cells,
                         covector_to_hom, hom_betti, hom_cells, hom_poset,

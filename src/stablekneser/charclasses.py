@@ -19,23 +19,24 @@ The last generator's exponent follows from d and the others' exponents:
   ZERO_MOD_4  x^i u^((d-i)/2)           -> bit D + i
               y^j u^((d-j)/2)           -> bit D - j
 
-Multiplying a component by a basis monomial is an AND that clears what
-the monomial ideal kills (x·x in CYCLIC_4, the y side under x and the x
-side under y in ZERO_MOD_4), then a shift by the monomial's offset; a
-homogeneous product XORs these over the monomials of one factor, which
-in ODD and TWO_MOD_4 is a plain carry-less multiply.  ZERO_MOD_4 puts x
-and y on either side of bit D rather than on two strides, so its masks
-stay 2D + 1 bits wide instead of D·(D + 1).
+A product of two components shifts whole components: each bit of the
+sparser factor shifts the other factor up, shifts it down, or keeps it.
+In ODD and TWO_MOD_4 that is a plain carry-less multiply.  In ZERO_MOD_4
+an x^i shifts the x side and centre (the mask above bit D) up by i, a y^j
+shifts the y side and centre down by j, and the side that xy = 0 kills is
+cut off first; in CYCLIC_4 an x keeps only the x-free bit.  ZERO_MOD_4 puts
+x and y on either side of bit D rather than on two strides, so its masks
+stay 2D + 1 bits wide instead of D·(D + 1).  A restriction homomorphism
+reads at most two bits of each component.  Every loop over degrees skips
+the zero components, so a total class of degree k + 1 costs little at any D.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Optional
 
-import numpy as np
-
-from .geometry import ZERO_TOL, representation
 from .graphs import set_bits
 
 ODD = "ODD"
@@ -97,25 +98,49 @@ def _monomial_at(ring: str, max_degree: int, degree: int, bit: int) -> Monomial:
     return (i, j, (degree - i - j) // 2)
 
 
-def _times_monomial(ring: str, max_degree: int, bit: int, mask: int) -> int:
-    """A component times the basis monomial at `bit` of another component."""
+def _split(ring: str, max_degree: int, a: int) -> tuple[list, list, int]:
+    """The bits of a as (ups, downs, keep): a · b is the XOR of hi << s over
+    ups, lo >> s over downs, and b itself if keep, with hi and lo from _cuts."""
+    bits = set_bits(a)
     if ring == ZERO_MOD_4:
-        if bit > max_degree:   # x^i: the y side dies, the rest moves up i
-            return (mask >> max_degree) << bit
-        if bit < max_degree:   # y^j: the x side dies, the rest moves down j
-            return (mask & ((2 << max_degree) - 1)) >> (max_degree - bit)
-        return mask
-    if ring == CYCLIC_4 and bit:
-        return (mask & 1) << 1
-    return mask << bit
+        return ([s for s in bits if s > max_degree],
+                [max_degree - s for s in bits if s < max_degree], (a >> max_degree) & 1)
+    if ring == CYCLIC_4:
+        return bits[a & 1:], [], a & 1
+    return bits, [], 0
+
+
+def _cuts(ring: str, max_degree: int) -> tuple[int, int, int]:
+    """(shift, hi_mask, lo_mask): a component b keeps hi = b >> shift & hi_mask
+    under an up shift and lo = b & lo_mask under a down shift."""
+    if ring == ZERO_MOD_4:   # x^i kills the y side, y^j the x side
+        return max_degree, -1, (2 << max_degree) - 1
+    if ring == CYCLIC_4:     # x kills x
+        return 0, 1, 0
+    return 0, -1, 0
 
 
 def _times(ring: str, max_degree: int, a: int, b: int) -> int:
-    """Product of two homogeneous components, iterating over a's monomials."""
-    out = 0
-    for bit in set_bits(a):
-        out ^= _times_monomial(ring, max_degree, bit, b)
+    """Product of two homogeneous components, one shift per bit of the sparser.
+
+    In ODD and TWO_MOD_4 this is a carry-less multiply.
+    """
+    if a.bit_count() > b.bit_count():
+        a, b = b, a
+    ups, downs, keep = _split(ring, max_degree, a)
+    cut, hi_mask, lo_mask = _cuts(ring, max_degree)
+    hi, lo = b >> cut & hi_mask, b & lo_mask
+    out = b if keep else 0
+    for s in ups:
+        out ^= hi << s
+    for s in downs:
+        out ^= lo >> s
     return out
+
+
+def _support(masks) -> list[int]:
+    """The degrees of the nonzero components."""
+    return list(compress(range(len(masks)), masks))
 
 
 class GradedPoly:
@@ -164,8 +189,7 @@ class GradedPoly:
     @property
     def terms(self) -> frozenset:
         """The monomials as exponent tuples, in generator order."""
-        return frozenset(t for d in range(self.max_degree + 1)
-                         for t in self._monomials(d))
+        return frozenset(t for d in _support(self.masks) for t in self._monomials(d))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GradedPoly):
@@ -204,17 +228,13 @@ class GradedPoly:
         self._check_compatible(other)
         ring, top = self.ring, self.max_degree
         out = [0] * (top + 1)
-        rhs = [(d, b) for d, b in enumerate(other.masks) if b]
-        for d1, a in enumerate(self.masks):
-            if not a:
-                continue
+        rhs = [(d, other.masks[d]) for d in _support(other.masks)]
+        for d1 in _support(self.masks):
+            a = self.masks[d1]
             for d2, b in rhs:
                 if d1 + d2 > top:
                     break
-                if a.bit_count() <= b.bit_count():
-                    out[d1 + d2] ^= _times(ring, top, a, b)
-                else:
-                    out[d1 + d2] ^= _times(ring, top, b, a)
+                out[d1 + d2] ^= _times(ring, top, a, b)
         return GradedPoly._packed(ring, top, out)
 
     def __pow__(self, e: int) -> "GradedPoly":
@@ -225,8 +245,9 @@ class GradedPoly:
         while e:
             if e & 1:
                 out = out * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return out
 
     def _check_compatible(self, other: "GradedPoly") -> None:
@@ -238,7 +259,7 @@ class GradedPoly:
             return "0"
         gens = _GENS[self.ring]
         parts = []
-        for d in range(self.max_degree + 1):
+        for d in _support(self.masks):
             for t in sorted(self._monomials(d)):
                 factors = []
                 for g, e in zip(gens, t):
@@ -250,47 +271,64 @@ class GradedPoly:
         return " + ".join(parts)
 
 
-def poly_one(ring: str, max_degree: int) -> GradedPoly:
-    return GradedPoly(ring, max_degree, ((0,) * len(_GENS[ring]),))
-
-
-def generator(ring: str, name: str, max_degree: int) -> GradedPoly:
+def _exponents(ring: str, name: str) -> Monomial:
     gens = _GENS[ring]
     if name not in gens:
         raise ValueError("ring %s has no generator %r" % (ring, name))
-    mono = tuple(1 if g == name else 0 for g in gens)
-    return GradedPoly(ring, max_degree, (mono,))
+    return tuple(1 if g == name else 0 for g in gens)
+
+
+def poly_one(ring: str, max_degree: int) -> GradedPoly:
+    return one_plus(ring, max_degree)
+
+
+def generator(ring: str, name: str, max_degree: int) -> GradedPoly:
+    return GradedPoly(ring, max_degree, (_exponents(ring, name),))
 
 
 def one_plus(ring: str, max_degree: int, *names: str) -> GradedPoly:
-    out = poly_one(ring, max_degree)
-    for name in names:
-        out = out + generator(ring, name, max_degree)
-    return out
+    """1 plus the sum of the distinct named generators."""
+    return GradedPoly(ring, max_degree, [(0,) * len(_GENS[ring])] +
+                      [_exponents(ring, name) for name in names])
 
 
 def poly_invert(p: GradedPoly) -> GradedPoly:
     """Inverse of a unit power series, degree by degree up to the bound.
 
     inv_d = sum of p_i · inv_(d-i) over the degrees 1 <= i <= d where p is
-    nonzero, so the work grows with the bound times the support of p.
+    nonzero.  Each such p_i is split into its shifts once, and each inv_d
+    cut into its hi and lo parts once, so degree d costs one shift per bit
+    of p's support, inline, whatever the ring.
     """
     if p.constant_term() != 1:
         raise ValueError("not invertible: constant term is 0")
     ring, top = p.ring, p.max_degree
-    support = [(i, tuple(set_bits(a))) for i, a in enumerate(p.masks) if i and a]
-    inv = [p.masks[0]]
-    for d in range(1, top + 1):
+    cut, hi_mask, lo_mask = _cuts(ring, top)
+    ups, downs, keeps = [], [], []
+    degrees = _support(p.masks)[1:]   # all but degree 0, which holds the 1
+    for i in degrees:
+        u, dn, keep = _split(ring, top, p.masks[i])
+        ups += [(i, s) for s in u]
+        downs += [(i, s) for s in dn]
+        keeps += [i] * keep
+    # degree d sits at index d + pad; the pad zeros stand for degrees < 0
+    pad = degrees[-1] if degrees else 0
+    one = p.masks[0]
+    inv = [0] * pad + [one]
+    his = [0] * pad + [one >> cut & hi_mask]
+    los = [0] * pad + [one & lo_mask]
+    for t in range(pad + 1, pad + top + 1):
         acc = 0
-        for i, bits in support:
-            if i > d:
-                break
-            b = inv[d - i]
-            if b:
-                for bit in bits:
-                    acc ^= _times_monomial(ring, top, bit, b)
+        for i, s in ups:
+            acc ^= his[t - i] << s
+        for i, s in downs:
+            acc ^= los[t - i] >> s
+        for i in keeps:
+            acc ^= inv[t - i]
         inv.append(acc)
-    return GradedPoly._packed(ring, top, inv)
+        his.append(acc >> cut & hi_mask)
+        los.append(acc & lo_mask)
+    return GradedPoly._packed(ring, top, inv[pad:])
 
 
 # ---------------------------------------------------------------------------
@@ -332,67 +370,6 @@ def total_sw_class(n: int, k: int, max_degree: int = 64) -> GradedPoly:
     return w * one_plus(ring, max_degree, "x", "y") ** (r // 2)
 
 
-def _diag_sign_pattern(mat: np.ndarray) -> list[int]:
-    dim = mat.shape[0]
-    off = mat - np.diag(np.diag(mat))
-    if np.abs(off).max() > ZERO_TOL:
-        raise ValueError("matrix is not diagonal")
-    pattern = []
-    for v in np.diag(mat):
-        if abs(v - 1) < ZERO_TOL:
-            pattern.append(1)
-        elif abs(v + 1) < ZERO_TOL:
-            pattern.append(-1)
-        else:
-            raise ValueError("diagonal entry %r is not +-1" % v)
-    return pattern
-
-
-def total_sw_class_from_blocks(n: int, k: int, max_degree: int = 64) -> GradedPoly:
-    """Whitney-sum route: per-block classes read off the actual matrices.
-
-    Independent of the closed form: the involutions' eigenvalue patterns on
-    each rotation block decide the degree-1 and degree-2 contributions.
-    """
-    ring = ring_for(n, k)
-    rep = representation(n, k)
-    m = rep.m
-    if ring == ODD:
-        negatives = sum(1 for v in np.diag(rep.rho_matrix) if v < 0)
-        return one_plus(ODD, max_degree, "a") ** negatives
-    if ring == TWO_MOD_4:
-        half_turn = np.linalg.matrix_power(rep.sigma_matrix, m // 2)
-        eps_sigma = _diag_sign_pattern(half_turn)
-        eps_rho = _diag_sign_pattern(rep.rho_matrix)
-        w = poly_one(ring, max_degree)
-        for e1, e2 in zip(eps_sigma, eps_rho):
-            names = [name for name, e in (("a", e1), ("b", e2)) if e < 0]
-            w = w * one_plus(ring, max_degree, *names)
-        return w
-    # ZERO_MOD_4: one line block then 2-dim rotation blocks
-    half_turn = np.linalg.matrix_power(rep.sigma_matrix, m // 2)
-    sigma_rho = rep.rho_matrix @ rep.sigma_matrix
-    blocks = [(0, 1)] + [(2 * j - 1, 2 * j + 1) for j in range(1, k // 2 + 1)]
-    w = poly_one(ring, max_degree)
-    for lo, hi in blocks:
-        det_rho = float(np.linalg.det(rep.rho_matrix[lo:hi, lo:hi]))
-        det_srho = float(np.linalg.det(sigma_rho[lo:hi, lo:hi]))
-        names = []
-        if det_rho < 0:
-            names.append("x")
-        if det_srho < 0:
-            names.append("y")
-        w1 = one_plus(ring, max_degree, *names)
-        if hi - lo == 2:
-            blk = half_turn[lo:hi, lo:hi]
-            if np.abs(blk + np.eye(2)).max() < ZERO_TOL:
-                w1 = w1 + generator(ring, "u", max_degree)
-            elif np.abs(blk - np.eye(2)).max() >= ZERO_TOL:
-                raise ValueError("half turn is not +-identity on a block")
-        w = w * w1
-    return w
-
-
 def wbar(n: int, k: int, max_degree: int = 64) -> GradedPoly:
     """Dual class: the series inverse of the total class."""
     return poly_invert(total_sw_class(n, k, max_degree))
@@ -401,16 +378,27 @@ def wbar(n: int, k: int, max_degree: int = 64) -> GradedPoly:
 # ---------------------------------------------------------------------------
 # restriction homomorphisms
 
-_RESTRICTIONS: dict[tuple[str, str], tuple[str, dict[str, tuple]]] = {
-    # target ring, generator name -> image monomial exponent tuple (or None for 0)
-    (ZERO_MOD_4, "j"): (CYCLIC_4, {"x": (1, 0), "y": (1, 0), "u": (0, 1)}),
-    (ZERO_MOD_4, "phi_rho"): (ODD, {"x": (1,), "y": None, "u": None}),
-    (ZERO_MOD_4, "phi_sigma_rho"): (ODD, {"x": None, "y": (1,), "u": None}),
-    (TWO_MOD_4, "phi_rho"): (ODD, {"a": None, "b": (1,)}),
-    (TWO_MOD_4, "phi_sigma_m2"): (ODD, {"a": (1,), "b": None}),
-    (CYCLIC_4, "phi_sigma_m2"): (ODD, {"x": None, "u": (2,)}),
-    (ODD, "p"): (CYCLIC_4, {"a": (1, 0)}),
-    (ODD, "phi_rho"): (ODD, {"a": (1,)}),
+# (source ring, name) -> (target ring, image of a nonzero degree-d component
+# as a function of (mask, d, D)).  Each generator maps to a generator, a
+# power of one or 0, so a basis monomial maps to one basis monomial or to 0
+# and each map reads at most two bits.  Shifts stay nonnegative at D = 0.
+_RESTRICTIONS = {
+    # x, y -> x, u -> u: u^c (bit D) -> bit 0; x u^c, y u^c -> x u^c (bit 1)
+    (ZERO_MOD_4, "j"): (CYCLIC_4, lambda m, d, top: (m >> top) & 1 |
+                        (((m >> (top + 1)) ^ ((m << 1) >> top)) & 1) << 1),
+    # x -> a, y, u -> 0: only x^d (bit D + d) survives
+    (ZERO_MOD_4, "phi_rho"): (ODD, lambda m, d, top: (m >> (top + d)) & 1),
+    # y -> a, x, u -> 0: only y^d (bit D - d) survives
+    (ZERO_MOD_4, "phi_sigma_rho"): (ODD, lambda m, d, top: (m >> (top - d)) & 1),
+    # b -> a, a -> 0: only b^d (bit 0) survives
+    (TWO_MOD_4, "phi_rho"): (ODD, lambda m, d, top: m & 1),
+    # a -> a, b -> 0: only a^d (bit d) survives
+    (TWO_MOD_4, "phi_sigma_m2"): (ODD, lambda m, d, top: (m >> d) & 1),
+    # u -> a^2, x -> 0: only u^(d/2) (bit 0, set only when d is even) survives
+    (CYCLIC_4, "phi_sigma_m2"): (ODD, lambda m, d, top: m & 1),
+    # a -> x: a^d survives as x^d for d <= 1 only, as x^2 = 0
+    (ODD, "p"): (CYCLIC_4, lambda m, d, top: m << d if d <= 1 else 0),
+    (ODD, "phi_rho"): (ODD, lambda m, d, top: m),
 }
 
 
@@ -419,7 +407,7 @@ def restriction_names(ring: str) -> list[str]:
 
 
 def restrict(p: GradedPoly, hom_name: str) -> GradedPoly:
-    """Apply a named restriction homomorphism monomial-wise.
+    """Apply a named restriction homomorphism, one bit map per nonzero degree.
 
     Every generator maps to a monomial of the same degree or to 0, so each
     bit of a degree-d mask maps to one bit of the target's degree-d mask,
@@ -429,21 +417,11 @@ def restrict(p: GradedPoly, hom_name: str) -> GradedPoly:
     if key not in _RESTRICTIONS:
         raise ValueError("no homomorphism %r out of ring %s (valid: %s)"
                          % (hom_name, p.ring, restriction_names(p.ring)))
-    target, images = _RESTRICTIONS[key]
-    gens = _GENS[p.ring]
+    target, image = _RESTRICTIONS[key]
     top = p.max_degree
     out = [0] * (top + 1)
-    for d in range(top + 1):
-        for mono in p._monomials(d):
-            image = (0,) * len(_GENS[target])
-            for g, e in zip(gens, mono):
-                if e and images[g] is None:
-                    break
-                if e:
-                    image = tuple(a + e * b for a, b in zip(image, images[g]))
-            else:
-                if _mono_ok(target, image):
-                    out[d] ^= 1 << _bit_of(target, top, image)
+    for d in _support(p.masks):
+        out[d] = image(p.masks[d], d, top)
     return GradedPoly._packed(target, top, out)
 
 
@@ -549,8 +527,7 @@ def _never_vanishing_certificate(w: GradedPoly, max_degree: int) -> Optional[str
         if target == ODD and restrict(w, name) == one_plus_alpha:
             return name
     if w.ring == ZERO_MOD_4:
-        expected = one_plus(CYCLIC_4, max_degree, "x") * \
-            (poly_one(CYCLIC_4, max_degree) + generator(CYCLIC_4, "u", max_degree))
+        expected = one_plus(CYCLIC_4, max_degree, "x") * one_plus(CYCLIC_4, max_degree, "u")
         if restrict(w, "j") == expected:
             return "j"
     return None

@@ -4,7 +4,9 @@ Everything here is deliberately naive: exhaustive polynomial families,
 LP feasibility, brute-force colourings and permutation search.  None of it
 shares code with the implementations under test, except the fixtures
 `poly_zero`, `cycle_graph` and `one_vertex_looped`, which build the empty
-series and two small graphs through the package's own constructors.
+series and two small graphs through the package's own constructors, and
+`total_sw_class_from_blocks`, which multiplies the package's series but
+reads each factor off the representation's matrices, not the closed form.
 """
 
 import functools
@@ -14,7 +16,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from stablekneser.charclasses import GradedPoly
+from stablekneser.charclasses import (ODD, TWO_MOD_4, GradedPoly, generator,
+                                      one_plus, poly_one, ring_for)
+from stablekneser.geometry import ZERO_TOL, representation
 from stablekneser.graphs import Graph, graph_from_edges
 from stablekneser.matroid import SignVector
 
@@ -809,3 +813,63 @@ def terms_str(ring: str, s) -> str:
                    for g, e in zip(TERM_GENS[ring], t) if e]
         parts.append("·".join(factors) if factors else "1")
     return " + ".join(parts)
+
+
+def _diag_sign_pattern(mat: np.ndarray) -> list[int]:
+    off = mat - np.diag(np.diag(mat))
+    if np.abs(off).max() > ZERO_TOL:
+        raise ValueError("matrix is not diagonal")
+    pattern = []
+    for v in np.diag(mat):
+        if abs(v - 1) < ZERO_TOL:
+            pattern.append(1)
+        elif abs(v + 1) < ZERO_TOL:
+            pattern.append(-1)
+        else:
+            raise ValueError("diagonal entry %r is not +-1" % v)
+    return pattern
+
+
+def total_sw_class_from_blocks(n: int, k: int, max_degree: int = 64) -> GradedPoly:
+    """Whitney-sum route: per-block classes read off the actual matrices.
+
+    Independent of the closed form: the involutions' eigenvalue patterns on
+    each rotation block decide the degree-1 and degree-2 contributions.
+    """
+    ring = ring_for(n, k)
+    rep = representation(n, k)
+    m = rep.m
+    if ring == ODD:
+        negatives = sum(1 for v in np.diag(rep.rho_matrix) if v < 0)
+        return one_plus(ODD, max_degree, "a") ** negatives
+    if ring == TWO_MOD_4:
+        half_turn = np.linalg.matrix_power(rep.sigma_matrix, m // 2)
+        eps_sigma = _diag_sign_pattern(half_turn)
+        eps_rho = _diag_sign_pattern(rep.rho_matrix)
+        w = poly_one(ring, max_degree)
+        for e1, e2 in zip(eps_sigma, eps_rho):
+            names = [name for name, e in (("a", e1), ("b", e2)) if e < 0]
+            w = w * one_plus(ring, max_degree, *names)
+        return w
+    # ZERO_MOD_4: one line block then 2-dim rotation blocks
+    half_turn = np.linalg.matrix_power(rep.sigma_matrix, m // 2)
+    sigma_rho = rep.rho_matrix @ rep.sigma_matrix
+    blocks = [(0, 1)] + [(2 * j - 1, 2 * j + 1) for j in range(1, k // 2 + 1)]
+    w = poly_one(ring, max_degree)
+    for lo, hi in blocks:
+        det_rho = float(np.linalg.det(rep.rho_matrix[lo:hi, lo:hi]))
+        det_srho = float(np.linalg.det(sigma_rho[lo:hi, lo:hi]))
+        names = []
+        if det_rho < 0:
+            names.append("x")
+        if det_srho < 0:
+            names.append("y")
+        w1 = one_plus(ring, max_degree, *names)
+        if hi - lo == 2:
+            blk = half_turn[lo:hi, lo:hi]
+            if np.abs(blk + np.eye(2)).max() < ZERO_TOL:
+                w1 = w1 + generator(ring, "u", max_degree)
+            elif np.abs(blk - np.eye(2)).max() >= ZERO_TOL:
+                raise ValueError("half turn is not +-identity on a block")
+        w = w * w1
+    return w

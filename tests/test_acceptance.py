@@ -9,7 +9,6 @@ import itertools
 from stablekneser import cli
 from stablekneser.charclasses import (classify, generator, one_plus,
                                       poly_one, restrict, total_sw_class,
-                                      total_sw_class_from_blocks,
                                       vanishing_windows, wbar)
 from stablekneser.charclasses import CYCLIC_4
 from stablekneser.complexes import (check_equivariance_combinatorial,
@@ -23,7 +22,7 @@ from stablekneser.graphs import (chromatic_number, k2, stable_kneser_graph,
                                  vertex_criticality_check)
 from stablekneser.matroid import (covector_leq, enumerate_cocircuits,
                                   enumerate_covectors, is_covector)
-from oracles import polynomial_sign_patterns
+from oracles import polynomial_sign_patterns, total_sw_class_from_blocks
 
 TOL = 1e-9
 SPHERE_INSTANCES = [(1, 1), (1, 2), (1, 3), (2, 1), (3, 1), (2, 2)]

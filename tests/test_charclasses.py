@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -5,13 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import (TERM_GENS, poly_zero, term_degree, term_monomials,
                      term_ok, terms_invert, terms_mul, terms_pow,
-                     terms_restrict, terms_str)
+                     terms_restrict, terms_str, total_sw_class_from_blocks)
 from stablekneser.charclasses import (CYCLIC_4, ODD, TWO_MOD_4, ZERO_MOD_4,
                                       GradedPoly, classify, generator,
                                       one_plus, poly_invert, poly_one,
                                       restrict, restriction_names,
                                       ring_for, total_sw_class,
-                                      total_sw_class_from_blocks,
                                       vanishing_windows, wbar)
 import stablekneser.charclasses as charclasses_module
 
@@ -350,3 +350,64 @@ def test_constructor_rejects_exactly_the_invalid_monomials(ring, top, data):
     else:
         with pytest.raises(ValueError):
             GradedPoly(ring, top, {mono})
+
+
+@pytest.mark.parametrize("top", [0, 1, 2, 3, 9])
+def test_restrict_maps_every_basis_monomial_like_the_oracle(top):
+    # a restriction maps bits to bits per degree, so it can be wrong on one
+    # monomial alone: check each one, not random sets of them
+    for ring in RINGS:
+        for name in restriction_names(ring):
+            for mono in term_monomials(ring, top):
+                got = restrict(GradedPoly(ring, top, {mono}), name).terms
+                assert got == terms_restrict(ring, top, {mono}, name), (ring, name, mono)
+
+
+# ---------------------------------------------------------------------------
+# the same, at degree bounds up to 48 with a few terms reaching the bound
+
+WIDE = 48
+
+
+@functools.cache
+def _wide_monomials(ring):
+    return term_monomials(ring, WIDE)
+
+
+@st.composite
+def sparse_term_sets(draw, count, unit=False):
+    """A ring, a degree bound <= WIDE and `count` term sets, each of at most
+    five drawn terms plus one whose degree is the bound (and 1 if unit)."""
+    ring = draw(st.sampled_from(RINGS))
+    top = draw(st.integers(0, WIDE))
+    monos = [t for t in _wide_monomials(ring) if term_degree(ring, t) <= top]
+    tops = [t for t in monos if term_degree(ring, t) == top]
+    sets = []
+    for _ in range(count):
+        s = draw(st.frozensets(st.sampled_from(monos), max_size=5))
+        s |= {draw(st.sampled_from(tops))}
+        sets.append(s | {monos[0]} if unit else s)
+    return (ring, top, *sets)
+
+
+@settings(deadline=None)
+@given(sparse_term_sets(2), st.integers(0, 3))
+def test_packed_arithmetic_matches_oracle_at_wide_bounds(case, e):
+    ring, top, s, t = case
+    p, q = GradedPoly(ring, top, s), GradedPoly(ring, top, t)
+    assert p.terms == s
+    assert str(p) == terms_str(ring, s)
+    assert (p * q).terms == terms_mul(ring, top, s, t)
+    assert (p ** e).terms == terms_pow(ring, top, s, e)
+    for name in restriction_names(ring):
+        assert restrict(p, name).terms == terms_restrict(ring, top, s, name)
+
+
+@settings(deadline=None)
+@given(sparse_term_sets(1, unit=True))
+def test_packed_invert_matches_oracle_at_wide_bounds(case):
+    ring, top, s = case
+    p = GradedPoly(ring, top, s)
+    inv = poly_invert(p)
+    assert inv.terms == terms_invert(ring, top, s)
+    assert p * inv == poly_one(ring, top)
