@@ -560,6 +560,19 @@ def max_edge_defect_by_row_blocks(masks, sums, rows: int = 64) -> float:
     return float(np.sqrt(max(worst, 0.0)))
 
 
+def zero_set_points_by_qr(signs, vectors) -> np.ndarray:
+    """Unit points orthogonal to every zero-set vector of each sign row, up to
+    sign: the last column of the complete Householder QR of the row's zero-set
+    vectors taken as columns, stacked over all rows, which must share one zero
+    count; +-e_k for rows with no zeros.  The solver the realization check
+    used before the closed-form product of sines.
+    """
+    signs = np.asarray(signs, dtype=np.int8).reshape(-1, len(vectors))
+    zeros = np.nonzero(signs == 0)[1].reshape(len(signs), -1)
+    rows = vectors[zeros]
+    return np.linalg.qr(np.swapaxes(rows, 1, 2), mode="complete")[0][:, :, -1]
+
+
 def sampled_sign_patterns(vectors, samples: int, seed: int, zero_tol: float) -> dict:
     """Full-support sign rows of Gaussian points against the vectors, counted.
 

@@ -21,7 +21,7 @@ import stablekneser.geometry as geometry_module
 from oracles import (alternating_sums_by_set, curve_point_by_terms,
                      eq3_deviations_by_rows, first_stable_subset_by_search,
                      mask_of, max_edge_defect_by_row_blocks, members, negate,
-                     sampled_sign_patterns)
+                     sampled_sign_patterns, zero_set_points_by_qr)
 
 TOL = 1e-9
 
@@ -50,6 +50,11 @@ def test_representation_rejects_bad_args():
         representation(0, 1)
     with pytest.raises(ValueError, match=r"\(n, k\) = \(2, -1\)"):
         moment_vectors(2, -1)
+    with pytest.raises(ValueError, match=r"modulus mismatch: .*\(n, k\) = \(2, 1\) acts for "
+                                         r"m = 5, .* with m = 6"):
+        representation(2, 1).matrix(DihedralElement.sigma(6))
+    with pytest.raises(ValueError, match=r"\(n, k\) = \(2, 1\): l must be 0 or 1, got 2"):
+        point_to_vertex(np.ones(2), 2, 2, 1)
 
 
 def test_moment_vectors_odd_case_is_unit_circle():
@@ -129,8 +134,7 @@ def test_verify_realization_full_sweep():
                 assert report["non_covector_samples"] == 0, (m, k)
                 assert report["zero_free_covectors"] == 2 * sum(
                     comb(m - 1, i) for i in range(k + 1)), (m, k)
-                if k > 0:
-                    assert report["cocircuits_realized"] == 2 * comb(m, k)
+                assert report["cocircuits_realized"] == 2 * comb(m, k)
     with pytest.raises(ValueError):
         config_for(3, 3)
 
@@ -207,7 +211,8 @@ def test_verify_realization_reports_missed_and_extra_topes(monkeypatch):
 
 def test_verify_realization_cocircuit_memory_stays_in_arrays():
     # 63,648 cocircuits of 18 entries; 41.8 MB traced when they went
-    # through tuples and one QR each, 16.6 MB as int8 rows and one QR per pair
+    # through tuples and one QR each, 16.6 MB as int8 rows and one QR per
+    # pair, 9.7 MB with each pair's point from the product of sines
     verify_realization(6, 2, samples=0)   # warm-up: lazy imports
     tracemalloc.start()
     try:
@@ -216,7 +221,7 @@ def test_verify_realization_cocircuit_memory_stays_in_arrays():
     finally:
         tracemalloc.stop()
     assert report["cocircuits_realized"] == 2 * comb(18, 7)
-    assert peak < 24 << 20, "traced peak %.1f MB" % (peak / 2**20)
+    assert peak < 12 << 20, "traced peak %.1f MB" % (peak / 2**20)
 
 
 def test_verify_realization_memory_does_not_grow_with_samples():
@@ -282,10 +287,63 @@ def test_stacked_realization_matches_one_qr_per_cocircuit(monkeypatch):
         config = config_for(m, k)
         cocircuits = enumerate_cocircuits(m, k)
         points = geometry_module._realize_zero_sets(cocircuits, config)
-        for s, x in zip(map(tuple, cocircuits.tolist()), points):
+        stacked = zero_set_points_by_qr(cocircuits, config.vectors)
+        for s, x, y in zip(map(tuple, cocircuits.tolist()), points, stacked):
             rows = config.vectors[[j for j, v in enumerate(s) if v == 0]]
             q = np.linalg.qr(rows.T, mode="complete")[0][:, -1]
-            assert np.array_equal(x, q) or np.array_equal(x, -q), s
+            assert np.array_equal(y, q), s
+            assert min(np.abs(x - q).max(), np.abs(x + q).max()) < 1e-12, s
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.integers(1, 24), st.data())
+def test_zero_set_points_are_the_product_of_sines(m, data):
+    # x . curve(t) is C prod_{j in Z} sin(pi (j - t) / m) for one constant C > 0,
+    # checked at non-integer t without any LAPACK solve; C is read where the
+    # product is largest and the gap is measured against the largest value,
+    # since near a cluster of zeros both sides are tiny
+    k = data.draw(st.integers(0, m - 1))
+    zeros = sorted(data.draw(st.sets(st.integers(0, m - 1), min_size=k, max_size=k)))
+    x = geometry_module._zero_set_points(np.array([zeros], dtype=np.intp), m, k)[0]
+    assert x.shape == (k + 1,)
+    assert abs(np.sqrt(x @ x) - 1.0) < 1e-12
+    assert np.abs(config_for(m, k).vectors[zeros] @ x).max(initial=0.0) < 1e-12
+    t = np.arange(m) + np.array(data.draw(st.lists(st.floats(0.05, 0.95), min_size=m,
+                                                   max_size=m)))
+    prod = np.prod(np.sin(np.pi * (np.array(zeros)[:, None] - t) / m), axis=0)
+    vals = geometry_module._curve(t, m, k) @ x
+    top = np.argmax(np.abs(prod))
+    assert vals[top] / prod[top] > 0
+    gap = vals - vals[top] / prod[top] * prod
+    assert np.abs(gap).max() <= 1e-12 * np.abs(vals).max(), (zeros, gap)
+
+
+def test_zero_set_points_stay_accurate_on_spread_zero_sets():
+    # zero sets around the whole circle, where the product of the sorted
+    # factors cancels to a few digits (5e-3 off at {0..61}, m = 63); the
+    # SVD null vector of such well-spread rows is accurate to about 1e-15
+    for m, zeros in [(63, range(62)), (64, range(0, 64, 2)), (24, range(23)),
+                     (40, range(1, 40, 3))]:
+        zeros = list(zeros)
+        k = len(zeros)
+        x = geometry_module._zero_set_points(np.array([zeros]), m, k)[0]
+        null = np.linalg.svd(config_for(m, k).vectors[zeros])[2][-1]
+        assert min(np.abs(x - null).max(), np.abs(x + null).max()) < 1e-12, (m, k)
+
+
+def test_realize_zero_sets_refuses_a_wrong_zero_count():
+    # one reshape over all rows would hand row 0 the zero set {0} and row 1 the
+    # zero set {1}; each row must have exactly k zeros, checked before any solve
+    config = config_for(5, 2)
+    with pytest.raises(ValueError, match=r"\(m, k\) = \(5, 2\) needs 2 zeros per sign row, "
+                                         r"row 1 \(\+-\+-\+\) has 0"):
+        geometry_module._realize_zero_sets([parse_sign_vector("00+-+"),
+                                            parse_sign_vector("+-+-+")], config)
+    with pytest.raises(ValueError, match=r"row 0 \(\+-0\+-\) has 1"):
+        geometry_module._realize_zero_sets([parse_sign_vector("+-0+-")], config)
+    with pytest.raises(ValueError, match=r"\(m, k\) = \(5, 1\) .* row 2 \(0-\+0\+\) has 2"):
+        geometry_module._realize_zero_sets(
+            [parse_sign_vector(s) for s in ("++++0", "0++++", "0-+0+")], config_for(5, 1))
 
 
 def test_verify_realization_names_the_first_unrealized_cocircuit(monkeypatch):
