@@ -199,17 +199,20 @@ def _realize_zero_sets(vectors: np.ndarray | Sequence[SignVector],
                        config: MomentConfig) -> np.ndarray:
     """Unit points with the given sign rows, one row each, via their zero sets.
 
-    The rows, an array or a sequence of sign vectors, must each have exactly
-    k zeros; the first row that does not is refused with a ValueError before
-    any point is computed.  Each point is the _zero_set_points row of its
-    zero set, a block of rows at a time, negated when that gives the target
-    sign row.  With no zeros (k = 0) the product is empty and the point is
+    The rows, an array or a sequence of sign vectors, must form an m-column
+    array and each have exactly k zeros; anything else is refused with a
+    ValueError before any point is computed.  Each point is the
+    _zero_set_points row of its zero set, a block of rows at a time, negated
+    when that gives the target sign row.  With no zeros (k = 0) the product is empty and the point is
     +-1, which realizes the two cocircuits.  Raises RealizationError naming
     the first row, in the given order, that neither the point nor its
     negative realizes.
     """
     m, k = config.m, config.k
-    signs = np.asarray(vectors, dtype=np.int8).reshape(-1, m)
+    signs = np.asarray(vectors, dtype=np.int8)
+    if signs.ndim != 2 or signs.shape[1] != m:
+        raise ValueError("realization of (m, k) = (%d, %d) needs rows of %d signs, got shape %s"
+                         % (m, k, m, signs.shape))
     counts = (signs == 0).sum(axis=1)
     wrong = np.flatnonzero(counts != k)
     if len(wrong):

@@ -267,11 +267,12 @@ def chromatic_number(g: Graph, return_colouring: bool = False):
     """Exact chromatic number with a witness colouring.
 
     A greedy colouring in decreasing degree order (lowest index on ties)
-    bounds chi from above; each smaller colour count, from 1 up, is decided
-    by `_k_colouring`, and the first one that succeeds is chi.  The witness
-    is the greedy colouring unless the search finds fewer colours, in which
-    case vertex v gets colour c when it lies in the search's class c.  A
-    loop makes the graph uncolourable and raises.
+    bounds chi from above; `_k_colouring` then tries one colour fewer at a
+    time, and the last count before the first failure is chi, so the only
+    refutation is at chi - 1.  The witness is the greedy colouring unless
+    the search finds fewer colours, in which case vertex v gets colour c
+    when it lies in class c of the search at chi.  A loop makes the graph
+    uncolourable and raises.
     """
     if not g.is_loopless():
         raise ValueError("graph has a loop; chromatic number undefined")
@@ -288,14 +289,12 @@ def chromatic_number(g: Graph, return_colouring: bool = False):
         best[v] = c
     chi = max(best) + 1
 
-    for kcol in range(1, chi):
-        classes = _k_colouring(g.adjacency, (1 << n) - 1, kcol)
-        if classes is not None:
-            chi = kcol
-            for c, cls in enumerate(classes):
-                for v in set_bits(cls):
-                    best[v] = c
-            break
+    full, classes = (1 << n) - 1, []
+    while chi > 1 and (found := _k_colouring(g.adjacency, full, chi - 1)) is not None:
+        chi, classes = chi - 1, found
+    for c, cls in enumerate(classes):
+        for v in set_bits(cls):
+            best[v] = c
     if return_colouring:
         return chi, best
     return chi
@@ -332,6 +331,7 @@ def _k_colouring(adj: Sequence[int], mask: int, kcol: int) -> Optional[list[int]
     if kcol == 2:
         return _two_colouring(adj, mask)
     v = max(set_bits(mask), key=lambda u: ((adj[u] & mask).bit_count(), -u))
+    closed = [row | 1 << i for i, row in enumerate(adj)]
 
     def extend(chosen: int, cand: int, done: int) -> Optional[list[int]]:
         # cand: vertices that may still join `chosen`; done: vertices
@@ -343,13 +343,20 @@ def _k_colouring(adj: Sequence[int], mask: int, kcol: int) -> Optional[list[int]
             rest = _k_colouring(adj, mask & ~chosen, kcol - 1)
             return None if rest is None else [chosen] + rest
         # pivot u: branch only on u and its neighbours in cand, since a
-        # maximal set without them would take u
-        u = min(set_bits(cand | done),
-                key=lambda w: (cand & (adj[w] | 1 << w)).bit_count())
-        branch = cand & (adj[u] | 1 << u)
+        # maximal set without them would take u.  u is the lowest of the
+        # vertices with fewest; the walk runs down from the top and stops
+        # at 0, where any u leaves nothing to branch on
+        least, pool = cand.bit_count() + 1, cand | done
+        while pool and least:
+            w = pool.bit_length() - 1
+            score = (cand & closed[w]).bit_count()
+            if score <= least:
+                u, least = w, score
+            pool ^= 1 << w
+        branch = cand & closed[u]
         while branch:
             low = branch & -branch
-            outside = ~(adj[low.bit_length() - 1] | low)
+            outside = ~closed[low.bit_length() - 1]
             found = extend(chosen | low, cand & outside, done & outside)
             if found is not None:
                 return found
@@ -358,8 +365,7 @@ def _k_colouring(adj: Sequence[int], mask: int, kcol: int) -> Optional[list[int]
             branch ^= low
         return None
 
-    bit = 1 << v
-    return extend(bit, mask & ~adj[v] & ~bit, 0)
+    return extend(1 << v, mask & ~closed[v], 0)
 
 
 def set_bits(mask: int) -> list[int]:
@@ -382,8 +388,10 @@ def _two_colouring(adj: Sequence[int], mask: int) -> Optional[list[int]]:
         while frontier:
             same |= frontier
             reach = 0
-            for v in set_bits(frontier):
+            while frontier:
+                v = frontier.bit_length() - 1
                 reach |= adj[v]
+                frontier ^= 1 << v
             reach &= mask
             if reach & same:
                 return None

@@ -7,6 +7,9 @@ shares code with the implementations under test, except the fixtures
 series and two small graphs through the package's own constructors, and
 `total_sw_class_from_blocks`, which multiplies the package's series but
 reads each factor off the representation's matrices, not the closed form.
+`lawler_colouring_reference` and `chromatic_number_upward` are the other
+exception: earlier, plainer forms of the library's colouring search, kept
+so that tests can pin its exact classes and witnesses.
 """
 
 import functools
@@ -332,6 +335,105 @@ def critical_by_all_deletions(adjacency) -> bool:
         if _chromatic_by_reference(induced_subgraph(adjacency, full ^ 1 << v)) >= chi:
             return False
     return True
+
+
+def lawler_colouring_reference(adj: Sequence[int], mask: int, kcol: int) -> Optional[list[int]]:
+    """At most kcol independent classes covering the vertices of mask, or None.
+
+    Lawler's search as `graphs._k_colouring` runs it, written with a
+    `min` over the pivot candidates, a fresh `adj[w] | 1 << w` per use and a
+    member list per breadth-first layer.  It pins the classes the library's
+    search returns and their order, not only whether they exist.
+    """
+    if not mask:
+        return []
+    if kcol <= 1:
+        independent = kcol == 1 and all(adj[v] & mask == 0 for v in members(mask))
+        return [mask] if independent else None
+    if kcol == 2:
+        return _two_colouring_reference(adj, mask)
+    v = max(members(mask), key=lambda u: ((adj[u] & mask).bit_count(), -u))
+
+    def extend(chosen: int, cand: int, done: int) -> Optional[list[int]]:
+        # cand: vertices that may still join `chosen`; done: vertices
+        # already branched on, so a set that could take one of them is
+        # either not maximal or was tried before
+        if not cand:
+            if done:
+                return None
+            rest = lawler_colouring_reference(adj, mask & ~chosen, kcol - 1)
+            return None if rest is None else [chosen] + rest
+        # pivot u: branch only on u and its neighbours in cand, since a
+        # maximal set without them would take u
+        u = min(members(cand | done),
+                key=lambda w: (cand & (adj[w] | 1 << w)).bit_count())
+        branch = cand & (adj[u] | 1 << u)
+        while branch:
+            low = branch & -branch
+            outside = ~(adj[low.bit_length() - 1] | low)
+            found = extend(chosen | low, cand & outside, done & outside)
+            if found is not None:
+                return found
+            cand ^= low
+            done |= low
+            branch ^= low
+        return None
+
+    bit = 1 << v
+    return extend(bit, mask & ~adj[v] & ~bit, 0)
+
+
+def _two_colouring_reference(adj: Sequence[int], mask: int) -> Optional[list[int]]:
+    """The two sides of G[mask] by breadth-first search, or None if not bipartite."""
+    sides = [0, 0]
+    rest = mask
+    while rest:
+        frontier = rest & -rest
+        same = other = 0
+        while frontier:
+            same |= frontier
+            reach = 0
+            for v in members(frontier):
+                reach |= adj[v]
+            reach &= mask
+            if reach & same:
+                return None
+            frontier = reach & ~other
+            same, other = other, same
+        sides[0] |= same
+        sides[1] |= other
+        rest &= ~(same | other)
+    return sides
+
+
+def chromatic_number_upward(g) -> tuple[int, list[int]]:
+    """(chi, witness) as `graphs.chromatic_number` gives them, deciding counts from 1 up.
+
+    The same greedy bound, then `lawler_colouring_reference` at 1, 2, ...
+    below it; the first count that succeeds is chi, and its classes colour
+    the witness.
+    """
+    n = g.n
+    if n == 0:
+        return 0, []
+    best = [-1] * n
+    for v in sorted(range(n), key=lambda u: (-g.degree(u), u)):
+        used = {best[w] for w in g.neighbours(v) if best[w] >= 0}
+        c = 0
+        while c in used:
+            c += 1
+        best[v] = c
+    chi = max(best) + 1
+
+    for kcol in range(1, chi):
+        classes = lawler_colouring_reference(g.adjacency, (1 << n) - 1, kcol)
+        if classes is not None:
+            chi = kcol
+            for c, cls in enumerate(classes):
+                for v in members(cls):
+                    best[v] = c
+            break
+    return chi, best
 
 
 def induced_subgraph(adjacency, mask: int) -> _Rows:

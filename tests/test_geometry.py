@@ -346,6 +346,22 @@ def test_realize_zero_sets_refuses_a_wrong_zero_count():
             [parse_sign_vector(s) for s in ("++++0", "0++++", "0-+0+")], config_for(5, 1))
 
 
+def test_realize_zero_sets_refuses_rows_of_the_wrong_length(monkeypatch):
+    # a reshape to m columns would split this 10-entry row into ++++0 and
+    # 0++++, one zero each, and realize both
+    monkeypatch.setattr(geometry_module, "_zero_set_points",
+                        lambda *args: pytest.fail("a point was computed"))
+    config = config_for(5, 1)
+    with pytest.raises(ValueError, match=r"\(m, k\) = \(5, 1\) needs rows of 5 signs, "
+                                         r"got shape \(1, 10\)"):
+        geometry_module._realize_zero_sets([parse_sign_vector("++++00++++")], config)
+    for bad, shape in [(parse_sign_vector("++++0"), r"\(5,\)"),
+                       (np.zeros((1, 2, 5), dtype=np.int8), r"\(1, 2, 5\)"),
+                       ([parse_sign_vector("+++0")], r"\(1, 4\)")]:
+        with pytest.raises(ValueError, match=r"\(5, 1\) .* got shape " + shape):
+            geometry_module._realize_zero_sets(bad, config)
+
+
 def test_verify_realization_names_the_first_unrealized_cocircuit(monkeypatch):
     good = enumerate_cocircuits(5, 1).tolist()
     bad = [parse_sign_vector("++-+0"), parse_sign_vector("+-+-0")]

@@ -14,9 +14,10 @@ from stablekneser.graphs import (DihedralElement, Graph,
                                  stable_kneser_graph, vertex_criticality_check,
                                  vertex_permutation)
 from oracles import (brute_force_automorphisms, brute_force_chromatic,
-                     critical_by_all_deletions, cycle_graph,
-                     dihedral_set_reference, dsatur_reference,
-                     induced_subgraph, is_stable, mask_of, members,
+                     chromatic_number_upward, critical_by_all_deletions,
+                     cycle_graph, dihedral_set_reference, dsatur_reference,
+                     induced_subgraph, is_stable, lawler_colouring_reference,
+                     mask_of, members,
                      members_by_range_scan, one_vertex_looped,
                      stable_set_count, stable_set_masks_by_recursion)
 
@@ -173,8 +174,10 @@ def loopless_graphs(draw, max_n):
 def assert_agrees_with_reference(g, mask, order, kcol):
     """On the vertices of mask: colourable exactly when `dsatur_reference` says
     so on the induced subgraph, by at most kcol classes that partition mask
-    and colour that subgraph properly."""
+    and colour that subgraph properly, and by the classes of
+    `lawler_colouring_reference`, in its order."""
     got = graphs._k_colouring(g.adjacency, mask, kcol)
+    assert got == lawler_colouring_reference(g.adjacency, mask, kcol), kcol
     h = induced_subgraph(g.adjacency, mask)
     assert (got is None) == (dsatur_reference(h, order, kcol) is None), kcol
     if got is not None:
@@ -212,9 +215,49 @@ def test_k_colouring_agrees_with_reference_on_stable_kneser():
     for n, k in [(2, 2), (3, 2), (4, 2), (5, 2), (3, 3), (2, 4)]:
         g = stable_kneser_graph(n, k)
         order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+        full = (1 << g.n) - 1
         for kcol in (k + 1, k + 2):
-            got = assert_agrees_with_reference(g, (1 << g.n) - 1, order, kcol)
+            got = assert_agrees_with_reference(g, full, order, kcol)
             assert (got is not None) == (kcol == k + 2), (n, k, kcol)
+            for v in range(g.n):
+                assert graphs._k_colouring(g.adjacency, full ^ 1 << v, kcol) == \
+                    lawler_colouring_reference(g.adjacency, full ^ 1 << v, kcol), (n, k, kcol, v)
+
+
+def crown_graph(s):
+    # K_{s,s} minus a perfect matching, sides interleaved (u_i = 2i, v_i = 2i + 1):
+    # greedy colours u_i and v_i with colour i, so it spends s colours on chi = 2
+    return graph_from_edges(2 * s, [(2 * i, 2 * j + 1) for i in range(s)
+                                    for j in range(s) if i != j])
+
+
+def test_chromatic_number_matches_the_upward_loop(monkeypatch):
+    graphs_to_check = [crown_graph(s) for s in (3, 4, 6)] + [
+        stable_kneser_graph(n, k) for n, k in [(2, 1), (2, 2), (4, 2), (3, 3), (2, 4), (3, 4)]]
+    graphs_to_check += [complete_graph(4), cycle_graph(7), Graph(()), Graph((0,))]
+    for g in graphs_to_check:
+        assert chromatic_number(g, return_colouring=True) == chromatic_number_upward(g)
+    # greedy overshoots on these, so searches above chi run and succeed
+    # before the one refutation at chi - 1
+    search, tried = graphs._k_colouring, []
+
+    def recorded(adj, mask, kcol):
+        if mask == (1 << len(adj)) - 1:
+            tried.append(kcol)
+        return search(adj, mask, kcol)
+
+    monkeypatch.setattr(graphs, "_k_colouring", recorded)
+    for g, counts in [(crown_graph(6), [5, 4, 3, 2, 1]), (stable_kneser_graph(3, 4), [6, 5])]:
+        tried.clear()
+        chi, witness = chromatic_number(g, return_colouring=True)
+        assert tried == counts and chi == counts[-1] + 1 == max(witness) + 1
+        assert is_valid_colouring(g, witness)
+
+
+@settings(deadline=None, max_examples=150)
+@given(loopless_graphs(12))
+def test_chromatic_number_matches_the_upward_loop_on_random_graphs(g):
+    assert chromatic_number(g, return_colouring=True) == chromatic_number_upward(g)
 
 
 def circulant(n, steps):
