@@ -40,8 +40,12 @@ class RunConfig:
 
 
 def _parse_range(text: str) -> tuple[int, int]:
-    lo, _, hi = text.partition("..")
-    a, b = int(lo), int(hi if hi else lo)
+    lo, sep, hi = text.partition("..")
+    try:
+        a, b = int(lo), int(hi if sep else lo)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            "expected LO..HI or a single N, got %r" % text) from None
     if b < a:
         raise argparse.ArgumentTypeError("empty range %r" % text)
     return a, b
@@ -175,8 +179,11 @@ def _pretty_lines(doc: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    # Absent options stay out of the namespace, so RunConfig holds the defaults.
+    """The CLI parser, built on the first call and shared by every later one;
+    callers must not mutate it.  Absent options stay out of each parse's
+    fresh namespace, so RunConfig holds the defaults."""
     common = argparse.ArgumentParser(add_help=False,
                                      argument_default=argparse.SUPPRESS)
     common.add_argument("--pretty", action="store_true",

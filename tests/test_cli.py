@@ -1,3 +1,4 @@
+import argparse
 import functools
 import json
 import os
@@ -335,6 +336,54 @@ def test_cli_has_no_such_option(capsys, argv, extra):
         cli.main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments: %s" % extra in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["1..x", "..5", "1..", "x", "1..2..3"])
+def test_bad_n_range_names_the_accepted_forms(capsys, text):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["classify", "--k", "3", "--n-range", text])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --n-range: expected LO..HI or a single N, got %r" % text in err
+    assert "_parse_range" not in err
+
+
+def _help_texts(parser):
+    commands = next(action for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    return [parser.format_help()] + [sub.format_help() for sub in commands.choices.values()]
+
+
+def test_parser_is_built_once_and_parsing_leaves_it_as_it_was(capsys):
+    parser = cli.build_parser()
+    assert cli.build_parser() is parser
+    helps = _help_texts(parser)
+
+    def config(argv):
+        return cli.config_from_args(parser.parse_args(argv))
+
+    config(["matroid", "--m", "8", "--k", "4", "--samples", "5", "--pretty"])
+    # nothing from the earlier parse carries over
+    assert config(["matroid", "--m", "8", "--k", "4"]) == cli.RunConfig("matroid", m=8, k=4)
+
+    good = ["graph", "--n", "2", "--k", "2", "--chromatic"]
+    before = config(good)
+    with pytest.raises(SystemExit) as exc:
+        config(["graph", "--n", "x", "--k", "2"])
+    assert exc.value.code == 2
+    assert "argument --n: invalid int value: 'x'" in capsys.readouterr().err
+    assert config(good) == before
+    assert _help_texts(cli.build_parser()) == helps
+
+
+def test_import_builds_no_parser():
+    # a parser built at import would move its cost into every importer's start-up
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "from stablekneser import cli; print(cli.build_parser.cache_info().currsize)"],
+        capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0\n"
 
 
 def test_zero_tol_is_one_constant(capsys, monkeypatch):
