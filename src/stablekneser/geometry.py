@@ -256,8 +256,11 @@ def verify_realization(m: int, k: int, samples: int = 100000, seed: int = 0) -> 
     _REALIZE_BLOCK at a time, the same stream as one draw, and only the
     distinct sign patterns are kept between blocks, merged by np.unique on
     one integer key per row, so memory follows the number of distinct
-    patterns, not samples.  Every sign is read with ZERO_TOL.  A negative
-    samples or seed is refused before any sampling.
+    patterns, not samples.  The distinct rows are decoded once into int8
+    signs and checked by one is_covector call on the array, and
+    non_covector_samples sums the counts of the rows it rejects.  Every
+    sign is read with ZERO_TOL.  A negative samples or seed is refused
+    before any sampling.
     """
     config = config_for(m, k)
     if samples < 0:
@@ -280,7 +283,10 @@ def verify_realization(m: int, k: int, samples: int = 100000, seed: int = 0) -> 
     for lo in range(0, samples, _REALIZE_BLOCK):
         size = min(_REALIZE_BLOCK, samples - lo)
         vals = rng.normal(size=(size, k + 1)) @ config.vectors.T
-        block = (vals[(np.abs(vals) >= ZERO_TOL).all(axis=1)] > 0) @ weights
+        small = np.abs(vals) < ZERO_TOL
+        if small.any():   # rows with a zero sign leave; else no copy
+            vals = vals[~small.any(axis=1)]
+        block = (vals > 0) @ weights
         codes = np.concatenate([codes, block])
         key = codes[:, 0]
         for column in codes.T[1:]:
@@ -291,10 +297,9 @@ def verify_realization(m: int, k: int, samples: int = 100000, seed: int = 0) -> 
         first = np.empty(len(counts), dtype=np.intp)
         first[inverse] = np.arange(len(inverse))   # any row of each key will do
         codes = codes[first]
-    plus = codes[:, word] >> bit & 1
-    sampled = list(map(tuple, np.where(plus, 1, -1).tolist()))
-    non_covector = sum(int(c) for s, c in zip(sampled, counts.tolist()) if not is_covector(s, k))
-    report["sampled_full_support_patterns"] = len(sampled)
+    signs = np.where(codes[:, word] >> bit & 1, 1, -1).astype(np.int8)
+    non_covector = int(counts[~is_covector(signs, k)].sum())
+    report["sampled_full_support_patterns"] = len(signs)
     report["non_covector_samples"] = non_covector
     if non_covector:
         raise RealizationError("sampled sign pattern violates the covector rule", report)
@@ -312,7 +317,7 @@ def verify_realization(m: int, k: int, samples: int = 100000, seed: int = 0) -> 
         vals = (topes @ cocircuits.T == m - k) @ points @ config.vectors.T
         got = np.where(np.abs(vals) < ZERO_TOL, 0, np.sign(vals))
         missed = sorted(map(tuple, topes[(got != topes).any(axis=1)].tolist()))
-        extra = sorted(set(sampled).difference(map(tuple, topes.tolist())))
+        extra = sorted(set(map(tuple, signs.tolist())).difference(map(tuple, topes.tolist())))
         report["zero_free_covectors"] = len(topes)
         if missed or extra:
             report["missed"] = [render_sign_vector(s) for s in missed]

@@ -9,8 +9,10 @@ is its pair of side bitmasks (S_0, S_1), one row of the two numpy arrays
 that covector_sides builds entry by entry, and the cocircuits are the int8
 rows of enumerate_cocircuits; tuples over {-1, 0, +1}
 (sign_vector_from_sides) appear only where sign vectors are parsed,
-rendered or reported.  The membership test is validated elsewhere against
-an exhaustive polynomial oracle and against the geometric realization.
+rendered or reported.  The membership test, minimal_degree and is_covector,
+takes one sign vector or a 2-D array of sign rows and states the degree
+rule once, for all rows at once; it is validated elsewhere against an
+exhaustive polynomial oracle and against the geometric realization.
 """
 
 from __future__ import annotations
@@ -63,28 +65,51 @@ def sign_vector_from_sides(m: int, s0: int, s1: int) -> SignVector:
     return tuple((1 - 2 * (j & 1)) * ((s0 >> j & 1) - (s1 >> j & 1)) for j in range(m))
 
 
-def minimal_degree(s: SignVector) -> int:
+def minimal_degree(s: SignVector | np.ndarray) -> int | np.ndarray:
     """Least degree of a real polynomial matching s at m increasing points.
 
     Each zero entry forces a root.  With no other root between consecutive
     nonzero entries a < b, s_b = (-1)^(b-a-1) s_a puts them on opposite
     sides, so each consecutive nonzero pair on one side needs one more root.
+    s is one sign vector, giving an int, or a 2-D array of sign rows, giving
+    the array of their degrees, all rows at once: each nonzero entry j is
+    coded 2j + 2 + its side, so the running maximum along a row is its last
+    nonzero entry so far, and 0 before the first.  A zero vector or row is
+    refused, naming it.
     """
-    if not any(s):
-        raise ValueError("zero sign vector")
-    deg, last = 0, None
-    for j, v in enumerate(s):
-        if v:
-            side = (v < 0) ^ (j & 1)
-            deg += side == last
-            last = side
-        else:
-            deg += 1
-    return deg
+    rows = np.asarray(s)
+    if rows.ndim not in (1, 2):
+        raise ValueError("minimal_degree needs a sign vector or a 2-D array of sign rows, "
+                         "got shape %s" % (rows.shape,))
+    rows = np.atleast_2d(rows)
+    nonzero = rows != 0
+    zero_rows = np.flatnonzero(~nonzero.any(axis=1))
+    if len(zero_rows):
+        i = zero_rows[0]
+        raise ValueError("the zero sign vector %r%s has no minimal degree"
+                         % (render_sign_vector(rows[i].tolist()),
+                            "" if np.ndim(s) == 1 else " at row %d" % i))
+    j = np.arange(rows.shape[1])
+    side = (rows < 0) ^ (j & 1).astype(bool)
+    last = np.maximum.accumulate(np.where(nonzero, 2 * j + 2 + side, 0), axis=1)[:, :-1]
+    same = nonzero[:, 1:] & (last > 0) & ((last & 1) == side[:, 1:])
+    degrees = len(j) - nonzero.sum(axis=1) + same.sum(axis=1)
+    return int(degrees[0]) if np.ndim(s) == 1 else degrees
 
 
-def is_covector(s: SignVector, k: int) -> bool:
-    return any(s) and minimal_degree(s) <= k
+def is_covector(s: SignVector | np.ndarray, k: int) -> bool | np.ndarray:
+    """Is s a covector of C^{m,k+1}: nonzero, of minimal_degree at most k?
+
+    One sign vector gives a bool, a 2-D array of sign rows a bool array,
+    False at its zero rows.
+    """
+    rows = np.asarray(s)
+    if rows.ndim != 2:
+        return bool(rows.any()) and minimal_degree(rows) <= k
+    nonzero = rows.any(axis=1)
+    ok = np.zeros(len(rows), dtype=bool)
+    ok[nonzero] = minimal_degree(rows[nonzero]) <= k
+    return ok
 
 
 def check_instance(m: int, k: int) -> None:
@@ -188,7 +213,7 @@ def is_vector(s: SignVector, k: int) -> bool:
     of equal consecutive signs, so it has the length of the block count.
     """
     if all(v == 0 for v in s):
-        raise ValueError("zero sign vector")
+        raise ValueError("the zero sign vector %r is not a vector" % render_sign_vector(s))
     nz = [v for v in s if v != 0]
     blocks = 1 + sum(1 for a, b in zip(nz, nz[1:]) if a != b)
     return blocks >= k + 2
@@ -197,7 +222,8 @@ def is_vector(s: SignVector, k: int) -> bool:
 def covector_leq(s: SignVector, t: SignVector) -> bool:
     """Coordinatewise order: s_i = 0 or s_i = t_i."""
     if len(s) != len(t):
-        raise ValueError("length mismatch")
+        raise ValueError("covector_leq needs sign vectors of one length, got %d and %d"
+                         % (len(s), len(t)))
     return all(a == 0 or a == b for a, b in zip(s, t))
 
 
@@ -240,7 +266,7 @@ def covector_extension_feasible(partial: Sequence[Optional[int]], k: int) -> boo
     """
     m = len(partial)
     if m <= k:
-        raise ValueError("need m > k")
+        raise ValueError("covector extension needs m > k, got (m, k) = (%d, %d)" % (m, k))
     states: dict[Optional[int], int] = {None: 0}
     for j, entry in enumerate(partial):
         choices = (-1, 0, 1) if entry is FREE else (entry,)

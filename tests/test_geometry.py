@@ -150,7 +150,7 @@ def test_verify_realization_counts_match_unique_rows(monkeypatch):
         assert report["sampled_full_support_patterns"] == len(rows), (m, k, seed)
         assert report["non_covector_samples"] == 0
     # a wrong covector rule: the rejected samples must be counted per row
-    monkeypatch.setattr(geometry_module, "is_covector", lambda s, k: s[0] == 1)
+    monkeypatch.setattr(geometry_module, "is_covector", lambda s, k: np.asarray(s)[..., 0] == 1)
     for m, k, seed, samples in cases:
         rows = sampled_sign_patterns(config_for(m, k).vectors, samples, seed, TOL)
         with pytest.raises(RealizationError) as err:
@@ -159,6 +159,32 @@ def test_verify_realization_counts_match_unique_rows(monkeypatch):
         assert report["sampled_full_support_patterns"] == len(rows)
         assert report["non_covector_samples"] == sum(
             c for s, c in rows.items() if s[0] != 1)
+
+
+def test_verify_realization_drops_sampled_rows_with_a_zero_sign(monkeypatch):
+    # no Gaussian point falls within 1e-9 of a hyperplane in practice, so a
+    # wide tolerance makes the filter drop rows (a quarter to three quarters
+    # of them here); a wrong rule stops the check before the cocircuits,
+    # whose signs that tolerance would misread
+    monkeypatch.setattr(geometry_module, "ZERO_TOL", 0.1)
+    monkeypatch.setattr(geometry_module, "is_covector", lambda s, k: np.asarray(s)[..., 0] == 1)
+    for m, k, seed in [(5, 2, 0), (8, 2, 1), (12, 4, 2), (65, 2, 3)]:
+        rows = sampled_sign_patterns(config_for(m, k).vectors, 5000, seed, 0.1)
+        with pytest.raises(RealizationError) as err:
+            verify_realization(m, k, samples=5000, seed=seed)
+        assert err.value.report["sampled_full_support_patterns"] == len(rows), (m, k)
+        assert err.value.report["non_covector_samples"] == sum(
+            c for s, c in rows.items() if s[0] != 1), (m, k)
+
+
+@pytest.mark.parametrize("m, k, samples", [(8, 4, 100000), (12, 4, 100000), (14, 6, 20000)])
+def test_verify_realization_counts_the_benchmark_samples(m, k, samples):
+    # the sizes of the symmetry workload's matroid jobs, at each seed it picks
+    for seed in range(4):
+        report = verify_realization(m, k, samples=samples, seed=seed)
+        rows = sampled_sign_patterns(config_for(m, k).vectors, samples, seed, TOL)
+        assert report["sampled_full_support_patterns"] == len(rows), seed
+        assert report["non_covector_samples"] == 0, seed
 
 
 @pytest.mark.parametrize("block", [1, 7, 4096])
@@ -176,7 +202,7 @@ def test_verify_realization_does_not_depend_on_the_block_size(monkeypatch, block
         assert verify_realization(*case) == report, case
         assert report["sampled_full_support_patterns"] == len(rows), case
     # a wrong covector rule: the rejected samples are still counted per row
-    monkeypatch.setattr(geometry_module, "is_covector", lambda s, k: s[0] == 1)
+    monkeypatch.setattr(geometry_module, "is_covector", lambda s, k: np.asarray(s)[..., 0] == 1)
     for case, (_, rows) in expected.items():
         rejected = sum(c for s, c in rows.items() if s[0] != 1)
         if not rejected:

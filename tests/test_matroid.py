@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from stablekneser.graphs import DihedralElement, dihedral_act
 from stablekneser.matroid import (cocircuit_count, count_covectors,
@@ -43,7 +44,7 @@ def test_minimal_degree_examples():
     assert minimal_degree(P("+++")) == 0
     assert minimal_degree(P("+-+")) == 2
     assert minimal_degree(P("0+")) == 1
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="zero sign vector '000' has no minimal degree"):
         minimal_degree(P("000"))
 
 
@@ -82,6 +83,46 @@ def sign_vectors(draw, max_m, nonzero=False):
 @given(sign_vectors(12, nonzero=True))
 def test_minimal_degree_counts_zeros_and_same_side_pairs(s):
     assert minimal_degree(s) == minimal_degree_by_gap_parity(s)
+
+
+@st.composite
+def sign_rows(draw, max_m):
+    """An int8 array of up to 6 rows over {-1, 0, +1}, zero rows allowed, and a k <= m."""
+    m = draw(st.integers(1, max_m))
+    rows = draw(arrays(np.int8, (draw(st.integers(0, 6)), m),
+                       elements=st.sampled_from((-1, 0, 1))))
+    return rows, draw(st.integers(0, m))
+
+
+@settings(deadline=None)
+@given(sign_rows(70))
+def test_array_rule_matches_gap_parity_row_by_row(case):
+    rows, k = case
+    nonzero = rows.any(axis=1)
+    degrees = [minimal_degree_by_gap_parity(r) for r in rows[nonzero].tolist()]
+    assert minimal_degree(rows[nonzero]).tolist() == degrees
+    assert is_covector(rows, k).tolist() == [
+        bool(r.any()) and minimal_degree_by_gap_parity(r.tolist()) <= k for r in rows]
+
+
+@settings(deadline=None)
+@given(sign_vectors(70), st.integers(0, 70))
+def test_one_sign_vector_is_the_one_row_case(s, k):
+    row = np.array([s], dtype=np.int8)
+    covector = is_covector(s, k)
+    assert type(covector) is bool and covector == is_covector(row, k)[0]
+    if any(s):
+        degree = minimal_degree(s)
+        assert type(degree) is int and degree == minimal_degree(row)[0]
+
+
+def test_zero_sign_rows_are_refused_by_name():
+    rows = np.array([[1, 0, -1], [0, 0, 0], [1, 1, 1]], dtype=np.int8)
+    with pytest.raises(ValueError, match="zero sign vector '000' at row 1 has no minimal degree"):
+        minimal_degree(rows)
+    assert is_covector(rows, 2).tolist() == [True, False, True]
+    with pytest.raises(ValueError, match=r"2-D array of sign rows, got shape \(1, 2, 3\)"):
+        minimal_degree(rows[None, :2])
 
 
 @settings(deadline=None)
@@ -246,7 +287,7 @@ def test_is_vector():
     assert not is_vector(P("+++"), 2)
     assert is_vector(P("+0-0+"), 1)
     assert is_vector(P("+--+"), 1)  # subsequence, not contiguous alternation
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="zero sign vector '00' is not a vector"):
         is_vector(P("00"), 0)
 
 
@@ -270,6 +311,8 @@ def test_covector_leq():
     assert not covector_leq(P("++"), P("-+"))
     for s in enumerate_covectors(4, 2):
         assert covector_leq(s, s)
+    with pytest.raises(ValueError, match="one length, got 2 and 3"):
+        covector_leq(P("++"), P("+-+"))
 
 
 def test_dihedral_act_sign_twisted_shift():
@@ -380,6 +423,8 @@ def test_covector_extension_feasible():
     assert not covector_extension_feasible([1, -1, 1, -1, None], 1)
     assert covector_extension_feasible([None] * 4, 0)
     assert not covector_extension_feasible([0, 0, 0], 2)
+    with pytest.raises(ValueError, match=r"needs m > k, got \(m, k\) = \(3, 3\)"):
+        covector_extension_feasible([None] * 3, 3)
 
 
 def test_covector_extension_against_brute_force():
