@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -139,26 +140,22 @@ class SimplicialComplex:
         return tuple(map(len, self.all_faces().values()))
 
 
-def gf2_rank_dense(rows: Sequence[int]) -> int:
-    """Rank over GF(2); rows are bit-packed ints."""
+def gf2_pivots(rows: Iterable[int]) -> dict[int, int]:
+    """Reduce bit-packed rows over GF(2) in order: the nonzero reduced rows by highest bit."""
     pivots: dict[int, int] = {}
-    rank = 0
-    for row in rows:
-        r = row
+    for r in rows:
         while r:
             p = r.bit_length() - 1
-            if p in pivots:
-                r ^= pivots[p]
-            else:
+            if p not in pivots:
                 pivots[p] = r
-                rank += 1
                 break
-    return rank
+            r ^= pivots[p]
+    return pivots
 
 
 def gf2_rank_sparse(rows: Sequence[set]) -> int:
-    """Rank over GF(2); rows as sets of column indices, packed for gf2_rank_dense."""
-    return gf2_rank_dense([sum(1 << j for j in set(row)) for row in rows])
+    """Rank over GF(2); rows as sets of column indices, bit-packed for gf2_pivots."""
+    return len(gf2_pivots(sum(1 << j for j in set(row)) for row in rows))
 
 
 def _cell_faces(cell: int, width: int):
@@ -173,31 +170,39 @@ def _cell_faces(cell: int, width: int):
             yield face
 
 
-def boundary_rank(cells: Sequence[int], below_index: dict[int, int], width: int) -> int:
-    """Rank over GF(2) of the boundary from `cells` to the cells indexed by below_index.
+def boundary_rank(cells: Sequence[int], below_index: dict[int, int], width: int,
+                  cleared: set[int]) -> set[int]:
+    """Pivots over GF(2) of the boundary from `cells`, skipping the indices in `cleared`.
 
-    A cell is packed in width-bit fields, a product of simplices; over GF(2)
-    its boundary is the sum of its codimension-one faces.
+    A cell is packed in width-bit fields, a product of simplices; its row has
+    bit below_index[f] for each codimension-one face f.  The pivot count is the rank.
     """
-    rows = []
-    for c in cells:
-        row = 0
-        for f in _cell_faces(c, width):
-            row ^= 1 << below_index[f]
-        rows.append(row)
-    return gf2_rank_dense(rows)
+    def rows():
+        for i, c in enumerate(cells):
+            if i not in cleared:
+                row = 0
+                for f in _cell_faces(c, width):
+                    row ^= 1 << below_index[f]
+                yield row
+
+    return set(gf2_pivots(rows()))
 
 
 def _cellular_betti(cells: dict[int, list[int]], width: int) -> tuple[int, ...]:
     """Betti numbers over GF(2) of packed cells keyed by dimension, trailing zeros trimmed.
 
     Every dimension from 0 to the top holds cells, and every face of a cell
-    is a cell.
+    is a cell.  The boundaries are reduced from the top dimension down, and a
+    pivot p of dimension d, which heads a reduced row that is a boundary,
+    clears the row of (d-1)-cell p, a sum of lower rows (Chen and Kerber).
     """
     top = max(cells, default=-1)
     ranks = [0] * (top + 2)   # ranks[d]: the boundary from dimension d to d - 1
-    for d in range(1, top + 1):
-        ranks[d] = boundary_rank(cells[d], {c: i for i, c in enumerate(cells[d - 1])}, width)
+    cleared: set[int] = set()
+    for d in range(top, 0, -1):
+        cleared = boundary_rank(cells[d], {c: i for i, c in enumerate(cells[d - 1])},
+                                width, cleared)
+        ranks[d] = len(cleared)
     betti = [len(cells[d]) - ranks[d] - ranks[d + 1] for d in range(top + 1)]
     while len(betti) > 1 and betti[-1] == 0:
         betti.pop()
@@ -226,10 +231,12 @@ def hom_cells(g: Graph, h: Graph, max_cells: int = 10 ** 6) -> dict[int, list[in
     of dimension sum(|field| - 1).
     Backtracks over the source vertices and grows each set one target at a
     time, keeping only sets that leave every unassigned neighbour a nonempty
-    common-neighbour set; for K_2 the first set A runs over the sets with a
-    common neighbour and the second over the nonempty subsets of CN(A).  A
-    looped source vertex takes a set of looped, pairwise adjacent targets.
-    Refuses once more than `max_cells` cells are found.
+    common-neighbour set.  A looped source vertex takes a set of looped,
+    pairwise adjacent targets.  An unlooped last vertex has no later
+    neighbour: it takes every nonempty subset of its allowed targets (for
+    K_2, of CN(A)), counted, then listed as submasks from the largest int
+    down, so in a dimension the last field descends within the backtracking
+    order.  Refuses once more than `max_cells` cells are counted.
     """
     adj = h.adjacency
     looped_targets = sum(1 << t for t in h.looped_vertices())
@@ -239,7 +246,7 @@ def hom_cells(g: Graph, h: Graph, max_cells: int = 10 ** 6) -> dict[int, list[in
     # allowed[v]: the targets v may take, given the sets assigned so far
     allowed = [looped_targets if loop[v] else (1 << h.n) - 1
                for v in range(g.n)]
-    cells: dict[int, list[int]] = {}
+    cells: defaultdict[int, list[int]] = defaultdict(list)
     found = 0
 
     def grow(u: int, rem: int, s: int, common: int):
@@ -255,22 +262,30 @@ def hom_cells(g: Graph, h: Graph, max_cells: int = 10 ** 6) -> dict[int, list[in
 
     def rec(u: int, cell: int, dim: int) -> None:
         nonlocal found
-        if u == g.n:
-            cells.setdefault(dim, []).append(cell)
-            found += 1
+        last = u == g.n - 1 and not loop[u]
+        if u == g.n or last:
+            found += (1 << allowed[u].bit_count()) - 1 if last else 1
             if found > max_cells:
                 raise ValueError("refusing: more than %d cells" % max_cells)
-            return
-        for s, c in grow(u, allowed[u], 0, (1 << h.n) - 1):
-            saved = [allowed[v] for v in later[u]]
-            for v in later[u]:
-                allowed[v] &= c
-            rec(u + 1, cell | s << u * h.n, dim + s.bit_count() - 1)
-            for v, a in zip(later[u], saved):
-                allowed[v] = a
+        if u == g.n:
+            cells[dim].append(cell)
+        elif last:
+            a = sub = allowed[u]
+            shift, base = u * h.n, dim - 1
+            while sub:
+                cells[base + sub.bit_count()].append(cell | sub << shift)
+                sub = (sub - 1) & a
+        else:
+            for s, c in grow(u, allowed[u], 0, (1 << h.n) - 1):
+                saved = [allowed[v] for v in later[u]]
+                for v in later[u]:
+                    allowed[v] &= c
+                rec(u + 1, cell | s << u * h.n, dim + s.bit_count() - 1)
+                for v, a in zip(later[u], saved):
+                    allowed[v] = a
 
     rec(0, 0, 0)
-    return cells
+    return dict(cells)
 
 
 def hom_betti(g: Graph, h: Graph) -> tuple[int, ...]:
@@ -286,7 +301,7 @@ def hom_poset(g: Graph, h: Graph) -> FinitePoset:
     """The face poset of hom_cells, ordered by a & ~b == 0 on the packed cells.
 
     Elements are the hom_cells ints themselves, dimension by dimension
-    from 0 up and in enumeration order within a dimension; the up-sets are
+    from 0 up and in hom_cells order within a dimension; the up-sets are
     pushed down from each cell to its faces, highest dimension first.
     """
     byd = hom_cells(g, h)
@@ -481,12 +496,7 @@ def verify_nerve(n: int, k: int, max_set_size: Optional[int] = None) -> bool:
             union = 0
             for i in family:
                 union |= verts[i]
-            partial: list[Optional[int]] = []
-            for j in range(m):
-                if union >> j & 1:
-                    partial.append(1 if j % 2 == 0 else -1)
-                else:
-                    partial.append(None)
+            partial = [(-1) ** j if union >> j & 1 else None for j in range(m)]
             feasible = covector_extension_feasible(partial, k)
             has_common = any(v & union == 0 for v in verts)
             if feasible != has_common:

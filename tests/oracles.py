@@ -9,7 +9,11 @@ series and two small graphs through the package's own constructors, and
 reads each factor off the representation's matrices, not the closed form.
 `lawler_colouring_reference` and `chromatic_number_upward` are the other
 exception: earlier, plainer forms of the library's colouring search, kept
-so that tests can pin its exact classes and witnesses.
+so that tests can pin its exact classes and witnesses.  So are
+`cellular_betti_without_clearing`, the library's boundary reduction before
+clearing (it reads the faces of a packed cell from `_cell_faces`), and
+`hom_cells_by_growing`, its Hom cell enumeration before the last field was
+listed by submasks.
 """
 
 import functools
@@ -21,6 +25,7 @@ import numpy as np
 
 from stablekneser.charclasses import (ODD, TWO_MOD_4, GradedPoly, generator,
                                       one_plus, poly_one, ring_for)
+from stablekneser.complexes import _cell_faces
 from stablekneser.geometry import ZERO_TOL, representation
 from stablekneser.graphs import Graph, graph_from_edges
 from stablekneser.matroid import SignVector
@@ -739,6 +744,96 @@ def boundary_squared_is_zero(complex_obj) -> bool:
             if d >= 2 and acc:
                 return False
     return True
+
+
+def gf2_rank_by_rows(rows) -> int:
+    """Rank over GF(2) of bit-packed rows, eliminated in list order on the highest bit."""
+    pivots: dict[int, int] = {}
+    rank = 0
+    for row in rows:
+        r = row
+        while r:
+            p = r.bit_length() - 1
+            if p in pivots:
+                r ^= pivots[p]
+            else:
+                pivots[p] = r
+                rank += 1
+                break
+    return rank
+
+
+def cellular_betti_without_clearing(cells: dict, width: int) -> tuple:
+    """GF(2) Betti numbers of packed cells keyed by dimension, trailing zeros trimmed.
+
+    Builds every row of every boundary, bottom dimension up, and ranks each
+    boundary in full: no row is cleared.  Faces come from _cell_faces, which
+    tests check against tuple_cell_faces.
+    """
+    top = max(cells, default=-1)
+    ranks = [0] * (top + 2)
+    for d in range(1, top + 1):
+        below = {c: i for i, c in enumerate(cells[d - 1])}
+        rows = []
+        for c in cells[d]:
+            row = 0
+            for f in _cell_faces(c, width):
+                row ^= 1 << below[f]
+            rows.append(row)
+        ranks[d] = gf2_rank_by_rows(rows)
+    betti = [len(cells[d]) - ranks[d] - ranks[d + 1] for d in range(top + 1)]
+    while len(betti) > 1 and betti[-1] == 0:
+        betti.pop()
+    return tuple(betti)
+
+
+def hom_cells_by_growing(g, h, max_cells: int = 10 ** 6) -> dict:
+    """The packed cells of Hom(G, H) keyed by dimension, every field grown target by target.
+
+    Backtracks over the source vertices, the last one included, and grows
+    each set one target at a time, keeping only sets that leave every
+    unassigned neighbour a nonempty common-neighbour set; a looped vertex
+    takes looped, pairwise adjacent targets.  Refuses once more than
+    max_cells cells are found.
+    """
+    adj = h.adjacency
+    looped_targets = sum(1 << t for t in h.looped_vertices())
+    loop = [g.has_loop(u) for u in range(g.n)]
+    later = [[v for v in range(u + 1, g.n) if g.has_edge(u, v)]
+             for u in range(g.n)]
+    allowed = [looped_targets if loop[v] else (1 << h.n) - 1
+               for v in range(g.n)]
+    cells: dict[int, list[int]] = {}
+    found = 0
+
+    def grow(u: int, rem: int, s: int, common: int):
+        while rem:
+            low = rem & -rem
+            rem ^= low
+            c = common & adj[low.bit_length() - 1]
+            if any(not allowed[v] & c for v in later[u]):
+                continue
+            yield s | low, c
+            yield from grow(u, rem & c if loop[u] else rem, s | low, c)
+
+    def rec(u: int, cell: int, dim: int) -> None:
+        nonlocal found
+        if u == g.n:
+            cells.setdefault(dim, []).append(cell)
+            found += 1
+            if found > max_cells:
+                raise ValueError("refusing: more than %d cells" % max_cells)
+            return
+        for s, c in grow(u, allowed[u], 0, (1 << h.n) - 1):
+            saved = [allowed[v] for v in later[u]]
+            for v in later[u]:
+                allowed[v] &= c
+            rec(u + 1, cell | s << u * h.n, dim + s.bit_count() - 1)
+            for v, a in zip(later[u], saved):
+                allowed[v] = a
+
+    rec(0, 0, 0)
+    return cells
 
 
 def poset_covers_and_minima(n: int, leq) -> tuple[list[list[int]], list[int]]:

@@ -324,6 +324,15 @@ def test_homology_refusal_names_the_instance(capsys, monkeypatch):
                    "refusing: more than 50 cells\n")
 
 
+def test_homology_past_a_million_cells_is_refused_with_one_line(capsys):
+    # Hom(K_2, SG_{4,4}) has more than the default 10^6 cells
+    assert cli.main(["homology", "--n", "4", "--k", "4"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("stablekneser: error: homology of (n, k) = (4, 4): "
+                   "refusing: more than 1000000 cells\n")
+
+
 @pytest.mark.parametrize("argv, extra", [
     # the sweep is deterministic; only matroid samples
     (["geometry", "--n", "2", "--k", "2", "--seed", "5"], "--seed 5"),

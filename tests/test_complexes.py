@@ -5,12 +5,12 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from stablekneser.complexes import (FinitePoset, SimplicialComplex, _cell_faces, _in_sorted,
                                     check_equivariance_combinatorial,
                                     covector_cells, covector_to_hom,
-                                    gf2_rank_dense,
+                                    gf2_pivots,
                                     gf2_rank_sparse, hom_betti,
                                     hom_cells, hom_poset,
                                     neighbourhood_complex, order_complex,
@@ -22,9 +22,9 @@ from stablekneser.matroid import (count_covectors, covector_leq,
                                   dihedral_act_sign, enumerate_cocircuits,
                                   enumerate_covectors, parse_sign_vector,
                                   side_masks)
-from oracles import (boundary_squared_is_zero, cycle_graph,
-                     dihedral_sign_reference, equivariance_reference,
-                     euler_characteristic_consistent,
+from oracles import (boundary_squared_is_zero, cellular_betti_without_clearing,
+                     cycle_graph, dihedral_sign_reference, equivariance_reference,
+                     euler_characteristic_consistent, hom_cells_by_growing,
                      hom_cells_by_product_filter, homomorphisms, mask_of,
                      members, negate,
                      one_vertex_looped, poset_covers_and_minima,
@@ -172,9 +172,9 @@ def test_hom_betti_spheres_beyond_the_order_complex():
 
 
 @st.composite
-def small_graphs(draw, max_n):
+def small_graphs(draw, max_n, loops=True):
     n = draw(st.integers(1, max_n))
-    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    pairs = [(i, j) for i in range(n) for j in range(i if loops else i + 1, n)]
     keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     return graph_from_edges(n, [p for p, b in zip(pairs, keep) if b])
 
@@ -192,6 +192,61 @@ def test_hom_betti_matches_order_complex(g, h):
     assert p.above == up_sets_by_predicate(p.elements, contained)
     assert (p.covers(), p.atoms()) == poset_covers_and_minima(p.n, p.leq)
     assert hom_betti(g, h) == z2_betti(order_complex(p))
+
+
+EMPTY = graph_from_edges(0, [])
+LOOPED_LAST = graph_from_edges(3, [(0, 1), (1, 2), (2, 2)])
+
+
+def by_dimension_as_sets(cells):
+    return {d: set(cs) for d, cs in cells.items()}
+
+
+@settings(deadline=None, max_examples=150)
+@given(small_graphs(4), small_graphs(4))
+@example(EMPTY, complete_graph(3))
+@example(EMPTY, EMPTY)
+@example(LOOPED_LAST, graph_from_edges(3, [(0, 0), (1, 1), (0, 1), (1, 2)]))
+@example(graph_from_edges(2, [(1, 1)]), graph_from_edges(3, [(0, 0), (1, 1), (0, 1)]))
+def test_hom_cells_match_the_growing_enumeration(g, h):
+    try:
+        want = hom_cells_by_growing(g, h, max_cells=20000)
+    except ValueError:
+        assume(False)
+    got = hom_cells(g, h)
+    assert all(len(cs) == len(set(cs)) for cs in got.values())
+    assert by_dimension_as_sets(got) == by_dimension_as_sets(want)
+
+
+@pytest.mark.parametrize("g, h", [(k2(), stable_kneser_graph(2, 2)),
+                                  (k2(), stable_kneser_graph(1, 4)),
+                                  (complete_graph(4), complete_graph(6))],
+                         ids=["K2-SG22", "K2-SG14", "K4-K6"])
+def test_hom_cells_refuse_exactly_past_max_cells(g, h):
+    total = sum(map(len, hom_cells_by_growing(g, h).values()))
+    assert sum(map(len, hom_cells(g, h, max_cells=total).values())) == total
+    with pytest.raises(ValueError, match=r"^refusing: more than %d cells$" % (total - 1)):
+        hom_cells(g, h, max_cells=total - 1)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.lists(st.integers(1, (1 << 10) - 1), min_size=1, max_size=8))
+def test_clearing_keeps_the_betti_numbers_of_vertex_mask_complexes(faces):
+    x = SimplicialComplex.from_faces(faces)
+    width = max(map(int.bit_length, x.facets))
+    assert z2_betti(x) == cellular_betti_without_clearing(x.all_faces(), width)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.one_of(small_graphs(7).map(lambda g: (k2(), g)),
+                 small_graphs(7, loops=False).map(lambda g: (g, complete_graph(3)))))
+def test_clearing_keeps_the_betti_numbers_of_hom_complexes(pair):
+    g, h = pair
+    try:
+        cells = hom_cells_by_growing(g, h, max_cells=5000)
+    except ValueError:
+        assume(False)
+    assert hom_betti(g, h) == cellular_betti_without_clearing(cells, h.n)
 
 
 def test_neighbourhood_complexes():
@@ -327,10 +382,12 @@ def test_z2_betti_of_a_sphere_past_8192_columns():
 
 def test_gf2_rank():
     # rows 011, 110, 101 have rank 2 over GF(2)
-    assert gf2_rank_dense([0b011, 0b110, 0b101]) == 2
-    assert gf2_rank_dense([0, 0]) == 0
+    assert len(gf2_pivots([0b011, 0b110, 0b101])) == 2
+    assert gf2_pivots([0, 0]) == {}
     assert gf2_rank_sparse([{0, 1}, {1, 2}, {0, 2}]) == 2
-    assert gf2_rank_dense([0b1, 0b10, 0b11, 0b100]) == 3
+    assert len(gf2_pivots([0b1, 0b10, 0b11, 0b100])) == 3
+    # each reduced row is keyed by its highest bit, rows taken in list order
+    assert gf2_pivots([0b011, 0b110, 0b101]) == {1: 0b011, 2: 0b110}
 
 
 def test_gf2_rank_against_sympy():
@@ -343,7 +400,9 @@ def test_gf2_rank_against_sympy():
         entries = [[rng.randint(0, 1) for _ in range(cols)] for _ in range(rows)]
         expected = DomainMatrix.from_Matrix(Matrix(entries)).convert_to(GF(2)).rank()
         packed = [sum(1 << j for j, v in enumerate(r) if v) for r in entries]
-        assert gf2_rank_dense(packed) == expected
+        pivots = gf2_pivots(packed)
+        assert len(pivots) == expected
+        assert all(r.bit_length() - 1 == p for p, r in pivots.items())
         assert gf2_rank_sparse([{j for j, v in enumerate(r) if v}
                                 for r in entries]) == expected
 
