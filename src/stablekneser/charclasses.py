@@ -33,11 +33,10 @@ the zero components, so a total class of degree k + 1 costs little at any D.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress
 from typing import Iterable, Optional
 
-from .graphs import set_bits
+from .graphs import _Frozen, set_bits
 
 ODD = "ODD"
 TWO_MOD_4 = "TWO_MOD_4"
@@ -483,19 +482,16 @@ TEST_GRAPH_UP_TO_DEGREE = "TEST_GRAPH_UP_TO_DEGREE"
 NON_TEST_FOR_LARGE_N = "NON_TEST_FOR_LARGE_N"
 
 
-@dataclass
-class ClassificationReport:
-    n: int
-    k: int
-    m: int
-    ring_case: str
-    w: GradedPoly
-    wbar: GradedPoly
-    wbar_vanishing_degrees: list[int]
-    windows: list[tuple[int, int]]
-    verdict: str
-    certificate: Optional[str]
-    caveats: list[str]
+class ClassificationReport(_Frozen):
+    __slots__ = ("n", "k", "m", "ring_case", "w", "wbar", "wbar_vanishing_degrees",
+                 "windows", "verdict", "certificate", "caveats")
+
+    def __init__(self, n: int, k: int, m: int, ring_case: str, w: GradedPoly,
+                 wbar: GradedPoly, wbar_vanishing_degrees: list[int],
+                 windows: list[tuple[int, int]], verdict: str,
+                 certificate: Optional[str], caveats: list[str]):
+        self._init(n, k, m, ring_case, w, wbar, wbar_vanishing_degrees, windows,
+                   verdict, certificate, caveats)
 
     def to_json_dict(self) -> dict:
         return {

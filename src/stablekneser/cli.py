@@ -15,28 +15,22 @@ import json
 import os
 import signal
 import sys
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import charclasses, complexes, geometry, graphs, matroid
 
 
-@dataclass
-class RunConfig:
-    command: str
-    n: Optional[int] = None
-    k: Optional[int] = None
-    m: Optional[int] = None
-    n_range: Optional[tuple[int, int]] = None
-    max_degree: int = 64
-    samples: int = 100000
-    seed: int = 0
-    out: Optional[str] = None
-    pretty: bool = False
-    chromatic: bool = False
-    critical: bool = False
-    aut: bool = False
-    sweep: bool = False
+class RunConfig(graphs._Frozen):
+    __slots__ = ("command", "n", "k", "m", "n_range", "max_degree", "samples", "seed",
+                 "out", "pretty", "chromatic", "critical", "aut", "sweep")
+
+    def __init__(self, command: str, n: Optional[int] = None, k: Optional[int] = None,
+                 m: Optional[int] = None, n_range: Optional[tuple[int, int]] = None,
+                 max_degree: int = 64, samples: int = 100000, seed: int = 0,
+                 out: Optional[str] = None, pretty: bool = False, chromatic: bool = False,
+                 critical: bool = False, aut: bool = False, sweep: bool = False):
+        self._init(command, n, k, m, n_range, max_degree, samples, seed, out, pretty,
+                   chromatic, critical, aut, sweep)
 
 
 def _parse_range(text: str) -> tuple[int, int]:

@@ -27,13 +27,12 @@ from __future__ import annotations
 import functools
 import itertools
 from collections import defaultdict
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from . import graphs
-from .graphs import (DihedralElement, Graph, render_set, set_bits,
+from .graphs import (DihedralElement, Graph, _Frozen, render_set, set_bits,
                      stable_kneser_graph)
 from .matroid import (SignVector, covector_extension_feasible, covector_sides,
                       dihedral_act_sign, enumerate_covectors, is_covector,
@@ -96,8 +95,7 @@ def _size_then_value(face: int) -> tuple[int, int]:
     return face.bit_count(), face
 
 
-@dataclass(frozen=True)
-class SimplicialComplex:
+class SimplicialComplex(_Frozen):
     """Abstract simplicial complex given by its facets (maximal faces).
 
     A face is a bitmask over the vertices 0, 1, ...; a caller with labelled
@@ -105,7 +103,10 @@ class SimplicialComplex:
     pairwise incomparable and sorted by (bit_count, value).
     """
 
-    facets: tuple[int, ...]
+    __slots__ = ("facets",)
+
+    def __init__(self, facets: tuple[int, ...]):
+        self._init(facets)
 
     @classmethod
     def from_faces(cls, faces: Iterable[int]) -> "SimplicialComplex":

@@ -11,12 +11,11 @@ membership rows at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .graphs import (DihedralElement, _check_in_z, enumerate_stable_sets, position_map,
+from .graphs import (DihedralElement, _check_in_z, _Frozen, enumerate_stable_sets, position_map,
                      render_set)
 from .matroid import (SignVector, check_instance, enumerate_cocircuits,
                       enumerate_covectors, is_covector, render_sign_vector,
@@ -41,8 +40,7 @@ def _rotation(phi: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
-@dataclass(frozen=True)
-class OrthogonalRep:
+class OrthogonalRep(_Frozen):
     """The (k+1)-dimensional orthogonal right action of D_{2m}.
 
     x.g is matrix(g) @ x; tau acts by global negation.  For even k the
@@ -51,10 +49,10 @@ class OrthogonalRep:
     diag(1, [1,-1]...) resp. diag([1,-1]...).
     """
 
-    n: int
-    k: int
-    sigma_matrix: np.ndarray
-    rho_matrix: np.ndarray
+    __slots__ = ("n", "k", "sigma_matrix", "rho_matrix")
+
+    def __init__(self, n: int, k: int, sigma_matrix: np.ndarray, rho_matrix: np.ndarray):
+        self._init(n, k, sigma_matrix, rho_matrix)
 
     @property
     def m(self) -> int:
@@ -108,13 +106,13 @@ def representation(n: int, k: int) -> OrthogonalRep:
     return OrthogonalRep(n, k, -sigma, np.diag(rho_diag))
 
 
-@dataclass(frozen=True)
-class MomentConfig:
+class MomentConfig(_Frozen):
     """Vectors v_0..v_{m-1} on the trigonometric moment curve in R^{k+1}."""
 
-    m: int
-    k: int
-    vectors: np.ndarray
+    __slots__ = ("m", "k", "vectors")
+
+    def __init__(self, m: int, k: int, vectors: np.ndarray):
+        self._init(m, k, vectors)
 
     def vector(self, j: int) -> np.ndarray:
         """v_j for any integer j via the curve formula (not reduced mod m)."""

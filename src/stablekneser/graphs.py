@@ -10,20 +10,51 @@ otherwise.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 
-@dataclass(frozen=True)
-class DihedralElement:
-    """sigma^shift rho^flip in D_{2m}, with rho sigma = sigma^{-1} rho."""
+class _Frozen:
+    """Immutable record whose fields are its __slots__, set once by `_init` in slot
+    order; records of one class are equal, and hash equal, when their fields are."""
 
-    m: int
-    shift: int
-    flip: bool = False
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "shift", self.shift % self.m)
+    def _init(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__getattribute__, self.__slots__))
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError("cannot set or delete %r of an immutable %s"
+                             % (name, type(self).__name__))
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __repr__(self) -> str:
+        return "%s(%s)" % (type(self).__name__, ", ".join(
+            "%s=%r" % field for field in zip(self.__slots__, self._values())))
+
+
+class DihedralElement(_Frozen):
+    """sigma^shift rho^flip in D_{2m}, with rho sigma = sigma^{-1} rho; shift is kept mod m."""
+
+    __slots__ = ("m", "shift", "flip")
+
+    def __init__(self, m: int, shift: int, flip: bool = False):
+        self._init(m, shift % m, flip)
 
     @classmethod
     def identity(cls, m: int) -> "DihedralElement":
@@ -114,8 +145,7 @@ def generate_subgroup(generators: Sequence[DihedralElement]) -> list[DihedralEle
 # graphs
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(_Frozen):
     """Finite graph as adjacency bitmask rows; loops allowed.
 
     adjacency[i] has bit j set iff (i, j) is an edge.  The relation is
@@ -123,10 +153,14 @@ class Graph:
     subset of Z_m, as a bitmask, to each vertex and are injective.
     """
 
-    adjacency: tuple[int, ...]
-    labels: Optional[tuple[int, ...]] = None
+    __slots__ = ("adjacency", "labels")
+
+    def __init__(self, adjacency: tuple[int, ...], labels: Optional[tuple[int, ...]] = None):
+        self._init(adjacency, labels)
+        self.__post_init__()
 
     def __post_init__(self):
+        """The constructor's last step: refuse an asymmetric relation or bad labels."""
         n = len(self.adjacency)
         for i in range(n):
             for j in range(i + 1, n):
@@ -419,10 +453,11 @@ def vertex_criticality_check(g: Graph, chi: Optional[int] = None,
     rows onto adjacency rows; anything else raises ValueError before any
     colouring search.  Deleting v or its image under an automorphism gives
     isomorphic graphs, so one (chi - 1)-colouring search per orbit of the
-    generated group, run by `_k_colouring` on the mask of every vertex but
-    the orbit's least one, decides the answer exactly.  Classes that are not
-    at most chi - 1 disjoint independent sets covering that mask raise
-    RuntimeError.
+    generated group decides the answer exactly.  Each search runs
+    `_k_colouring` on the mask of every vertex but the orbit's union-find
+    root, the vertex its merges end at (not in general its least one).
+    Classes that are not at most chi - 1 disjoint independent sets covering
+    that mask raise RuntimeError.
     """
     if g.n == 0:
         raise ValueError("empty graph")

@@ -7,8 +7,9 @@ Run from the repository root:
 The parent runs each rung of RUNGS as `python tests/ladder.py <rung as
 JSON>`, under the rung's timeout, and echoes the one JSON record the child
 prints: the rung's name and argv, its exit status (and for equivariance the
-violation count), its wall time, ru_maxrss right after the child imports
-stablekneser and its peak ru_maxrss.  It stops with exit code 1 at the
+violation count), its wall time, the seconds the child's import of
+stablekneser took (numpy is already loaded then), ru_maxrss right after
+that import and its peak ru_maxrss.  It stops with exit code 1 at the
 first rung that exits nonzero, reports a violation or times out, and names
 that rung on stderr.  Its last stdout line is one JSON document: the Python
 and numpy versions, the CPU count, the repeat count and every record.
@@ -24,7 +25,9 @@ import time
 
 import numpy
 
-from stablekneser import cli, complexes
+_import_t0 = time.perf_counter()
+from stablekneser import cli, complexes  # noqa: E402
+IMPORT_S = round(time.perf_counter() - _import_t0, 4)
 
 EQUIVARIANCE = "equivariance"
 
@@ -88,7 +91,7 @@ def run_rung(name, argv):
             if status:
                 break
     record.update(exit=status, wall_s=round(time.perf_counter() - t0, 3),
-                  import_rss_mb=import_rss, peak_rss_mb=_rss_mb())
+                  import_s=IMPORT_S, import_rss_mb=import_rss, peak_rss_mb=_rss_mb())
     return record
 
 

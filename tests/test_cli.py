@@ -395,6 +395,19 @@ def test_import_builds_no_parser():
     assert proc.stdout == "0\n"
 
 
+def test_import_loads_neither_dataclasses_nor_numpy_random():
+    # every CLI call pays its imports: dataclasses would exec generated
+    # methods, numpy.random brings secrets, hashlib and OpenSSL (9-15 ms)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, numpy; before = set(sys.modules); "
+         "import stablekneser, stablekneser.cli; "
+         "print(sorted({'dataclasses', 'numpy.random'} & set(sys.modules) - before))"],
+        capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_zero_tol_is_one_constant(capsys, monkeypatch):
     # the sweep's pass bound and the sign test both read geometry.ZERO_TOL
     monkeypatch.setattr(geometry, "ZERO_TOL", 1e-300)

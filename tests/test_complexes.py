@@ -336,6 +336,19 @@ def test_all_faces_lists_sorted_submasks_and_refuses_past_max_faces():
         x.all_faces(max_faces=8)
 
 
+def test_simplicial_complexes_are_equal_by_facets_and_immutable():
+    x = SimplicialComplex.from_faces([0b0111, 0b1100, 0b0011])
+    assert x == SimplicialComplex((0b1100, 0b0111)) != SimplicialComplex((0b0111,))
+    assert x != (0b1100, 0b0111)
+    assert hash(x) == hash(SimplicialComplex((0b1100, 0b0111)))
+    assert len({x, SimplicialComplex((0b1100, 0b0111)), SimplicialComplex(())}) == 2
+    with pytest.raises(AttributeError, match="immutable"):
+        x.facets = ()
+    with pytest.raises(AttributeError, match="immutable"):
+        del x.facets
+    assert x.facets == (0b1100, 0b0111)
+
+
 def test_z2_betti_basics():
     hexagon = SimplicialComplex.from_faces([mask({i, (i + 1) % 6}) for i in range(6)])
     assert hexagon.facets == (0b11, 0b110, 0b1100, 0b11000, 0b100001, 0b110000)

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import random
 
 import pytest
@@ -457,8 +459,46 @@ def test_subgroup_generation():
 
 def test_labels_must_be_injective():
     lab = mask_of([0])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^labels not injective$"):
         Graph((0, 0), (lab, lab))
+
+
+def test_dihedral_elements_are_values_with_the_shift_mod_m():
+    g = DihedralElement(5, 7)
+    assert (g.m, g.shift, g.flip) == (5, 2, False)
+    assert g == DihedralElement(5, 2) and hash(g) == hash(DihedralElement(5, 2))
+    assert g != DihedralElement(5, 2, True) and g != DihedralElement(6, 2)
+    assert g != (5, 2, False)
+    assert {g, DihedralElement(5, -3), DihedralElement(5, 2, True)} == \
+        {DihedralElement(5, 2), DihedralElement.rho(5) * DihedralElement.sigma(5, 3)}
+    assert repr(g) == "DihedralElement(m=5, shift=2, flip=False)"
+    assert pickle.loads(pickle.dumps(g)) == g
+
+
+def test_graph_refuses_an_asymmetric_relation_and_bad_labels():
+    with pytest.raises(ValueError, match=r"^adjacency not symmetric at \(0,2\)$"):
+        Graph((0b110, 0b001, 0b000))
+    with pytest.raises(ValueError, match="^labels length != vertex count$"):
+        Graph((0b10, 0b01), (1,))
+    g = Graph((0b10, 0b01), (1, 2))
+    assert g == graph_from_edges(2, [(0, 1)], [1, 2]) != complete_graph(2)
+    assert copy.deepcopy(g) == g and hash(copy.copy(g)) == hash(g)
+
+
+@pytest.mark.parametrize("value, field", [
+    (DihedralElement(5, 2), "shift"),
+    (Graph((0b10, 0b01), (1, 2)), "adjacency"),
+    (Graph((0b10, 0b01), (1, 2)), "labels"),
+])
+def test_values_refuse_assignment_and_deletion(value, field):
+    before = getattr(value, field)
+    with pytest.raises(AttributeError, match="immutable"):
+        setattr(value, field, before)
+    with pytest.raises(AttributeError, match="immutable"):
+        delattr(value, field)
+    with pytest.raises(AttributeError):
+        value.extra = 1
+    assert getattr(value, field) is before
 
 
 def test_vertex_permutation_rejects_broken_action():

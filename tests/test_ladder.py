@@ -11,7 +11,7 @@ import ladder
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 TINY_HOMOLOGY = ("tiny-homology", 60, ["homology", "--n", "1", "--k", "1"])
 TINY_EQUIVARIANCE = ("tiny-equivariance", 60, [ladder.EQUIVARIANCE, "1", "1"])
-FIELDS = {"rung", "argv", "exit", "wall_s", "import_rss_mb", "peak_rss_mb"}
+FIELDS = {"rung", "argv", "exit", "wall_s", "import_s", "import_rss_mb", "peak_rss_mb"}
 
 
 @pytest.fixture
@@ -44,6 +44,7 @@ def test_a_tiny_ladder_yields_one_full_record_per_rung(run):
     for record, (name, _, argv) in zip(records, [TINY_HOMOLOGY, TINY_EQUIVARIANCE]):
         assert (record["rung"], record["argv"], record["exit"]) == (name, argv, 0)
         assert 0 < record["import_rss_mb"] <= record["peak_rss_mb"]
+        assert isinstance(record["import_s"], float) and record["import_s"] > 0
     assert equivariance["violations"] == 0
 
 
