@@ -5,8 +5,8 @@ matroid and intertwine the dihedral matrices with index shifts; every
 floating-point check reports its maximum deviation, and ZERO_TOL is both the
 one zero test of a sign and the sweep's pass bound on those deviations.  A
 stable set is its bitmask, as in graphs: v_of_set takes one, point_to_vertex
-returns one, and the sweeps unpack all of enumerate_stable_sets into
-membership rows at once.
+returns one, and the sweeps read all stable n-sets at once as the member
+rows of enumerate_stable_sets, tested for disjointness as uint64 words.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .graphs import (DihedralElement, _check_in_z, _Frozen, enumerate_stable_sets, position_map,
-                     render_set)
+from .graphs import (DihedralElement, _check_in_z, _Frozen, enumerate_stable_sets, render_set,
+                     set_bits)
 from .matroid import (SignVector, check_instance, enumerate_cocircuits,
                       enumerate_covectors, is_covector, render_sign_vector,
                       side_masks)
@@ -280,7 +280,7 @@ def verify_realization(m: int, k: int, samples: int = 100000, seed: int = 0) -> 
     counts = np.zeros(0)
     for lo in range(0, samples, _REALIZE_BLOCK):
         size = min(_REALIZE_BLOCK, samples - lo)
-        vals = rng.normal(size=(size, k + 1)) @ config.vectors.T
+        vals = rng.standard_normal((size, k + 1)) @ config.vectors.T
         small = np.abs(vals) < ZERO_TOL
         if small.any():   # rows with a zero sign leave; else no copy
             vals = vals[~small.any(axis=1)]
@@ -333,7 +333,7 @@ def verify_realization(m: int, k: int, samples: int = 100000, seed: int = 0) -> 
 def v_of_set(mask: int, config: MomentConfig) -> np.ndarray:
     """Normalized alternating sum over the set with bitmask mask; never zero on stable sets."""
     _check_in_z(mask, config.m)
-    total = _signed_sums(_incidence([mask], config.m), config)[0]
+    total = _signed_sums(np.array([set_bits(mask)], dtype=np.intp), config)[0]
     nrm = float(np.linalg.norm(total))
     if nrm < 1e-12:
         raise ValueError("alternating sum vanished on %s; "
@@ -341,34 +341,24 @@ def v_of_set(mask: int, config: MomentConfig) -> np.ndarray:
     return total / nrm
 
 
-def _incidence(masks: Sequence[int], m: int) -> np.ndarray:
-    """Rows of 0/1 membership flags, one row per set mask, one column per j < m."""
-    width = (m + 7) // 8
-    packed = np.frombuffer(b"".join(s.to_bytes(width, "little") for s in masks),
-                           dtype=np.uint8).reshape(len(masks), width)
-    return np.unpackbits(packed, axis=1, count=m, bitorder="little")
-
-
-def _signed_sums(incidence: np.ndarray, config: MomentConfig) -> np.ndarray:
+def _signed_sums(members: np.ndarray, config: MomentConfig) -> np.ndarray:
     """The alternating sum of (-1)^i v_i over the members i of every set, as rows.
 
-    The sets, given by their incidence rows, must have equal size.  Adds the
-    terms member by member in increasing order, all sets at once, so every
-    row equals that loop over one set bit for bit.
+    Each row of members lists one set in increasing order; the terms are added
+    in that order, all rows at once, so every row equals that loop bit for bit.
     """
-    members = np.nonzero(incidence)[1].reshape(len(incidence), -1)
     terms = np.where(np.arange(config.m) % 2 == 0, 1.0, -1.0)[:, None] * config.vectors
-    total = np.zeros((len(incidence), config.k + 1))
+    total = np.zeros((len(members), config.k + 1))
     for col in members.T:
-        total += terms[col]
+        total += terms.take(col, axis=0)
     return total
 
 
 def _vertex_rows(n: int, k: int) -> tuple[MomentConfig, np.ndarray, np.ndarray]:
-    """The configuration, and the incidence rows and sums of the stable n-sets."""
+    """The configuration, and the member rows and sums of the stable n-sets."""
     config = moment_vectors(n, k)
-    incidence = _incidence(enumerate_stable_sets(n, config.m), config.m)
-    return config, incidence, _signed_sums(incidence, config)
+    members = enumerate_stable_sets(n, config.m, members=True)
+    return config, members, _signed_sums(members, config)
 
 
 def min_vertex_norm(n: int, k: int) -> float:
@@ -386,14 +376,14 @@ def max_edge_defect(n: int, k: int) -> float:
     ||v(S) + v(T)||^2 = 2 + 2<v(S), v(T)> is monotone in the Gram entry, so
     the largest entry over disjoint pairs S < T gives the maximum exactly.
     """
-    _, incidence, sums = _vertex_rows(n, k)
-    return _max_defect(incidence, sums)
+    config, members, sums = _vertex_rows(n, k)
+    return _max_defect(members, sums, config.m)
 
 
 _ORBIT_MARGIN = 1e-9   # Gram entries this close to the best orbit's are rescanned
 
 
-def _max_defect(incidence: np.ndarray, sums: np.ndarray) -> float:
+def _max_defect(members: np.ndarray, sums: np.ndarray, m: int) -> float:
     """The defect from the largest Gram entry over disjoint pairs S < T.
 
     D_{2m} permutes the sets and acts orthogonally on their sums, so each
@@ -402,31 +392,35 @@ def _max_defect(incidence: np.ndarray, sums: np.ndarray) -> float:
     the later sets: the float of a scan of all pairs, bit for bit.
     """
     unit = sums / np.linalg.norm(sums, axis=1)[:, None]
-    least = _orbit_least(incidence)
+    words, *images = _dihedral_words(members, m)
+    least = _orbit_least(words, images, m)
     reps = np.flatnonzero(least == np.arange(len(least)))
-    member = incidence.astype(np.float32)
-    best = _best_gram(reps, np.full(len(reps), -1), unit, member)
-    rows = np.flatnonzero(np.isin(least, reps[best >= best.max() - _ORBIT_MARGIN]))
-    worst = 2.0 + 2.0 * float(_best_gram(rows, rows, unit, member).max())
+    best = _best_gram(reps, np.full(len(reps), -1), unit, words)
+    rows = np.flatnonzero((best >= best.max() - _ORBIT_MARGIN)[np.searchsorted(reps, least)])
+    worst = 2.0 + 2.0 * float(_best_gram(rows, rows, unit, words).max())
     return float(np.sqrt(max(worst, 0.0)))
 
 
-def _orbit_least(incidence: np.ndarray) -> np.ndarray:
+def _dihedral_words(members: np.ndarray, m: int) -> list[np.ndarray]:
+    """Each row's set, then its images under sigma (j -> j + 1) and rho (j -> -j),
+    as ceil(m / 64) uint64 words; member j is bit 7 - j % 8 of byte j // 8, so
+    the sets' bytes compare, as memory, in reverse lexicographic member order."""
+    j = np.arange(-(-m // 64) * 64)
+    incidence = np.zeros((len(members), len(j)), dtype=bool)
+    incidence.ravel()[members + len(j) * np.arange(len(members))[:, None]] = True
+    return [np.packbits(incidence.take(cols, axis=1), axis=1).view(np.uint64)
+            for cols in (j, np.where(j < m, (j - 1) % m, j), np.where(j < m, -j % m, j))]
+
+
+def _orbit_least(words: np.ndarray, images: list[np.ndarray], m: int) -> np.ndarray:
     """The least index in the <sigma, rho>-orbit of every row's set.
 
-    The rows must be distinct sets closed under D_{2m}, such as all stable
-    n-sets.  Finds each row's image under sigma and rho by its packed bytes,
-    then takes the least index over the sigma-cycle by doubling and over rho.
+    The rows, _dihedral_words with their images, must list distinct sets closed
+    under D_{2m} in lexicographic order, such as all stable n-sets.  Each image
+    is found among the rows by its words, the least over a sigma-cycle by doubling.
     """
-    def keys(rows):
-        packed = np.packbits(rows, axis=1, bitorder="little")
-        return np.ascontiguousarray(packed).view("V%d" % packed.shape[1]).ravel()
-
-    m = incidence.shape[1]
-    own = keys(incidence)
-    order = np.argsort(own)
-    sigma, rho = (order[np.searchsorted(own, keys(incidence[:, np.argsort(position_map(m, *g))]),
-                                        sorter=order)] for g in ((1, False), (0, True)))
+    own = words.view("V%d" % (8 * words.shape[1])).ravel()[::-1]   # ascending
+    sigma, rho = (len(own) - 1 - np.searchsorted(own, w.view(own.dtype).ravel()) for w in images)
     least = np.arange(len(own))
     for _ in range(m.bit_length()):   # least over sigma^0 .. sigma^(2^t - 1) after t rounds
         least, sigma = np.minimum(least, least[sigma]), sigma[sigma]
@@ -434,15 +428,16 @@ def _orbit_least(incidence: np.ndarray) -> np.ndarray:
 
 
 def _best_gram(rows: np.ndarray, after: np.ndarray, unit: np.ndarray,
-               member: np.ndarray) -> np.ndarray:
+               words: np.ndarray) -> np.ndarray:
     """Per row i, the largest Gram entry <u_i, u_j> over the sets j > after[i]
     disjoint from set i, or -inf; about 2^18 entries per block of rows."""
     step = max(1, (1 << 18) // len(unit))
     best = np.empty(len(rows))
     for lo in range(0, len(rows), step):
         block = rows[lo:lo + step]
-        edge = (member[block] @ member.T == 0) & (np.arange(len(unit)) > after[lo:lo + step, None])
-        best[lo:lo + step] = np.where(edge, unit[block] @ unit.T, -np.inf).max(axis=1)
+        edge = ((words[block, None] & words) == 0).all(axis=2) \
+            & (np.arange(len(unit)) > after[lo:lo + step, None])
+        best[lo:lo + step] = (unit[block] @ unit.T).max(axis=1, where=edge, initial=-np.inf)
     return best
 
 
@@ -483,14 +478,14 @@ def point_to_vertex(x: np.ndarray, l: int, n: int, k: int) -> int:
 def geometry_row(n: int, k: int) -> dict:
     """One sweep row: norms, defects and equivariance deviations."""
     rep = representation(n, k)
-    config, incidence, sums = _vertex_rows(n, k)
+    config, members, sums = _vertex_rows(n, k)
     eq3 = eq3_deviations(config, rep)
     rel = rep.relation_deviations()
     return {
         "n": n,
         "k": k,
         "min_vertex_norm": _min_norm(sums),
-        "max_edge_defect": _max_defect(incidence, sums),
+        "max_edge_defect": _max_defect(members, sums, config.m),
         "eq3_sigma_dev": eq3["sigma_shift"],
         "eq3_rho_dev": eq3["rho_flip"],
         "eq3_period_dev": eq3["periodicity"],

@@ -10,7 +10,10 @@ otherwise.
 from __future__ import annotations
 
 import itertools
+from math import comb
 from typing import Iterable, Optional, Sequence
+
+import numpy as np
 
 
 class _Frozen:
@@ -231,36 +234,38 @@ def k2() -> Graph:
 # stable sets and Kneser graphs
 
 
-def enumerate_stable_sets(n: int, m: int) -> list[int]:
-    """The bitmasks of all stable n-subsets of Z_m, in lexicographic member order.
+def enumerate_stable_sets(n: int, m: int, members: bool = False) -> list[int] | np.ndarray:
+    """The bitmasks of all stable n-subsets of Z_m (no two members cyclically
+    consecutive) in lexicographic member order, or with members=True their
+    members, as the increasing rows of an intp array.
 
-    Stable means no two cyclically consecutive elements.  The sets with 0
-    are 0 plus a gapped (n-1)-subset of [2, m-2], the others a gapped
-    n-subset of [1, m-1], each run listed by _gapped_masks.  Returns []
-    when m < 2n (no such set fits).
+    With lo = 0 for the sets with 0, else 1, a set reads from lo as n tokens
+    "member, non-member" and k = m - 2n lone non-members at token positions d,
+    a k-subset of [0, n + k) without 0 when lo = 0.  The d in reverse
+    lexicographic order list the sets in lexicographic order.
     """
     if n < 1:
         raise ValueError("stable n-subsets of Z_m need n >= 1, got (n, m) = (%d, %d)"
                          % (n, m))
-    if m < 2 * n:
-        return []
-    # every set containing 0 precedes every set avoiding it
-    return ([1 | rest for rest in _gapped_masks(2, m - 2, n - 1, {})]
-            + _gapped_masks(1, m - 1, n, {}))
-
-
-def _gapped_masks(start: int, limit: int, need: int, memo: dict) -> list[int]:
-    """Masks of the need-subsets of [start, limit] with gaps >= 2, lexicographically.
-
-    Each least member j goes before every mask of the state (j + 2, need - 1).
-    memo, one per limit, keeps each (start, need) state's list: built once.
-    """
-    if (start, need) not in memo:
-        # prune: `need` elements with pairwise gaps >= 2 must fit
-        memo[start, need] = [1 << j | rest for j in range(start, limit - 2 * need + 3)
-                             for rest in _gapped_masks(j + 2, limit, need - 1, memo)
-                             ] if need else [0]
-    return memo[start, need]
+    k = m - 2 * n
+    if k < 0:
+        return np.zeros((0, n), dtype=np.intp) if members else []
+    first = comb(n + k - 1, k)   # the sets with 0, whose d avoid 0, come first
+    gaps = list(itertools.combinations(range(n + k), k))[::-1]
+    gaps = gaps[:first] + gaps
+    if members:
+        free = np.ones((len(gaps), n + k), dtype=bool)
+        free[np.arange(len(gaps))[:, None], np.array(gaps, dtype=np.intp)] = False
+        rows = (np.flatnonzero(free) % (n + k)).reshape(-1, n) + np.arange(n)
+        rows[first:] += 1
+        return rows
+    masks = []   # plain ints: the first numpy calls of a process cost graph-only runs ~1 ms
+    for i, d in enumerate(gaps):
+        mask = (4 ** n - 1) // 3   # members 0, 2, 4, ... before any lone non-member
+        for j, p in enumerate(d):   # a lone non-member at token p moves later members up one
+            mask += mask >> (2 * p - j) << (2 * p - j)
+        masks.append(mask << (i >= first))
+    return masks
 
 
 def kneser_graph(n: int, k: int) -> Graph:

@@ -40,7 +40,7 @@ RUNGS = [
     # C^{13,12}, 1,577,940 covectors, both group actions and negation;
     # 0.31-0.61 s / 129 MB
     ("equivariance", 60, [EQUIVARIANCE, "1", "11"]),
-    # up to 65,892 stable-set masks at n = 14; 1.25-1.77 s / 64-66 MB
+    # up to 65,892 stable sets, one row of members each, at n = 14; 0.99-1.09 s / 62 MB
     ("geometry", 120, ["geometry", "--k", "6", "--sweep", "--n-range", "2..14"]),
     # 65 sweeps of series arithmetic at degree 1024, stopping at the first
     # nonzero exit; 0.82-1.08 s / 34 MB

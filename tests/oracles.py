@@ -653,10 +653,11 @@ def max_edge_defect_by_row_blocks(masks, sums, rows: int = 64) -> float:
     """Max ||u_S + u_T|| over disjoint pairs S < T, u the normalized rows.
 
     Scans every pair: the Gram entries of a block of rows against the rows
-    from the block on, disjointness read off the integer masks (m <= 63).
+    from the block on, disjointness read off the integer masks: int64 while
+    every mask fits in 63 bits, Python ints (an object array) past that.
     """
     unit = sums / np.linalg.norm(sums, axis=1)[:, None]
-    masks = np.array(masks, dtype=np.int64)
+    masks = np.array(masks, dtype=object if any(s >> 63 for s in masks) else np.int64)
     index = np.arange(len(masks))
     worst = 0.0
     for lo in range(0, len(masks), rows):

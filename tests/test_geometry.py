@@ -13,7 +13,7 @@ from stablekneser.geometry import (RealizationError, borsuk_adjacent,
                                    v_of_set, verify_realization)
 from stablekneser.graphs import (DihedralElement, dihedral_act,
                                  enumerate_stable_sets, generate_subgroup,
-                                 stable_kneser_graph)
+                                 set_bits, stable_kneser_graph)
 from stablekneser.matroid import (dihedral_act_sign, enumerate_cocircuits,
                                   enumerate_covectors, is_covector,
                                   parse_sign_vector, render_sign_vector, side_masks)
@@ -491,18 +491,19 @@ def test_max_edge_defect_memory_stays_in_row_blocks():
 
 def test_signed_sums_and_edge_defect_match_the_loops_bit_for_bit():
     # the orbit scan's maximum lies off the orbits' least rows on (4, 1),
-    # (2, 2) and (4, 3), among others: only the rescan gets those exact
-    for k in range(7):
-        for n in range(1, (30 - k) // 2 + 1):
-            config = moment_vectors(n, k)
-            verts = enumerate_stable_sets(n, config.m)
-            incidence = geometry_module._incidence(verts, config.m)
-            sums = geometry_module._signed_sums(incidence, config)
-            loop = alternating_sums_by_set([members(s) for s in verts], config.vectors)
-            assert np.array_equal(sums, loop), (n, k)
-            assert min_vertex_norm(n, k) == float(np.linalg.norm(loop, axis=1).min())
-            assert max_edge_defect(n, k) == max_edge_defect_by_row_blocks(
-                verts, loop), (n, k)
+    # (2, 2) and (4, 3), among others: only the rescan gets those exact;
+    # m = 64, 66 and 67 in the last three cases, the last two with a second
+    # uint64 word per set
+    cases = [(n, k) for k in range(7) for n in range(1, (30 - k) // 2 + 1)]
+    for n, k in cases + [(31, 2), (32, 2), (33, 1)]:
+        config = moment_vectors(n, k)
+        verts = enumerate_stable_sets(n, config.m)
+        sums = geometry_module._signed_sums(enumerate_stable_sets(n, config.m, members=True),
+                                            config)
+        loop = alternating_sums_by_set([members(s) for s in verts], config.vectors)
+        assert np.array_equal(sums, loop), (n, k)
+        assert min_vertex_norm(n, k) == float(np.linalg.norm(loop, axis=1).min())
+        assert max_edge_defect(n, k) == max_edge_defect_by_row_blocks(verts, loop), (n, k)
 
 
 def test_signed_sums_are_dihedral_equivariant():
@@ -513,10 +514,10 @@ def test_signed_sums_are_dihedral_equivariant():
             rep = representation(n, k)
             config = moment_vectors(n, k)
             verts = enumerate_stable_sets(n, m)
-            sums = geometry_module._signed_sums(geometry_module._incidence(verts, m), config)
+            sums = geometry_module._signed_sums(np.array([set_bits(s) for s in verts]), config)
             for g in (DihedralElement.sigma(m), DihedralElement.rho(m)):
-                images = [dihedral_act(s, g) for s in verts]
-                moved = geometry_module._signed_sums(geometry_module._incidence(images, m), config)
+                images = [set_bits(dihedral_act(s, g)) for s in verts]
+                moved = geometry_module._signed_sums(np.array(images), config)
                 assert np.abs(moved - sums @ rep.matrix(g).T).max() < 1e-12, (n, k, g)
 
 

@@ -3,6 +3,7 @@ import itertools
 import pickle
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -82,6 +83,20 @@ def test_stable_sets_edge_cases():
     assert [members(s) for s in enumerate_stable_sets(2, 4)] == [(0, 2), (1, 3)]
     with pytest.raises(ValueError, match=r"\(n, m\) = \(0, 4\)"):
         enumerate_stable_sets(0, 4)
+
+
+def test_member_rows_list_the_stable_sets_in_order():
+    # from m = 2n - 1 (no set fits) to 2n + 8, n = 1 included
+    for n in range(1, 10):
+        for m in range(2 * n - 1, 2 * n + 9):
+            rows = enumerate_stable_sets(n, m, members=True)
+            assert rows.dtype == np.intp and rows.shape[1] == n, (n, m)
+            assert rows.tolist() == [set_bits(s) for s in enumerate_stable_sets(n, m)], (n, m)
+    with pytest.raises(ValueError) as masks_err:
+        enumerate_stable_sets(0, 4)
+    with pytest.raises(ValueError) as rows_err:
+        enumerate_stable_sets(0, 4, members=True)
+    assert str(rows_err.value) == str(masks_err.value)
 
 
 def test_stable_kneser_graph_families():
