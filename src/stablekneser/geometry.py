@@ -235,6 +235,17 @@ def _realize_zero_sets(vectors: np.ndarray | Sequence[SignVector],
     return points
 
 
+def _tally(keys: np.ndarray, counts: np.ndarray,
+           block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct keys and their int64 counts, with one more block of keys counted in."""
+    new, more = np.unique(block, return_counts=True)
+    at = np.searchsorted(keys, new)
+    seen = at < len(keys)
+    seen[seen] = keys[at[seen]] == new[seen]
+    counts[at[seen]] += more[seen]
+    return np.insert(keys, at[~seen], new[~seen]), np.insert(counts, at[~seen], more[~seen])
+
+
 def verify_realization(m: int, k: int, samples: int = 100000, seed: int = 0) -> dict:
     """Cross-validate the covector rule against the geometric configuration.
 
@@ -251,14 +262,13 @@ def verify_realization(m: int, k: int, samples: int = 100000, seed: int = 0) -> 
         each j every term has sign t_j or 0 and some term has t_j: the sum
         has sign vector t exactly.
     Any discrepancy raises RealizationError.  The points of (a) are drawn
-    _REALIZE_BLOCK at a time, the same stream as one draw, and only the
-    distinct sign patterns are kept between blocks, merged by np.unique on
-    one integer key per row, so memory follows the number of distinct
-    patterns, not samples.  The distinct rows are decoded once into int8
-    signs and checked by one is_covector call on the array, and
-    non_covector_samples sums the counts of the rows it rejects.  Every
-    sign is read with ZERO_TOL.  A negative samples or seed is refused
-    before any sampling.
+    _REALIZE_BLOCK at a time, the same stream as one draw, and each block's
+    sign rows are tallied by _tally into one sorted array of distinct row
+    keys and their counts, so memory follows the distinct patterns, not the
+    samples.  The kept keys are decoded once into int8 signs for one
+    is_covector call, and non_covector_samples sums the counts of the rows
+    it rejects.  Every sign is read with ZERO_TOL.  A negative samples or
+    seed is refused before any sampling.
     """
     config = config_for(m, k)
     if samples < 0:
@@ -270,31 +280,20 @@ def verify_realization(m: int, k: int, samples: int = 100000, seed: int = 0) -> 
     rng = np.random.default_rng(seed)
     report: dict = {"m": m, "k": k, "samples": samples, "seed": seed}
 
-    # each full-support row as int64 words, bit j % 63 of word j // 63 set
-    # when sign j is +; only the distinct rows seen so far are kept between
-    # blocks, merged on one 1-D key per row: the first word, ranked with each next
+    # a full-support row's key: bit j % 63 of int64 word j // 63 set when sign
+    # j is +, and from m = 64 on the words folded into a Python int
     word, bit = np.divmod(np.arange(m), 63)
-    weights = np.zeros((m, word[-1] + 1), dtype=np.int64)
-    weights[np.arange(m), word] = 1 << bit
-    codes = np.zeros((0, weights.shape[1]), dtype=np.int64)
-    counts = np.zeros(0)
+    weights = np.where(word[:, None] == np.arange(word[-1] + 1), 1 << bit[:, None], 0)
+    keys, counts = np.zeros(0, dtype=np.int64 if m < 64 else object), np.zeros(0, dtype=np.int64)
     for lo in range(0, samples, _REALIZE_BLOCK):
         size = min(_REALIZE_BLOCK, samples - lo)
         vals = rng.standard_normal((size, k + 1)) @ config.vectors.T
         small = np.abs(vals) < ZERO_TOL
         if small.any():   # rows with a zero sign leave; else no copy
             vals = vals[~small.any(axis=1)]
-        block = (vals > 0) @ weights
-        codes = np.concatenate([codes, block])
-        key = codes[:, 0]
-        for column in codes.T[1:]:
-            key = (np.unique(key, return_inverse=True)[1] * len(key)
-                   + np.unique(column, return_inverse=True)[1])
-        inverse = np.unique(key, return_inverse=True)[1]
-        counts = np.bincount(inverse, np.concatenate([counts, np.ones(len(block))]))
-        first = np.empty(len(counts), dtype=np.intp)
-        first[inverse] = np.arange(len(inverse))   # any row of each key will do
-        codes = codes[first]
+        codes = ((vals > 0) @ weights).astype(keys.dtype, copy=False)
+        keys, counts = _tally(keys, counts, sum(c << 63 * i for i, c in enumerate(codes.T)))
+    codes = np.array([keys >> 63 * i & (1 << 63) - 1 for i in range(word[-1] + 1)], np.int64).T
     signs = np.where(codes[:, word] >> bit & 1, 1, -1).astype(np.int8)
     non_covector = int(counts[~is_covector(signs, k)].sum())
     report["sampled_full_support_patterns"] = len(signs)

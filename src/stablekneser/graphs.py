@@ -251,16 +251,17 @@ def enumerate_stable_sets(n: int, m: int, members: bool = False) -> list[int] | 
     if k < 0:
         return np.zeros((0, n), dtype=np.intp) if members else []
     first = comb(n + k - 1, k)   # the sets with 0, whose d avoid 0, come first
-    gaps = list(itertools.combinations(range(n + k), k))[::-1]
-    gaps = gaps[:first] + gaps
     if members:
-        free = np.ones((len(gaps), n + k), dtype=bool)
-        free[np.arange(len(gaps))[:, None], np.array(gaps, dtype=np.intp)] = False
-        rows = (np.flatnonzero(free) % (n + k)).reshape(-1, n) + np.arange(n)
+        gaps = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(n + k), k)),
+                           np.intp, comb(n + k, k) * k).reshape(comb(n + k, k), k)[::-1]
+        free = np.ones((first + len(gaps), n + k), dtype=bool)
+        np.put_along_axis(free, np.concatenate([gaps[:first], gaps]), False, axis=1)
+        rows = np.nonzero(free)[1].reshape(-1, n) + np.arange(n)
         rows[first:] += 1
         return rows
+    gaps = list(itertools.combinations(range(n + k), k))[::-1]
     masks = []   # plain ints: the first numpy calls of a process cost graph-only runs ~1 ms
-    for i, d in enumerate(gaps):
+    for i, d in enumerate(gaps[:first] + gaps):
         mask = (4 ** n - 1) // 3   # members 0, 2, 4, ... before any lone non-member
         for j, p in enumerate(d):   # a lone non-member at token p moves later members up one
             mask += mask >> (2 * p - j) << (2 * p - j)

@@ -40,7 +40,7 @@ RUNGS = [
     # C^{13,12}, 1,577,940 covectors, both group actions and negation;
     # 0.31-0.61 s / 129 MB
     ("equivariance", 60, [EQUIVARIANCE, "1", "11"]),
-    # up to 65,892 stable sets, one row of members each, at n = 14; 0.99-1.09 s / 62 MB
+    # up to 65,892 stable sets, one row of members each, at n = 14; 0.68-0.81 s / 60 MB
     ("geometry", 120, ["geometry", "--k", "6", "--sweep", "--n-range", "2..14"]),
     # 65 sweeps of series arithmetic at degree 1024, stopping at the first
     # nonzero exit; 0.82-1.08 s / 34 MB
@@ -49,10 +49,11 @@ RUNGS = [
     # 125,970 cocircuits whose 62,985 ± pairs each get their point from a
     # product of sines; 0.25-0.30 s / 78 MB
     ("realization", 120, ["matroid", "--m", "20", "--k", "8", "--samples", "0"]),
-    # 245 sample blocks merged into 1,043 distinct rows, checked against the
-    # covector rule in one array call; 0.15-0.21 s / 38 MB
+    # 245 sample blocks tallied into 1,043 sorted keys, checked against the
+    # covector rule in one array call; 0.14-0.20 s / 38 MB
     ("sampler-12", 120, ["matroid", "--m", "12", "--k", "4", "--samples", "1000000"]),
-    # two int64 words per sampled row; 0.08-0.11 s / 46-48 MB
+    # two int64 words per sampled row, folded into one Python-int key;
+    # 0.13-0.19 s / 48 MB
     ("sampler-70", 120, ["matroid", "--m", "70", "--k", "2", "--samples", "100000"]),
     # Hom(K_2, SG_{2,4}), 129,666 cells reduced from the top dimension down
     # with cleared rows; 0.49-0.57 s / 83 MB

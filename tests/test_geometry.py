@@ -276,6 +276,27 @@ def test_verify_realization_packs_rows_past_one_word():
     assert len(sampled_sign_patterns(config_for(70, 2).vectors, 1000, 0, TOL)) == 636
 
 
+@settings(deadline=None, max_examples=200)
+@given(st.integers(1, 70), st.data())
+def test_tally_in_blocks_is_one_unique_over_the_stream(m, data):
+    # the sampler's keys: int64 words up to m = 63, Python ints past 63 bits
+    # from m = 64 on; a few distinct values so that blocks repeat keys
+    dtype = np.int64 if m < 64 else object
+    pool = data.draw(st.lists(st.integers(0, 2 ** m - 1), min_size=1, max_size=8))
+    picks = data.draw(st.lists(st.integers(0, len(pool) - 1), max_size=60))
+    stream = np.array([pool[i] for i in picks], dtype=dtype)
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(stream)), max_size=12)))
+    expected = np.unique(stream, return_counts=True)
+    for blocks in (np.split(stream, cuts), np.split(stream, range(1, len(stream)))):
+        keys, counts = np.zeros(0, dtype), np.zeros(0, dtype=np.int64)
+        for block in blocks:   # empty blocks too, as when every row has a zero sign
+            keys, counts = geometry_module._tally(keys, counts, block)
+        assert keys.dtype == dtype and counts.dtype == np.int64
+        assert keys.tolist() == expected[0].tolist()
+        assert counts.tolist() == expected[1].tolist()
+        assert all(a < b for a, b in zip(keys.tolist(), keys.tolist()[1:]))
+
+
 def test_verify_realization_refuses_bad_input_up_front():
     with pytest.raises(ValueError, match=r"\(m, k\) = \(3, 5\)"):
         verify_realization(3, 5)
