@@ -19,7 +19,7 @@ vertex bitmasks, bit i for vertex i: the neighbourhood complex takes the
 maximal adjacency rows, the order complex the maximal chains as masks of
 element indices, and faces are listed as submasks.  A simplex is then the
 one-field cell, so one cellular boundary routine serves Hom and simplicial
-complexes alike, its rows bit-packed into ints and ranked over GF(2).
+complexes alike, each row the set of a cell's faces, ranked over GF(2).
 """
 
 from __future__ import annotations
@@ -141,22 +141,22 @@ class SimplicialComplex(_Frozen):
         return tuple(map(len, self.all_faces().values()))
 
 
-def gf2_pivots(rows: Iterable[int]) -> dict[int, int]:
-    """Reduce bit-packed rows over GF(2) in order: the nonzero reduced rows by highest bit."""
-    pivots: dict[int, int] = {}
+def gf2_pivots(rows: Iterable[set]) -> dict:
+    """Reduce column sets over GF(2) in order: the nonzero reduced rows by largest column."""
+    pivots: dict = {}
     for r in rows:
         while r:
-            p = r.bit_length() - 1
+            p = max(r)
             if p not in pivots:
                 pivots[p] = r
                 break
-            r ^= pivots[p]
+            r = r ^ pivots[p]
     return pivots
 
 
 def gf2_rank_sparse(rows: Sequence[set]) -> int:
-    """Rank over GF(2); rows as sets of column indices, bit-packed for gf2_pivots."""
-    return len(gf2_pivots(sum(1 << j for j in set(row)) for row in rows))
+    """Rank over GF(2); rows as sets of column indices."""
+    return len(gf2_pivots(set(row) for row in rows))
 
 
 def _cell_faces(cell: int, width: int):
@@ -171,22 +171,16 @@ def _cell_faces(cell: int, width: int):
             yield face
 
 
-def boundary_rank(cells: Sequence[int], below_index: dict[int, int], width: int,
+def boundary_rank(cells: Sequence[int], below: Sequence[int], width: int,
                   cleared: set[int]) -> set[int]:
-    """Pivots over GF(2) of the boundary from `cells`, skipping the indices in `cleared`.
+    """Pivots over GF(2) of the boundary from `cells`, skipping the cells in `cleared`.
 
-    A cell is packed in width-bit fields, a product of simplices; its row has
-    bit below_index[f] for each codimension-one face f.  The pivot count is the rank.
+    A cell is packed in width-bit fields, a product of simplices; its row is
+    the set of its codimension-one faces, its pivot the largest face.  The
+    pivot count is the rank.
     """
-    def rows():
-        for i, c in enumerate(cells):
-            if i not in cleared:
-                row = 0
-                for f in _cell_faces(c, width):
-                    row ^= 1 << below_index[f]
-                yield row
-
-    return set(gf2_pivots(rows()))
+    # below: the (d-1)-cells, read only by perfbench/tracing.py as the column count
+    return set(gf2_pivots(set(_cell_faces(c, width)) for c in cells if c not in cleared))
 
 
 def _cellular_betti(cells: dict[int, list[int]], width: int) -> tuple[int, ...]:
@@ -194,15 +188,17 @@ def _cellular_betti(cells: dict[int, list[int]], width: int) -> tuple[int, ...]:
 
     Every dimension from 0 to the top holds cells, and every face of a cell
     is a cell.  The boundaries are reduced from the top dimension down, and a
-    pivot p of dimension d, which heads a reduced row that is a boundary,
-    clears the row of (d-1)-cell p, a sum of lower rows (Chen and Kerber).
+    pivot p of dimension d, the largest face of a reduced row that is a
+    boundary, clears the row of (d-1)-cell p (Chen and Kerber).  The reduced
+    rows have distinct largest faces, so every (d-1)-chain is a sum of them
+    plus a chain on the other cells, and the cleared row lies in the span of
+    the rows kept, whatever the order of the cells.
     """
     top = max(cells, default=-1)
     ranks = [0] * (top + 2)   # ranks[d]: the boundary from dimension d to d - 1
     cleared: set[int] = set()
     for d in range(top, 0, -1):
-        cleared = boundary_rank(cells[d], {c: i for i, c in enumerate(cells[d - 1])},
-                                width, cleared)
+        cleared = boundary_rank(cells[d], cells[d - 1], width, cleared)
         ranks[d] = len(cleared)
     betti = [len(cells[d]) - ranks[d] - ranks[d + 1] for d in range(top + 1)]
     while len(betti) > 1 and betti[-1] == 0:

@@ -56,9 +56,9 @@ RUNGS = [
     # 0.13-0.19 s / 48 MB
     ("sampler-70", 120, ["matroid", "--m", "70", "--k", "2", "--samples", "100000"]),
     # Hom(K_2, SG_{2,4}), 129,666 cells reduced from the top dimension down
-    # with cleared rows; 0.49-0.57 s / 83 MB
+    # with cleared rows, each row a set of faces; 0.47-0.79 s / 53 MB
     ("homology-2-4", 120, ["homology", "--n", "2", "--k", "4"]),
-    # Hom(K_2, SG_{4,3}), 596,420 cells; 4.39-5.12 s / 716 MB
+    # Hom(K_2, SG_{4,3}), 596,420 cells; 3.25-4.50 s / 147 MB
     ("homology-4-3", 120, ["homology", "--n", "4", "--k", "3"]),
     # SG_{7,2}, 64 vertices: one refutation of 3 colours plus one search per
     # orbit; 2.07-2.50 s / 30 MB, no growth over the imports

@@ -2,6 +2,9 @@ import os
 import subprocess
 import sys
 
+from stablekneser.complexes import hom_cells, neighbourhood_complex
+from stablekneser.graphs import k2, stable_kneser_graph
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # Runs in a fresh interpreter: installing the tracer replaces package
@@ -17,3 +20,24 @@ def test_benchmark_tracer_finds_every_hooked_name():
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert int(done.stdout) > 0
+
+
+# Runs homology --n 2 --k 2 under the tracer; the last line is the
+# boundary_rank hook's column count.
+TRACED_HOMOLOGY = ("import sys; sys.path[:0] = ['src', 'perfbench']; import stablekneser; "
+                   "from stablekneser import cli; from tracing import Tracer; "
+                   "t = Tracer(); t.install(stablekneser); "
+                   "cli.main(['homology', '--n', '2', '--k', '2']); "
+                   "print(t.counters['complexes.boundary_cols_max'])")
+
+
+def test_boundary_cols_max_is_the_largest_count_of_faces_one_dimension_down():
+    """The boundary_rank hook reads its second argument as the list of (d-1)-cells."""
+    g = stable_kneser_graph(2, 2)
+    expected = max(len(cells[d - 1])
+                   for cells in (hom_cells(k2(), g), neighbourhood_complex(g).all_faces())
+                   for d in cells if d)
+    done = subprocess.run([sys.executable, "-c", TRACED_HOMOLOGY], cwd=ROOT,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert float(done.stdout.splitlines()[-1]) == expected
