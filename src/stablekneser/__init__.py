@@ -22,7 +22,7 @@ from .geometry import (MomentConfig, OrthogonalRep, RealizationError,
 from .graphs import (DihedralElement, Graph, automorphism_group_order,
                      chromatic_number, dihedral_act, enumerate_stable_sets,
                      free_action_check, kneser_graph, stable_kneser_graph,
-                     vertex_criticality_check)
+                     vertex_criticality_check, vertex_orbits)
 from .matroid import (SignVector, count_covectors, covector_extension_feasible,
                       covector_leq, dihedral_act_sign, enumerate_cocircuits,
                       enumerate_covectors, is_covector, is_vector,

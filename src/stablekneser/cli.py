@@ -62,18 +62,22 @@ def cmd_graph(cfg: RunConfig) -> tuple[dict, int]:
         "edge_count": len(g.edges()),
     }
     status = 0
-    chi = None
+    chi = certificates = None
+    if cfg.critical:
+        m = report["m"]
+        symmetries = [graphs.vertex_permutation(g, graphs.DihedralElement.sigma(m)),
+                      graphs.vertex_permutation(g, graphs.DihedralElement.rho(m))]
+        # the refutation at chi - 1 certifies the orbits that --critical checks
+        certificates = dict.fromkeys(graphs.vertex_orbits(g, symmetries).values())
     if cfg.chromatic:
-        chi, witness = graphs.chromatic_number(g, return_colouring=True)
+        chi, witness = graphs.chromatic_number(g, return_colouring=True,
+                                               certificates=certificates)
         report["chi"] = chi
         report["chi_witness"] = witness
         if not graphs.is_valid_colouring(g, witness):
             status = 1
     if cfg.critical:
-        m = report["m"]
-        symmetries = [graphs.vertex_permutation(g, graphs.DihedralElement.sigma(m)),
-                      graphs.vertex_permutation(g, graphs.DihedralElement.rho(m))]
-        report["critical"] = graphs.vertex_criticality_check(g, chi, symmetries)
+        report["critical"] = graphs.vertex_criticality_check(g, chi, symmetries, certificates)
     if cfg.aut:
         report["aut_order"] = graphs.automorphism_group_order(g)
     return report, status

@@ -280,20 +280,23 @@ def verify_realization(m: int, k: int, samples: int = 100000, seed: int = 0) -> 
     rng = np.random.default_rng(seed)
     report: dict = {"m": m, "k": k, "samples": samples, "seed": seed}
 
-    # a full-support row's key: bit j % 63 of int64 word j // 63 set when sign
-    # j is +, and from m = 64 on the words folded into a Python int
+    # a full-support row's words: bit j % 63 of int64 word j // 63 set when
+    # sign j is +.  Its key is its one word, or from m = 64 on the bytes of
+    # its words, which view back to the words
     word, bit = np.divmod(np.arange(m), 63)
-    weights = np.where(word[:, None] == np.arange(word[-1] + 1), 1 << bit[:, None], 0)
-    keys, counts = np.zeros(0, dtype=np.int64 if m < 64 else object), np.zeros(0, dtype=np.int64)
+    words = word[-1] + 1
+    weights = np.where(word[:, None] == np.arange(words), 1 << bit[:, None], 0)
+    void = np.dtype("V%d" % (8 * words))
+    keys, counts = np.zeros(0, dtype=np.int64 if m < 64 else void), np.zeros(0, dtype=np.int64)
     for lo in range(0, samples, _REALIZE_BLOCK):
         size = min(_REALIZE_BLOCK, samples - lo)
         vals = rng.standard_normal((size, k + 1)) @ config.vectors.T
         small = np.abs(vals) < ZERO_TOL
         if small.any():   # rows with a zero sign leave; else no copy
             vals = vals[~small.any(axis=1)]
-        codes = ((vals > 0) @ weights).astype(keys.dtype, copy=False)
-        keys, counts = _tally(keys, counts, sum(c << 63 * i for i, c in enumerate(codes.T)))
-    codes = np.array([keys >> 63 * i & (1 << 63) - 1 for i in range(word[-1] + 1)], np.int64).T
+        codes = (vals > 0) @ weights
+        keys, counts = _tally(keys, counts, codes[:, 0] if m < 64 else codes.view(void).ravel())
+    codes = keys.view(np.int64).reshape(-1, words)
     signs = np.where(codes[:, word] >> bit & 1, 1, -1).astype(np.int8)
     non_covector = int(counts[~is_covector(signs, k)].sum())
     report["sampled_full_support_patterns"] = len(signs)

@@ -303,7 +303,8 @@ def _disjointness_graph(labels: Sequence[int]) -> Graph:
 # exact chromatic number
 
 
-def chromatic_number(g: Graph, return_colouring: bool = False):
+def chromatic_number(g: Graph, return_colouring: bool = False,
+                     certificates: Optional[dict] = None):
     """Exact chromatic number with a witness colouring.
 
     A greedy colouring in decreasing degree order (lowest index on ties)
@@ -313,6 +314,11 @@ def chromatic_number(g: Graph, return_colouring: bool = False):
     the search finds fewer colours, in which case vertex v gets colour c
     when it lies in class c of the search at chi.  A loop makes the graph
     uncolourable and raises.
+
+    `certificates`, when given, is a dict keyed by vertex orbits of some
+    automorphisms of g, as bitmasks (`vertex_orbits`).  Each count's search
+    refills it by `_leaf_certifier`, so it ends with what the refutation at
+    chi - 1 read off its failing leaves; the search and witness are unchanged.
     """
     if not g.is_loopless():
         raise ValueError("graph has a loop; chromatic number undefined")
@@ -330,7 +336,10 @@ def chromatic_number(g: Graph, return_colouring: bool = False):
     chi = max(best) + 1
 
     full, classes = (1 << n) - 1, []
-    while chi > 1 and (found := _k_colouring(g.adjacency, full, chi - 1)) is not None:
+    while chi > 1:
+        leaf = None if certificates is None else _leaf_certifier(certificates)
+        if (found := _k_colouring(g.adjacency, full, chi - 1, leaf)) is None:
+            break
         chi, classes = chi - 1, found
     for c, cls in enumerate(classes):
         for v in set_bits(cls):
@@ -350,7 +359,8 @@ def permute_mask(mask: int, perm: Sequence[int]) -> int:
     return out
 
 
-def _k_colouring(adj: Sequence[int], mask: int, kcol: int) -> Optional[list[int]]:
+def _k_colouring(adj: Sequence[int], mask: int, kcol: int, leaf=None,
+                 above: tuple[int, ...] = ()) -> Optional[list[int]]:
     """At most kcol independent classes covering the vertices of mask, or None.
 
     Decides whether the subgraph on mask (adj holds the adjacency rows) is
@@ -362,6 +372,10 @@ def _k_colouring(adj: Sequence[int], mask: int, kcol: int) -> Optional[list[int]
     Bron-Kerbosch (Tomita et al. 2006) on the complement, and colours the
     rest with one colour fewer.  Two colours are a breadth-first
     2-colouring.  The classes are disjoint bitmasks whose union is mask.
+
+    `above` holds the classes the recursion has chosen on the way down;
+    `leaf`, when given, is called as leaf(adj, rest, above) at each leaf
+    whose two-colour test fails on the rest.
     """
     if not mask:
         return []
@@ -369,7 +383,10 @@ def _k_colouring(adj: Sequence[int], mask: int, kcol: int) -> Optional[list[int]
         independent = kcol == 1 and all(adj[v] & mask == 0 for v in set_bits(mask))
         return [mask] if independent else None
     if kcol == 2:
-        return _two_colouring(adj, mask)
+        sides = _two_colouring(adj, mask)
+        if sides is None and leaf is not None:
+            leaf(adj, mask, above)
+        return sides
     v = max(set_bits(mask), key=lambda u: ((adj[u] & mask).bit_count(), -u))
     closed = [row | 1 << i for i, row in enumerate(adj)]
 
@@ -380,7 +397,7 @@ def _k_colouring(adj: Sequence[int], mask: int, kcol: int) -> Optional[list[int]
         if not cand:
             if done:
                 return None
-            rest = _k_colouring(adj, mask & ~chosen, kcol - 1)
+            rest = _k_colouring(adj, mask & ~chosen, kcol - 1, leaf, above + (chosen,))
             return None if rest is None else [chosen] + rest
         # pivot u: branch only on u and its neighbours in cand, since a
         # maximal set without them would take u.  u is the lowest of the
@@ -443,32 +460,55 @@ def _two_colouring(adj: Sequence[int], mask: int) -> Optional[list[int]]:
     return sides
 
 
+def _leaf_certifier(certificates: dict):
+    """The leaf hook of one search; it first sets each value of certificates,
+    a dict keyed by vertex orbits as bitmasks, to None.
+
+    At a failing leaf the search holds classes `above` and a rest R that is
+    not bipartite.  If R - w is bipartite, `above` and the two sides of
+    R - w colour G - w with as many classes as the search allows, and G - w'
+    is isomorphic to G - w for every w' in w's orbit, so these classes
+    become the orbit's value.  Each vertex of an orbit not yet certified is
+    tried once, at the first leaf whose rest holds it, so a search adds at
+    most |V| bipartiteness tests.
+    """
+    orbit_of = {}
+    for orbit in certificates:
+        certificates[orbit] = None
+        for w in set_bits(orbit):
+            orbit_of[w] = orbit
+    untried = sum(certificates)   # the orbits are disjoint
+
+    def leaf(adj: Sequence[int], rest: int, above: tuple[int, ...]) -> None:
+        nonlocal untried
+        todo = rest & untried
+        while todo:
+            settled = todo & -todo
+            sides = _two_colouring(adj, rest ^ settled)
+            if sides is not None:
+                settled = orbit_of[settled.bit_length() - 1]
+                certificates[settled] = [*above, *sides]
+            untried &= ~settled
+            todo &= ~settled
+
+    return leaf
+
+
 def is_valid_colouring(g: Graph, colouring: Sequence[int]) -> bool:
     """True iff every colour is >= 0 and every edge has two colours; a loop never does."""
     return all(colouring[i] != colouring[j] for i, j in g.edges()) and \
         all(colouring[v] >= 0 for v in range(g.n))
 
 
-def vertex_criticality_check(g: Graph, chi: Optional[int] = None,
-                             automorphisms: Sequence[Sequence[int]] = ()) -> bool:
-    """True iff deleting any single vertex lowers the chromatic number.
+def vertex_orbits(g: Graph, automorphisms: Sequence[Sequence[int]] = ()) -> dict[int, int]:
+    """The orbits of the group the automorphisms generate on the vertices of g.
 
-    `chi` must be the chromatic number of g; when None it is computed with
-    `chromatic_number`.  Each entry of `automorphisms` is a vertex
-    permutation (perm[i] is the image of vertex i) and must map adjacency
-    rows onto adjacency rows; anything else raises ValueError before any
-    colouring search.  Deleting v or its image under an automorphism gives
-    isomorphic graphs, so one (chi - 1)-colouring search per orbit of the
-    generated group decides the answer exactly.  Each search runs
-    `_k_colouring` on the mask of every vertex but the orbit's union-find
-    root, the vertex its merges end at (not in general its least one).
-    Classes that are not at most chi - 1 disjoint independent sets covering
-    that mask raise RuntimeError.
+    A dict from each orbit's union-find root, the vertex its merges end at
+    (not in general its least one), to the orbit as a bitmask, roots
+    ascending.  Each automorphism is a vertex permutation (perm[i] is the
+    image of vertex i); this function does not check that it is one, as
+    `vertex_permutation` and `vertex_criticality_check` do.
     """
-    if g.n == 0:
-        raise ValueError("empty graph")
-    if not g.is_loopless():
-        raise ValueError("graph has a loop; chromatic number undefined")
     n = g.n
     parent = list(range(n))
 
@@ -479,26 +519,63 @@ def vertex_criticality_check(g: Graph, chi: Optional[int] = None,
         return v
 
     for perm in automorphisms:
-        _check_automorphism(g, perm)
         for i in range(n):
             parent[find(i)] = find(perm[i])
+    orbits: dict[int, int] = {}
+    for v in range(n):
+        root = find(v)
+        orbits[root] = orbits.get(root, 0) | 1 << v
+    return dict(sorted(orbits.items()))
+
+
+def vertex_criticality_check(g: Graph, chi: Optional[int] = None,
+                             automorphisms: Sequence[Sequence[int]] = (),
+                             certificates: Optional[dict] = None) -> bool:
+    """True iff deleting any single vertex lowers the chromatic number.
+
+    `chi` must be the chromatic number of g.  Each entry of `automorphisms`
+    is a vertex permutation (perm[i] is the image of vertex i) and must map
+    adjacency rows onto adjacency rows; anything else raises ValueError
+    before any colouring search.  Deleting v or its image under an
+    automorphism gives isomorphic graphs, so g is critical iff, for each
+    orbit of the generated group (`vertex_orbits`), deleting one of its
+    vertices leaves a (chi - 1)-colourable graph.
+
+    An orbit's classes are its value in `certificates`, keyed by orbits as
+    `chromatic_number` fills it, when that value is not None; otherwise
+    they come from a `_k_colouring` search with chi - 1 colours on every
+    vertex but the orbit's root, and if that fails g is not critical.  When
+    chi is None, chi and the certificates come from one `chromatic_number`
+    call, whose refutation at chi - 1 certifies the orbits as it goes.
+    Classes that are not at most chi - 1 disjoint independent sets covering
+    every vertex but one of the orbit raise RuntimeError.
+    """
+    if g.n == 0:
+        raise ValueError("empty graph")
+    if not g.is_loopless():
+        raise ValueError("graph has a loop; chromatic number undefined")
+    for perm in automorphisms:
+        _check_automorphism(g, perm)
+    orbits = vertex_orbits(g, automorphisms)
     if chi is None:
-        chi = chromatic_number(g)
+        certificates = dict.fromkeys(orbits.values())
+        chi = chromatic_number(g, certificates=certificates)
     elif chi < 1:
         raise ValueError("chi = %d cannot be the chromatic number of a nonempty graph" % chi)
-    for v in range(n):
-        if find(v) != v:
-            continue
-        mask = (1 << n) - 1 ^ 1 << v
-        classes = _k_colouring(g.adjacency, mask, chi - 1)
+    full = (1 << g.n) - 1
+    for root, orbit in orbits.items():
+        classes = certificates.get(orbit) if certificates else None
         if classes is None:
-            return False
+            classes = _k_colouring(g.adjacency, full ^ 1 << root, chi - 1)
+            if classes is None:
+                return False
         covered = 0
         for cls in classes:
-            if cls & covered or any(g.adjacency[u] & cls for u in set_bits(cls)):
+            if cls & (covered | ~full) or any(g.adjacency[u] & cls for u in set_bits(cls)):
                 raise RuntimeError("colouring search returned an improper colouring")
             covered |= cls
-        if covered != mask or len(classes) > chi - 1:
+        left = full ^ covered
+        if left & (left - 1) or not left & orbit or len(classes) > chi - 1:
             raise RuntimeError("colouring search returned an improper colouring")
     return True
 

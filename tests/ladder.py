@@ -52,19 +52,27 @@ RUNGS = [
     # 245 sample blocks tallied into 1,043 sorted keys, checked against the
     # covector rule in one array call; 0.14-0.20 s / 38 MB
     ("sampler-12", 120, ["matroid", "--m", "12", "--k", "4", "--samples", "1000000"]),
-    # two int64 words per sampled row, folded into one Python-int key;
-    # 0.13-0.19 s / 48 MB
+    # two int64 words per sampled row, keyed by their 16 bytes;
+    # 0.08-0.13 s / 46 MB
     ("sampler-70", 120, ["matroid", "--m", "70", "--k", "2", "--samples", "100000"]),
     # Hom(K_2, SG_{2,4}), 129,666 cells reduced from the top dimension down
     # with cleared rows, each row a set of faces; 0.47-0.79 s / 53 MB
     ("homology-2-4", 120, ["homology", "--n", "2", "--k", "4"]),
     # Hom(K_2, SG_{4,3}), 596,420 cells; 3.25-4.50 s / 147 MB
     ("homology-4-3", 120, ["homology", "--n", "4", "--k", "3"]),
-    # SG_{7,2}, 64 vertices: one refutation of 3 colours plus one search per
-    # orbit; 2.07-2.50 s / 30 MB, no growth over the imports
+    # SG_{7,2}, 64 vertices: one refutation of 3 colours, whose failing
+    # leaves certify all four orbits, so no search per orbit;
+    # 1.40-1.78 s / 30 MB, no growth over the imports
     ("graph-7-2", 120, ["graph", "--n", "7", "--k", "2", "--chromatic", "--critical"]),
     # SG_{4,3}, 55 vertices, chi = 5; 0.23-0.27 s / 30 MB
     ("graph-4-3", 120, ["graph", "--n", "4", "--k", "3", "--chromatic", "--critical"]),
+    # SG_{3,4}, 50 vertices: greedy spends 7 colours on chi = 6, so the
+    # witness comes from the search at 6 before the refutation of 5;
+    # 0.15-0.20 s / 30 MB
+    ("graph-3-4", 120, ["graph", "--n", "3", "--k", "4", "--chromatic", "--critical"]),
+    # SG_{6,2}, 49 vertices, --critical alone: the check runs the
+    # refutation itself and reads its orbits off it; 0.06-0.07 s / 30 MB
+    ("graph-6-2-critical", 120, ["graph", "--n", "6", "--k", "2", "--critical"]),
 ]
 
 

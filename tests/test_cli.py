@@ -11,7 +11,7 @@ import jsonschema
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stablekneser import charclasses, cli, complexes, geometry
+from stablekneser import charclasses, cli, complexes, geometry, graphs
 
 SCHEMA_DIR = os.path.join(os.path.dirname(cli.__file__), "schemas")
 
@@ -58,6 +58,28 @@ def test_cmd_graph_chromatic_critical_output_pinned():
         '{"chi": 4, "chi_witness": [0, 0, 0, 1, 0, 0, 1, 1, 1, 2, 2, 1, 0, 2, 3, 1], '
         '"command": "graph", "critical": true, "edge_count": 36, "k": 2, "m": 8, '
         '"n": 3, "vertex_count": 16}\n')
+
+def test_cmd_graph_critical_runs_no_colouring_search_past_the_refutation(monkeypatch):
+    # on SG_{5,2} the refutation of 3 colours certifies every dihedral orbit,
+    # so --critical, with or without --chromatic, makes the same calls as
+    # --chromatic alone
+    search, calls = graphs._k_colouring, []
+
+    def counted(adj, mask, kcol, *leaf_and_above):
+        calls.append((mask, kcol))
+        return search(adj, mask, kcol, *leaf_and_above)
+
+    monkeypatch.setattr(graphs, "_k_colouring", counted)
+    argv = ["graph", "--n", "5", "--k", "2"]
+    runs = []
+    for flags in (["--chromatic"], ["--chromatic", "--critical"], ["--critical"]):
+        calls.clear()
+        text, status = run_cli(argv + flags)
+        assert status == 0 and json.loads(text).get("critical", True) is True
+        runs.append(list(calls))
+    assert runs[0][0] == ((1 << 36) - 1, 3) and len(runs[0]) > 1   # refuting chi - 1
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+
 
 def test_cmd_graph_21():
     text, _ = run_cli(["graph", "--n", "2", "--k", "1", "--chromatic", "--aut"])

@@ -279,12 +279,16 @@ def test_verify_realization_packs_rows_past_one_word():
 @settings(deadline=None, max_examples=200)
 @given(st.integers(1, 70), st.data())
 def test_tally_in_blocks_is_one_unique_over_the_stream(m, data):
-    # the sampler's keys: int64 words up to m = 63, Python ints past 63 bits
-    # from m = 64 on; a few distinct values so that blocks repeat keys
-    dtype = np.int64 if m < 64 else object
+    # the sampler's keys: one int64 word up to m = 63, from m = 64 on the
+    # bytes of a row's 63-bit int64 words; a few distinct values so that
+    # blocks repeat keys
+    words = (m + 62) // 63
+    dtype = np.dtype(np.int64 if m < 64 else "V%d" % (8 * words))
     pool = data.draw(st.lists(st.integers(0, 2 ** m - 1), min_size=1, max_size=8))
     picks = data.draw(st.lists(st.integers(0, len(pool) - 1), max_size=60))
-    stream = np.array([pool[i] for i in picks], dtype=dtype)
+    codes = np.array([[pool[i] >> 63 * w & (1 << 63) - 1 for w in range(words)]
+                      for i in picks], np.int64).reshape(-1, words)
+    stream = codes[:, 0] if m < 64 else codes.view(dtype).ravel()
     cuts = sorted(data.draw(st.lists(st.integers(0, len(stream)), max_size=12)))
     expected = np.unique(stream, return_counts=True)
     for blocks in (np.split(stream, cuts), np.split(stream, range(1, len(stream)))):

@@ -15,7 +15,7 @@ from stablekneser.graphs import (DihedralElement, Graph,
                                  generate_subgroup, graph_from_edges,
                                  is_valid_colouring, kneser_graph, set_bits,
                                  stable_kneser_graph, vertex_criticality_check,
-                                 vertex_permutation)
+                                 vertex_orbits, vertex_permutation)
 from oracles import (brute_force_automorphisms, brute_force_chromatic,
                      chromatic_number_upward, critical_by_all_deletions,
                      cycle_graph, dihedral_set_reference, dsatur_reference,
@@ -258,10 +258,10 @@ def test_chromatic_number_matches_the_upward_loop(monkeypatch):
     # before the one refutation at chi - 1
     search, tried = graphs._k_colouring, []
 
-    def recorded(adj, mask, kcol):
+    def recorded(adj, mask, kcol, *leaf_and_above):
         if mask == (1 << len(adj)) - 1:
             tried.append(kcol)
-        return search(adj, mask, kcol)
+        return search(adj, mask, kcol, *leaf_and_above)
 
     monkeypatch.setattr(graphs, "_k_colouring", recorded)
     for g, counts in [(crown_graph(6), [5, 4, 3, 2, 1]), (stable_kneser_graph(3, 4), [6, 5])]:
@@ -308,6 +308,12 @@ def test_criticality_orbit_of_a_non_critical_part():
     rotation = [0, 1, 2, 3, 5, 6, 7, 8, 4]
     assert not vertex_criticality_check(g, 4, [rotation])
     assert not critical_by_all_deletions(g.adjacency)
+    # no colouring of g without a C_5 vertex has 3 classes, so the refutation
+    # leaves that orbit None, whatever the dict held before
+    certificates = dict.fromkeys(vertex_orbits(g, [rotation]).values(), [0b1111])
+    assert chromatic_number(g, certificates=certificates) == 4
+    assert certificates[0b111110000] is None
+    assert not vertex_criticality_check(g, 4, [rotation], certificates)
     assert vertex_criticality_check(complete_graph(4), 4, [[1, 2, 3, 0]])
 
 
@@ -339,6 +345,91 @@ def test_criticality_refuses_classes_that_do_not_colour_the_rest(monkeypatch, cl
                         lambda adj, mask, kcol: classes if mask == 0b1110 else None)
     with pytest.raises(RuntimeError, match="improper colouring"):
         vertex_criticality_check(g, 3)
+
+
+def assert_certifies(g, classes, orbit, chi):
+    """classes: at most chi - 1 disjoint independent sets covering every vertex
+    of g but one, which lies in orbit."""
+    full = (1 << g.n) - 1
+    assert len(classes) <= chi - 1
+    covered = 0
+    for cls in classes:
+        assert cls & covered == 0 and cls & ~full == 0
+        assert all(g.adjacency[u] & cls == 0 for u in set_bits(cls))
+        covered |= cls
+    left = full ^ covered
+    assert left.bit_count() == 1 and left & orbit
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(0, 10), st.data())
+def test_criticality_from_certificates_matches_all_deletions(size, data):
+    # C_size(S) beside a graph its rotation fixes, at most 10 vertices in all;
+    # size 0 leaves a random graph and no automorphism
+    steps = data.draw(st.sets(st.integers(1, size // 2), max_size=3)) if size > 1 else set()
+    side = data.draw(loopless_graphs(10 - size))
+    g = Graph(tuple(circulant(size, steps).adjacency)
+              + tuple(row << size for row in side.adjacency))
+    automorphisms = []
+    if size:
+        shift = data.draw(st.integers(0, size - 1))
+        automorphisms.append([(i + shift) % size for i in range(size)] + list(range(size, g.n)))
+    if g.n == 0:
+        return
+    certificates = dict.fromkeys(vertex_orbits(g, automorphisms).values())
+    chi, witness = chromatic_number(g, return_colouring=True, certificates=certificates)
+    # reading certificates off the leaves changes neither the search nor its witness
+    assert (chi, witness) == chromatic_number(g, return_colouring=True)
+    for orbit, classes in certificates.items():
+        if classes is not None:
+            assert_certifies(g, classes, orbit, chi)
+    critical = critical_by_all_deletions(g.adjacency)
+    assert vertex_criticality_check(g, chi, automorphisms, certificates) == critical
+    assert vertex_criticality_check(g, None, automorphisms) == critical
+
+
+@pytest.mark.parametrize("n, k", [(2, 2), (3, 2), (4, 2), (5, 2), (6, 2), (3, 3),
+                                  (4, 3), (3, 4)])
+def test_the_refutation_certifies_every_dihedral_orbit(monkeypatch, n, k):
+    g = stable_kneser_graph(n, k)
+    m = 2 * n + k
+    symmetries = [vertex_permutation(g, DihedralElement.sigma(m)),
+                  vertex_permutation(g, DihedralElement.rho(m))]
+    certificates = dict.fromkeys(vertex_orbits(g, symmetries).values())
+    assert chromatic_number(g, certificates=certificates) == k + 2
+    for orbit, classes in certificates.items():
+        assert classes is not None, (n, k, set_bits(orbit))
+        assert_certifies(g, classes, orbit, k + 2)
+
+    def no_search(*args):
+        raise AssertionError("colouring search ran")
+
+    monkeypatch.setattr(graphs, "_k_colouring", no_search)
+    assert vertex_criticality_check(g, k + 2, symmetries, certificates)
+
+
+def test_vertex_orbits_of_a_rotation_beside_fixed_vertices():
+    g = graph_from_edges(7, [(i, (i + 1) % 5) for i in range(5)] + [(5, 6)])
+    assert vertex_orbits(g) == {v: 1 << v for v in range(7)}
+    assert vertex_orbits(g, [[1, 2, 3, 4, 0, 5, 6]]) == {4: 0b11111, 5: 1 << 5, 6: 1 << 6}
+    assert vertex_orbits(g, [[0, 4, 3, 2, 1, 6, 5]]) == {
+        0: 1, 4: 0b10010, 3: 0b01100, 6: 0b1100000}
+
+
+@pytest.mark.parametrize("classes", [[0b1010, 0b1100], [0b0010, 0b0100],
+                                     [0b0110, 0b1000], [0b0010, 0b0100, 0b1000],
+                                     [0b1001, 0b0100], [0b10010, 0b1100]])
+def test_criticality_refuses_a_certificate_that_does_not_colour_the_rest(monkeypatch, classes):
+    # as above, the classes given for the orbit {0} must colour G - 0; the last
+    # two colour G - 1 instead, or reach a vertex the graph does not have
+    g = graph_from_edges(4, [(0, 1), (0, 2), (1, 2)])
+
+    def no_search(*args):
+        raise AssertionError("colouring search ran")
+
+    monkeypatch.setattr(graphs, "_k_colouring", no_search)
+    with pytest.raises(RuntimeError, match="improper colouring"):
+        vertex_criticality_check(g, 3, (), {0b0001: classes})
 
 
 def test_dihedral_act_examples():

@@ -41,3 +41,20 @@ def test_boundary_cols_max_is_the_largest_count_of_faces_one_dimension_down():
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert float(done.stdout.splitlines()[-1]) == expected
+
+
+# Runs graph --n 5 --k 2 --chromatic --critical under the tracer; the last
+# line lists the span names recorded.
+TRACED_GRAPH = ("import sys; sys.path[:0] = ['src', 'perfbench']; import stablekneser; "
+                "from stablekneser import cli; from tracing import Tracer; "
+                "t = Tracer(); t.install(stablekneser); "
+                "cli.main(['graph', '--n', '5', '--k', '2', '--chromatic', '--critical']); "
+                "print(*sorted(t.reduce()['spans']))")
+
+
+def test_graph_chromatic_critical_goes_through_the_hooked_graph_names():
+    """The CLI reaches the chromatic number and the criticality check by their hooked names."""
+    done = subprocess.run([sys.executable, "-c", TRACED_GRAPH], cwd=ROOT,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert {"graphs.chromatic", "graphs.criticality"} <= set(done.stdout.splitlines()[-1].split())
